@@ -17,8 +17,7 @@ from .designs import (
     Ramification, child, contains_daimon, star, subsets,
 )
 from .interaction import (
-    DEFAULT_FUEL, join_used_parts, make_cutnet, normalize_closed, orthogonal,
-    Converged,
+    DEFAULT_FUEL, Converged, join_used_parts, orthogonal, run_closed,
 )
 
 
@@ -234,14 +233,21 @@ def behaviour(generators, bounds: UniverseBounds,
     return Behaviour(gens, bounds, orth)
 
 
+def meet_verdicts(verdicts) -> str:
+    """'no' at the first 'no' (it outranks 'unknown', so the rest need not
+    run), else 'unknown' if any verdict is, else 'yes'."""
+    out = "yes"
+    for v in verdicts:
+        if v == "no":
+            return "no"
+        if v == "unknown":
+            out = "unknown"
+    return out
+
+
 def member_verdict(d: Design, b: Behaviour, fuel: int = DEFAULT_FUEL) -> str:
     """'yes' | 'no' | 'unknown': orthogonality to the cached orthogonal."""
-    verdicts = [orthogonal(d, e, fuel) for e in b.cached_orthogonal]
-    if any(v == "no" for v in verdicts):
-        return "no"
-    if any(v == "unknown" for v in verdicts):
-        return "unknown"
-    return "yes"
+    return meet_verdicts(orthogonal(d, e, fuel) for e in b.cached_orthogonal)
 
 
 def members(b: Behaviour, fuel: int = DEFAULT_FUEL) -> frozenset[Design]:
@@ -267,8 +273,8 @@ def incarnation_of(d: Design, b: Behaviour,
     if member_verdict(d, b, fuel) != "yes":
         raise NotAMember("incarnation is defined for members only")
     traces = []
-    for e in b.cached_orthogonal:
-        out = normalize_closed(make_cutnet((d, e)), fuel)
+    for e in b.cached_orthogonal:      # on the dual base, as member_verdict saw
+        out = run_closed((d, e), fuel)
         assert isinstance(out, Converged)
         traces.append(out.trace)
     if not traces:
@@ -296,10 +302,9 @@ class CandidateVerdict:
 def classify_candidate(d: Design, b: Behaviour,
                        fuel: int = DEFAULT_FUEL) -> CandidateVerdict:
     """Ground iff member, †-free and material; pseudo-ground otherwise."""
-    try:
-        verdict = member_verdict(d, b, fuel)
-    except Exception:
+    if d.base != b.base:
         return CandidateVerdict("NotInBehaviour", "base mismatch")
+    verdict = member_verdict(d, b, fuel)
     if verdict == "unknown":
         return CandidateVerdict("Unknown", "fuel")
     if verdict == "no":

@@ -14,15 +14,13 @@ from . import focusing as fo
 from . import sexpr as sx
 from . import terms as tm
 from .behaviours import (
-    CandidateVerdict, NotAMember, classify_candidate, incarnation_of,
-    member_verdict, members, orthogonal_set,
+    NotAMember, classify_candidate, incarnation_of, members,
 )
-from .designs import (
-    Design, DaimonLeaf, FidLeaf, PosNode, format_address, validate_design,
-)
+from .designs import format_address, validate_design
 from .interaction import (
-    Converged, CutNet, CutNetError, DEFAULT_FUEL, Diverged, FuelExhausted,
-    child, normalize_closed, orthogonal, render_design, render_snapshots,
+    CONVERGED, OMEGA, Converged, CutNet, CutNetError, DEFAULT_FUEL, Diverged,
+    listeners, normalize_closed, orthogonal, render_design, render_snapshots,
+    render_state, step,
 )
 from .translate import TranslationEnv, TranslationError, check_translation, \
     translate
@@ -54,14 +52,16 @@ def _print_design(d):
     print("\n".join(render_design(d)))
 
 
+def _action(xi, ram) -> str:
+    return format_address(xi) + " {" + ",".join(map(str, ram)) + "}"
+
+
 # ---------------------------------------------------------------------------
 # verbs
 
 
 def cmd_check(args) -> int:
     value = _load(args.input)
-    if isinstance(value, tm.GroundTerm):  # type: ignore[misc, arg-type]
-        pass
     if args.input.endswith(".gt"):
         try:
             ty = tm.typecheck(value, tm.GroundEnv())
@@ -130,25 +130,20 @@ def cmd_design_validate(args) -> int:
 
 def cmd_interact(args) -> int:
     net = _load(args.net)
-    if args.render == "snapshots":
-        text = render_snapshots(net, args.fuel)
-        sys.stdout.write(text)
-        return OK if text.rstrip().endswith("† ⊢") else NO
     out = normalize_closed(net, args.fuel)
-    for pol, xi, ram in out.trace:
-        print(f"{pol} {format_address(xi)} "
-              + "{" + ",".join(map(str, ram)) + "}")
-    match out:
-        case Converged():
-            print("converged")
-            return OK
-        case Diverged(at, reason, _):
-            print(f"diverged at {format_address(at)}: {reason}")
-            return NO
-        case _:
-            print("fuel exhausted")
-            return ERR
-    return ERR
+    if args.render == "snapshots":
+        sys.stdout.write(render_snapshots(net, args.fuel))
+    else:
+        for pol, xi, ram in out.trace:
+            print(f"{pol} {_action(xi, ram)}")
+        match out:
+            case Converged():
+                print("converged")
+            case Diverged(at, reason, _):
+                print(f"diverged at {format_address(at)}: {reason}")
+            case _:
+                print("fuel exhausted")
+    return {Converged: OK, Diverged: NO}.get(type(out), ERR)
 
 
 def cmd_orth(args) -> int:
@@ -337,15 +332,11 @@ def _repl_term(t, fuel, inp=None, out=None, env=None) -> int:
 def _repl_net(net: CutNet, fuel, inp=None, out=None) -> int:
     inp = inp or sys.stdin
     out = out or sys.stdout
-    env0 = {d.base.neg: d for d in net.designs if d.base.neg is not None}
     # history of (current design, listener environment, trace)
-    history = [(net.principal, env0, ())]
+    history = [(net.principal, listeners(net.designs), ())]
 
     def show():
-        current, env, _ = history[-1]
-        for d in [current] + [env[k] for k in sorted(env)]:
-            print("\n".join(render_design(d)), file=out)
-            print("", file=out)
+        print("\n".join(render_state(*history[-1][:2])), file=out)
 
     show()
     for line in inp:
@@ -356,8 +347,7 @@ def _repl_net(net: CutNet, fuel, inp=None, out=None) -> int:
             show()
         elif cmd == "trace":
             for pol, xi, ram in history[-1][2]:
-                print(f"{pol} {format_address(xi)} "
-                      + "{" + ",".join(map(str, ram)) + "}", file=out)
+                print(f"{pol} {_action(xi, ram)}", file=out)
         elif cmd == "back":
             if len(history) == 1:
                 print("already at step 0", file=out)
@@ -366,28 +356,21 @@ def _repl_net(net: CutNet, fuel, inp=None, out=None) -> int:
                 show()
         elif cmd == "step":
             current, env, trace = history[-1]
-            match current.node:
-                case DaimonLeaf():
-                    print("converged: † ⊢", file=out)
-                case FidLeaf():
-                    print("diverged: Ω reached", file=out)
-                case PosNode(focus, ram, kids):
-                    counter = env.get(focus)
-                    branch = (counter.node.branch_map().get(ram)
-                              if counter is not None else None)
-                    if branch is None:
-                        print(f"diverged at {format_address(focus)}", file=out)
-                        continue
-                    new_env = dict(env)
-                    del new_env[focus]
-                    for i, c in zip(ram, kids):
-                        new_env[child(focus, i)] = c
-                    rec = ("+", focus, ram)
-                    print(f"consumed (+,-) at {format_address(focus)} "
-                          + "{" + ",".join(map(str, ram)) + "}", file=out)
-                    history.append((branch, new_env,
-                                    trace + (rec, ("-", focus, ram))))
-                    show()
+            env = dict(env)
+            nxt = step(current, env)
+            if nxt == CONVERGED:
+                print("converged: † ⊢", file=out)
+            elif nxt == OMEGA:
+                print("diverged: Ω reached", file=out)
+            elif isinstance(nxt, str):
+                print(f"diverged at {format_address(current.node.focus)}",
+                      file=out)
+            else:
+                focus, ram = current.node.focus, current.node.ramification
+                print(f"consumed (+,-) at {_action(focus, ram)}", file=out)
+                history.append((nxt, env, trace + (("+", focus, ram),
+                                                   ("-", focus, ram))))
+                show()
         elif cmd:
             print(f"unknown command {cmd!r} "
                   "(step, back, show, trace, quit)", file=out)

@@ -8,7 +8,7 @@ checked by inclusion, so weakening is always allowed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 
 Address = tuple[int, ...]
 Ramification = tuple[int, ...]          # canonically sorted

@@ -1,18 +1,25 @@
-"""Cut-nets and deterministic normalization (interaction) on closed nets.
+"""Cut-nets and the interaction machine that normalizes them.
 
-The engine keeps an environment mapping each cut address to the negative
-design that listens there, and walks the principal positive design,
-consuming matching action pairs depth-first.
+The machine, after Terui's *Computational Ludics*, holds the positive
+design in control and a listener map from each cut address to the
+negative design listening there.  `step` consumes one action pair (ξ, I):
+it pops the listener at ξ, enters its branch I, binds the action's
+children at the addresses ξ.i and hands control to the branch.  Otherwise
+it says why it stops: daimon, Ω, no branch I, or nobody listening at ξ.
+`run` repeats `step`; closed and open normalization, snapshots,
+orthogonality, incarnation and the net REPL all run on it.  Fuel bounds
+the action pairs one call consumes: a run that finds a match for pair
+fuel + 1 stops there with FuelExhausted, its trace ending with that pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from .designs import (
     Address, DaimonLeaf, Design, FidLeaf, NegNode, Pitchfork, PosNode,
-    Ramification, child, daimon, disjoint, fid, format_address,
-    merge_subdesigns, star,
+    Ramification, child, daimon, disjoint, format_address, merge_subdesigns,
 )
 
 DEFAULT_FUEL = 100_000
@@ -114,7 +121,71 @@ def make_cutnet(designs) -> CutNet:
 
 
 # ---------------------------------------------------------------------------
-# interaction results
+# the interaction machine
+
+#: why the machine stopped
+CONVERGED = "converged"
+OMEGA = "fid-encountered"
+NO_BRANCH = "no-matching-negative-action"
+UNCUT = "uncut-focus"
+OUT_OF_FUEL = "fuel-exhausted"
+
+
+def listeners(designs) -> dict[Address, Design]:
+    """The listener map of a net: each negative design at its base address."""
+    return {d.base.neg: d for d in designs if d.base.neg is not None}
+
+
+def step(current: Design, env: dict[Address, Design]) -> Design | str:
+    """Consume one action pair and return the design that takes control,
+    or return why no pair can be consumed.  Updates `env` in place."""
+    match current.node:
+        case PosNode(focus, ram, kids):
+            counter = env.pop(focus, None)
+            if counter is None:
+                return UNCUT
+            for key, branch in counter.node.branches:
+                if key == ram:
+                    break
+            else:
+                return NO_BRANCH
+            for i, c in zip(ram, kids):
+                env[child(focus, i)] = c
+            return branch
+        case DaimonLeaf():
+            return CONVERGED
+        case FidLeaf():
+            return OMEGA
+    raise CutNetError(["a principal design cannot start negative"])
+
+
+def run(current: Design, env: dict[Address, Design], fuel: int,
+        trace: list[TraceRecord] | None = None,
+        observe=None) -> tuple[str, Design, int]:
+    """Step until the machine stops or has consumed `fuel` pairs.
+
+    Returns why it stopped, the design in control then and the fuel left
+    (negative when it ran out).  Consumed pairs are appended to `trace`,
+    and `observe(current, env)` sees every state before its step.
+    """
+    while True:
+        if observe is not None:
+            observe(current, env)
+        nxt = step(current, env)
+        if isinstance(nxt, str):
+            return nxt, current, fuel
+        if trace is not None:
+            node = current.node
+            trace.append(("+", node.focus, node.ramification))
+            trace.append(("-", node.focus, node.ramification))
+        fuel -= 1
+        if fuel < 0:
+            return OUT_OF_FUEL, current, fuel
+        current = nxt
+
+
+# ---------------------------------------------------------------------------
+# closed normalization
 
 
 @dataclass(frozen=True)
@@ -137,48 +208,37 @@ class FuelExhausted:
 
 InteractionResult = Converged | Diverged | FuelExhausted
 
+#: the orthogonality verdict of a closed normalization
+VERDICT = {Converged: "yes", Diverged: "no", FuelExhausted: "unknown"}
+
 
 def _site(d: Design) -> Address:
     return min(sorted(d.base.pos)) if d.base.pos else ()
 
 
+def run_closed(designs, fuel: int = DEFAULT_FUEL) -> InteractionResult:
+    """Normalize the designs of a closed cut-net, from its one positive
+    design."""
+    principal = next(d for d in designs if d.base.neg is None)
+    trace: list[TraceRecord] = []
+    reason, last, _ = run(principal, listeners(designs), fuel, trace)
+    if reason == CONVERGED:
+        trace.append(("†", _site(last), ()))
+        return Converged(daimon(), tuple(trace))
+    if reason == OUT_OF_FUEL:
+        return FuelExhausted(tuple(trace))
+    if reason == UNCUT:
+        raise CutNetError([f"no design listens at "
+                           f"{format_address(last.node.focus)}"])
+    at = _site(last) if reason == OMEGA else last.node.focus
+    return Diverged(at, reason, tuple(trace))
+
+
 def normalize_closed(net: CutNet, fuel: int = DEFAULT_FUEL) -> InteractionResult:
-    """Run the cut-propagation loop on a closed cut-net."""
+    """Normalize a closed cut-net."""
     if not net.closed:
         raise CutNetError(["normalization is defined on closed cut-nets only"])
-    env: dict[Address, Design] = {d.base.neg: d for d in net.designs
-                                  if d.base.neg is not None}
-    current = net.principal
-    trace: list[TraceRecord] = []
-    pairs = 0
-    while True:
-        match current.node:
-            case DaimonLeaf():
-                trace.append(("†", _site(current), ()))
-                return Converged(daimon(), tuple(trace))
-            case FidLeaf():
-                return Diverged(_site(current), "fid-encountered", tuple(trace))
-            case PosNode(focus, ram, kids):
-                counter = env.pop(focus, None)
-                if counter is None:
-                    raise CutNetError(
-                        [f"no design listens at {format_address(focus)}"])
-                assert isinstance(counter.node, NegNode)
-                branch = counter.node.branch_map().get(ram)
-                if branch is None:
-                    return Diverged(focus, "no-matching-negative-action",
-                                    tuple(trace))
-                trace.append(("+", focus, ram))
-                trace.append(("-", focus, ram))
-                pairs += 1
-                if pairs > fuel:
-                    return FuelExhausted(tuple(trace))
-                for i, c in zip(ram, kids):
-                    env[child(focus, i)] = c
-                current = branch
-            case _:
-                raise CutNetError(["a principal design cannot start negative "
-                                   "in a closed net"])
+    return run_closed(net.designs, fuel)
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +256,13 @@ def _dual_single(a: Design, b: Design) -> bool:
 
 
 def orthogonal(d: Design, d2: Design, fuel: int = DEFAULT_FUEL) -> str:
-    """'yes' | 'no' | 'unknown' for two designs on dual single-address bases."""
+    """'yes' | 'no' | 'unknown' for two designs on dual single-address bases.
+
+    Dual bases make the two designs a closed cut-net, so no other check runs.
+    """
     if not (_dual_single(d, d2) or _dual_single(d2, d)):
         raise BaseMismatch(f"bases {d.base} and {d2.base} are not dual")
-    out = normalize_closed(make_cutnet((d, d2)), fuel)
-    match out:
-        case Converged():
-            return "yes"
-        case Diverged():
-            return "no"
-        case _:
-            return "unknown"
+    return VERDICT[type(run_closed((d, d2), fuel))]
 
 
 # ---------------------------------------------------------------------------
@@ -288,51 +344,34 @@ def render_design(d: Design, mark: frozenset[Address] = frozenset(),
     raise AssertionError
 
 
+def render_state(current: Design, env: dict[Address, Design],
+                 mark: frozenset[Address] = frozenset()) -> list[str]:
+    """The design in control, then each listener by address, each followed
+    by a blank line."""
+    lines: list[str] = []
+    for d in [current] + [env[k] for k in sorted(env)]:
+        lines += render_design(d, mark) + [""]
+    return lines
+
+
 def render_snapshots(net: CutNet, fuel: int = DEFAULT_FUEL) -> str:
     """Replay a closed normalization, one snapshot of the net per step."""
     if not net.closed:
         raise CutNetError(["snapshots are defined on closed cut-nets only"])
-    env: dict[Address, Design] = {d.base.neg: d for d in net.designs
-                                  if d.base.neg is not None}
-    current = net.principal
-    out = []
-    step = 0
-    while True:
-        state = [current] + [env[k] for k in sorted(env)]
-        match current.node:
-            case DaimonLeaf():
-                mark = frozenset()
-            case PosNode(focus, _, _):
-                mark = frozenset({focus})
-            case _:
-                mark = frozenset()
-        out.append(f"== step {step} ==")
-        for d in state:
-            out += render_design(d, mark)
-            out.append("")
-        match current.node:
-            case DaimonLeaf():
-                out.append("== result ==")
-                out.append("† ⊢")
-                break
-            case FidLeaf():
-                out.append("== result ==")
-                out.append("diverges (Ω)")
-                break
-            case PosNode(focus, ram, kids):
-                counter = env.pop(focus, None)
-                branch = (counter.node.branch_map().get(ram)
-                          if counter is not None else None)
-                if branch is None:
-                    out.append("== result ==")
-                    out.append(f"diverges at {format_address(focus)}")
-                    break
-                for i, c in zip(ram, kids):
-                    env[child(focus, i)] = c
-                current = branch
-        step += 1
-        if step > fuel:
-            out.append("== result ==")
-            out.append("fuel exhausted")
-            break
+    out: list[str] = []
+    steps = count()
+
+    def snapshot(current: Design, env: dict[Address, Design]) -> None:
+        node = current.node
+        mark = frozenset({node.focus}) if isinstance(node, PosNode) \
+            else frozenset()
+        out.append(f"== step {next(steps)} ==")
+        out.extend(render_state(current, env, mark))
+
+    reason, last, _ = run(net.principal, listeners(net.designs), fuel,
+                          observe=snapshot)
+    out.append("== result ==")
+    out.append({CONVERGED: "† ⊢", OMEGA: "diverges (Ω)",
+                OUT_OF_FUEL: "fuel exhausted"}.get(reason)
+               or f"diverges at {format_address(last.node.focus)}")
     return "\n".join(out) + "\n"

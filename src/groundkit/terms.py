@@ -581,9 +581,7 @@ def _match(pattern: GroundTerm, t: GroundTerm,
     pc, tc_ = children(pattern), children(t)
     if len(pc) != len(tc_):
         return False
-    if rebuild(pattern, pc) != pattern or rebuild(t, tc_) != t:
-        # constructor payloads beyond children must agree; compare shells
-        pass
+    # constructor payloads beyond children must agree; compare shells
     if rebuild(pattern, tuple(MetaVar("·") for _ in pc)) != \
        rebuild(t, tuple(MetaVar("·") for _ in tc_)):
         return False
@@ -689,7 +687,10 @@ def is_primitive_head(t: GroundTerm) -> bool:
 
 def normalize(t: GroundTerm, env: GroundEnv | None = None,
               fuel: int = DEFAULT_FUEL) -> ReductionOutcome:
-    """Iterate reduction to a primitive head, detecting loops by repetition."""
+    """Iterate reduction to a primitive head, detecting loops by repetition.
+
+    At most `fuel` reduction steps are taken.
+    """
     env = env or GroundEnv()
     trace: list[tuple[tuple[int, ...], str]] = []
     history = [t]
@@ -700,13 +701,13 @@ def normalize(t: GroundTerm, env: GroundEnv | None = None,
         hit = reduce_step_at(t, env)
         if hit is None:
             return Stuck(t, tuple(trace))
+        if len(trace) >= fuel:
+            return FuelExhausted(t, tuple(trace))
         t, pos, name = hit
         trace.append((pos, name))
         key = repr(t)
         if key in seen:
             return Loop(tuple(history[seen[key]:]) + (t,), tuple(trace))
-        if len(trace) >= fuel:
-            return FuelExhausted(t, tuple(trace))
         seen[key] = len(history)
         history.append(t)
 

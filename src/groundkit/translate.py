@@ -26,17 +26,18 @@ import itertools
 from dataclasses import dataclass, field
 
 from .designs import (
-    Address, DaimonLeaf, Design, FidLeaf, NegNode, Pitchfork, PosNode,
-    build_fax, child, daimon, delocate, fid, negative, positive, star,
+    Address, Design, Pitchfork, build_fax, child, daimon, delocate, disjoint,
+    fid, negative, positive, star,
 )
 from .behaviours import (
     Behaviour, UniverseBounds, contains_daimon, enumerate_universe,
-    incarnation_of, is_material, member_verdict, members, CandidateVerdict,
-    classify_candidate, dual_base,
+    is_material, meet_verdicts, members, CandidateVerdict,
+    classify_candidate,
 )
 from .interaction import (
-    DEFAULT_FUEL, Converged, CutNet, Diverged, join_used_parts, make_cutnet,
-    normalize_closed, used_part,
+    CONVERGED, DEFAULT_FUEL, OUT_OF_FUEL, UNCUT, VERDICT, Converged, CutNet,
+    CutNetError, InteractionResult, join_used_parts, listeners, make_cutnet,
+    run, run_closed,
 )
 from .formulas import Absurd, Atom, Formula, Impl
 from .terms import GroundEnv, GroundTerm, ImplE, ImplI, Const, Var, \
@@ -53,80 +54,45 @@ class TranslationError(Exception):
 # restricted open normalization
 
 
-class _Fuel:
-    def __init__(self, n):
-        self.n = n
-
-    def tick(self):
-        self.n -= 1
-        if self.n < 0:
-            raise _FuelOut()
-
-
-class _FuelOut(Exception):
-    pass
-
-
-class _Diverged(Exception):
-    pass
-
-
 def normalize_open(net: CutNet, fuel: int = DEFAULT_FUEL) -> Design | None:
     """Normalize a cut-net whose base is positive (⊢ Γ, no negative address).
 
     Returns the normal-form design on the net's base, or None when the
-    main thread diverges.  Divergent side branches become Fid leaves, as
-    in the normal form of an open interaction.
+    main thread diverges.  An uncut focus becomes an output node whose
+    branches are normalized in turn; divergent branches become Fid leaves,
+    as in the normal form of an open interaction.  The whole call consumes
+    at most `fuel` action pairs.
     """
     if net.base.neg is not None:
         raise TranslationError("unsupported-base",
                                "open normalization handles positive bases only")
-    env0 = {d.base.neg: d for d in net.designs if d.base.neg is not None}
-    gas = _Fuel(fuel)
 
-    def nf_pos(current: Design, env: dict) -> Design:
-        while True:
-            gas.tick()
-            match current.node:
-                case DaimonLeaf():
-                    return daimon()      # rebased by the caller
-                case FidLeaf():
-                    raise _Diverged()
-                case PosNode(focus, ram, kids):
-                    counter = env.get(focus)
-                    if counter is None:      # uncut: part of the output
-                        return positive(
-                            focus,
-                            {i: nf_neg(c, env) for i, c in zip(ram, kids)})
-                    env = dict(env)
-                    del env[focus]
-                    branch = counter.node.branch_map().get(ram)
-                    if branch is None:
-                        raise _Diverged()
-                    for i, c in zip(ram, kids):
-                        env[child(focus, i)] = c
-                    current = branch
-                case _:
-                    raise TranslationError("unsupported-base",
-                                           "negative node on the main thread")
+    def nf_pos(current: Design, env: dict) -> Design | None:
+        nonlocal fuel
+        reason, last, fuel = run(current, env, fuel)
+        if reason == OUT_OF_FUEL:
+            raise TranslationError("fuel-exhausted",
+                                   "open normalization ran out of fuel")
+        if reason == CONVERGED:
+            return daimon()      # rebased by the caller
+        if reason != UNCUT:
+            return None
+        node = last.node
+        return positive(node.focus, {i: nf_neg(c, env) for i, c
+                                     in zip(node.ramification, node.children)})
 
     def nf_neg(d: Design, env: dict) -> Design:
-        assert isinstance(d.node, NegNode)
         focus = d.node.focus
         branches = {}
         for key, b in d.node.branches:
-            try:
-                r = nf_pos(b, dict(env))
-                # widen the branch base to cover the opened sub-addresses
-                branches[key] = Design(
-                    Pitchfork(None, r.base.pos | star(focus, key)), r.node)
-            except _Diverged:
-                branches[key] = fid(*star(focus, key))
+            r = nf_pos(b, dict(env))
+            # widen the branch base to cover the opened sub-addresses
+            branches[key] = fid(*star(focus, key)) if r is None else Design(
+                Pitchfork(None, r.base.pos | star(focus, key)), r.node)
         return negative(focus, branches)
 
-    try:
-        r = nf_pos(net.principal, env0)
-    except _Diverged:
+    r = nf_pos(net.principal, listeners(net.designs))
+    if r is None:
         return None
     return Design(Pitchfork(None, r.base.pos | net.base.pos), r.node)
 
@@ -182,7 +148,9 @@ def arrow(bA: Behaviour, bB: Behaviour, bounds: UniverseBounds,
                 return False
         return True
 
-    defining = frozenset(d for d in universe if maps_domain(d))
+    # a list in universe order: the pair loop below stops at the first
+    # failing design, so its cost must not follow hash order
+    defining = [d for d in universe if maps_domain(d)]
 
     a_universe = enumerate_universe(bounds.at(Pitchfork(None,
                                                         frozenset({alpha}))))
@@ -191,37 +159,39 @@ def arrow(bA: Behaviour, bB: Behaviour, bounds: UniverseBounds,
     for a, bb in itertools.product(a_universe, b_universe):
         if all(pair_orthogonal(a, d, bb, fuel) == "yes" for d in defining):
             pairs.append((a, bb))
-    return ArrowBehaviour(bA, bB, bounds, defining, frozenset(pairs))
+    return ArrowBehaviour(bA, bB, bounds, frozenset(defining),
+                          frozenset(pairs))
+
+
+def _pair_test(a: Design, d: Design, b: Design,
+               fuel: int) -> InteractionResult:
+    """Normalize {a, d, b}; bases ⊢α, α⊢β and β⊢ make it a closed cut-net,
+    so no other check runs."""
+    alpha, beta = d.base.neg, b.base.neg
+    if not (alpha is not None and beta is not None and disjoint(alpha, beta)
+            and a.base == Pitchfork(None, frozenset({alpha}))
+            and d.base.pos == {beta} and not b.base.pos):
+        raise CutNetError([f"bases {a.base}, {d.base} and {b.base} do not "
+                           "form a pair test"])
+    return run_closed((a, d, b), fuel)
 
 
 def pair_orthogonal(a: Design, d: Design, b: Design,
                     fuel: int = DEFAULT_FUEL) -> str:
-    out = normalize_closed(make_cutnet((a, d, b)), fuel)
-    match out:
-        case Converged():
-            return "yes"
-        case Diverged():
-            return "no"
-        case _:
-            return "unknown"
+    return VERDICT[type(_pair_test(a, d, b, fuel))]
 
 
 def arrow_member_verdict(d: Design, ab: ArrowBehaviour,
                          fuel: int = DEFAULT_FUEL) -> str:
-    verdicts = [pair_orthogonal(a, d, b, fuel)
-                for a, b in ab.cached_orthogonal]
-    if any(v == "no" for v in verdicts):
-        return "no"
-    if any(v == "unknown" for v in verdicts):
-        return "unknown"
-    return "yes"
+    return meet_verdicts(pair_orthogonal(a, d, b, fuel)
+                         for a, b in ab.cached_orthogonal)
 
 
 def arrow_incarnation_of(d: Design, ab: ArrowBehaviour,
                          fuel: int = DEFAULT_FUEL) -> Design:
     traces = []
     for a, b in ab.cached_orthogonal:
-        out = normalize_closed(make_cutnet((a, d, b)), fuel)
+        out = _pair_test(a, d, b, fuel)
         assert isinstance(out, Converged)
         traces.append(out.trace)
     return join_used_parts(d, traces)

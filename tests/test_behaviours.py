@@ -234,3 +234,31 @@ class TestDualBase:
     def test_rejects_wide_bases(self):
         with pytest.raises(ValueError):
             dual_base(Pitchfork(None, frozenset({(0,), (1,)})))
+
+
+class TestVerdictShortCircuit:
+    def test_member_verdict_stops_at_first_no(self, monkeypatch):
+        import groundkit.behaviours as bh
+        b = behaviour_one(FULL2)
+        d = positive(XI, {0: skunk((0, 0))})
+        verdicts = [bh.orthogonal(d, e) for e in b.cached_orthogonal]
+        assert "yes" in verdicts and "no" in verdicts
+        calls = []
+        real = bh.orthogonal
+        monkeypatch.setattr(bh, "orthogonal",
+                            lambda *args: calls.append(args) or real(*args))
+        assert member_verdict(d, b) == "no"
+        assert len(calls) == verdicts.index("no") + 1
+
+    def test_internal_error_propagates(self, monkeypatch):
+        import groundkit.behaviours as bh
+        b = behaviour_one()
+
+        def broken(*args):
+            raise RuntimeError("internal error")
+
+        monkeypatch.setattr(bh, "orthogonal", broken)
+        with pytest.raises(RuntimeError):
+            classify_candidate(atomic_bomb(XI), b)
+        v = classify_candidate(skunk(XI), b)
+        assert (v.tag, v.reason) == ("NotInBehaviour", "base mismatch")

@@ -264,3 +264,43 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.startswith("ok: ")
+
+
+class TestFuelExhaustion:
+    @pytest.mark.parametrize("render", ["snapshots", "trace-lines"])
+    def test_interact_exits_2(self, capsys, render):
+        status, out, _ = run(capsys, "interact", "--net",
+                             str(DATA / "convergent-pair.net"),
+                             "--render", render, "--fuel", "1")
+        assert status == 2
+        assert out.rstrip().endswith("fuel exhausted")
+
+    def test_translate_exits_2(self, tmp_path, capsys):
+        # the constant is the generator, so the application takes five
+        # action pairs: one at 0.0, then two in each of the fax's two
+        # output branches
+        term = tmp_path / "apply.gt"
+        term.write_text("(impl-e (impl-i (var u (atom B)) (var u (atom B)))"
+                        " (const c (atom B)))")
+        bounds = "(bounds 3 (pool (I) (I 0) (I 1)) (pos-base 5))"
+        generator = ("(pos 5 (I 0) (neg 5.0 (branch (I 0) (pos 5.0.0 (I)))"
+                     " (branch (I 1) (pos 5.0.1 (I)))))")
+        env = tmp_path / "env.tenv"
+        env.write_text(f"(tenv (fuel 4) {bounds} (fax-arity 1) (atom (atom B)"
+                       f" (behaviour {bounds} (generators {generator}))))")
+        status, out, err = run(capsys, "translate", "--term", str(term),
+                               "--env", str(env))
+        assert status == 2
+        assert "fuel-exhausted" in out + err
+
+    def test_net_repl_back_restores_listeners(self):
+        from conftest import convergent_pair
+        from groundkit.cli import _repl_net
+        from groundkit.interaction import listeners, render_state
+        net = convergent_pair()
+        start = "\n".join(render_state(net.principal,
+                                       listeners(net.designs))) + "\n"
+        buf = io.StringIO()
+        _repl_net(net, 1000, inp=io.StringIO("step\nback\n"), out=buf)
+        assert buf.getvalue().startswith(start)
+        assert buf.getvalue().endswith(start)

@@ -14,6 +14,9 @@ from groundkit.interaction import (
     BaseMismatch, Converged, CutNetError, Diverged, make_cutnet,
     normalize_closed, orthogonal, render_snapshots, used_part,
 )
+from groundkit.interaction import (
+    CONVERGED, NO_BRANCH, OMEGA, UNCUT, FuelExhausted, run_closed, step,
+)
 
 XI = (0,)
 
@@ -201,3 +204,55 @@ class TestRendering:
         text = render_snapshots(convergent_pair())
         assert text.count("== ") == 4            # three steps plus the result
         assert text.rstrip().endswith("† ⊢")
+
+
+class TestMachine:
+    def test_step_consumes_one_pair(self):
+        left, right = convergent_pair().designs
+        env = {XI: right}
+        nxt = step(left, env)
+        assert nxt == dict(right.node.branches)[(1,)]
+        assert env == {(0, 1): left.node.children[0]}
+
+    def test_step_says_why_it_stops(self):
+        assert step(daimon(XI), {}) == CONVERGED
+        assert step(fid(XI), {}) == OMEGA
+        assert step(atomic_bomb(XI), {XI: skunk(XI)}) == NO_BRANCH
+        assert step(atomic_bomb(XI), {}) == UNCUT
+
+    def test_uncut_focus_in_a_closed_net_is_an_error(self):
+        # the listener at 0.1 is consumed, then the left design focuses
+        # 0.1 a second time
+        again = positive((0,), {1: negative((0, 1), {
+            (1,): positive((0, 1), extra=[(0, 1, 1)])})})
+        right = negative((0,), {(1,): positive((0, 1), {1: negative(
+            (0, 1, 1), {(): daimon()})})})
+        with pytest.raises(CutNetError, match="no design listens at 0.1"):
+            run_closed((again, right))
+
+
+class TestFuel:
+    """A run that needs N action pairs succeeds with fuel N and runs out
+    with fuel N - 1."""
+
+    def test_normalize_closed(self):
+        net = convergent_pair()              # two pairs, then the daimon
+        assert isinstance(normalize_closed(net, 2), Converged)
+        out = normalize_closed(net, 1)
+        assert isinstance(out, FuelExhausted)
+
+    def test_orthogonal(self):
+        left, right = convergent_pair().designs
+        assert orthogonal(left, right, 2) == "yes"
+        assert orthogonal(left, right, 1) == "unknown"
+
+    def test_snapshots(self):
+        net = convergent_pair()
+        assert render_snapshots(net, 2).endswith("== result ==\n† ⊢\n")
+        text = render_snapshots(net, 1)
+        assert text.endswith("== result ==\nfuel exhausted\n")
+        assert text.count("== step") == 2
+
+    def test_divergence_needs_no_fuel(self):
+        out = normalize_closed(make_cutnet((atomic_bomb(XI), skunk(XI))), 0)
+        assert isinstance(out, Diverged)

@@ -266,3 +266,24 @@ class TestLinearity:
     def test_nested(self):
         x, y = tm.Var("x", A), tm.Var("y", Atom("B"))
         assert tm.is_linear(tm.ImplI(x, tm.ImplI(y, tm.ConjI(x, y))))
+
+
+class TestFuel:
+    @staticmethod
+    def identity_chain(n):
+        t = tm.Const("a", A)
+        for i in range(n):
+            x = tm.Var(f"x{i}", A)
+            t = tm.ImplE(tm.ImplI(x, x), t)
+        return t
+
+    def test_steps_needed_equal_fuel(self):
+        out = tm.normalize(self.identity_chain(3), fuel=3)
+        assert isinstance(out, tm.Canonical)
+        assert len(out.trace) == 3
+
+    def test_one_step_short(self):
+        out = tm.normalize(self.identity_chain(3), fuel=2)
+        assert isinstance(out, tm.FuelExhausted)
+        assert len(out.trace) == 2
+        assert out.term == self.identity_chain(1)

@@ -4,7 +4,7 @@ from groundkit import terms as tm
 from groundkit.formulas import Absurd, Atom, Impl
 from groundkit.designs import (
     Pitchfork, atomic_bomb, build_fax, daimon, delocate, fid, negative,
-    skunk, validate_design,
+    positive, skunk, validate_design,
 )
 from groundkit.behaviours import UniverseBounds, behaviour
 from groundkit.interaction import make_cutnet
@@ -244,3 +244,47 @@ class TestDelocatedBehaviours:
         assert b.base == Pitchfork(None, frozenset({(5,)}))
         from groundkit.behaviours import members
         assert members(b) == {atomic_bomb((5,)), daimon((5,))}
+
+
+class TestOpenFuel:
+    """The open normalizer counts action pairs over the whole call,
+    output branches included."""
+
+    def net(self):
+        # one pair at α, then one thread per branch of the listener at
+        # α.0: the fax's replies at 0.0 {0} and 0.0 {1} each take two pairs
+        arg = positive((0, 0), {0: negative((0, 0, 0), {
+            (0,): positive((0, 0, 0, 0)), (1,): positive((0, 0, 0, 1))})})
+        return make_cutnet((arg, build_fax((0, 0), (0, 1), 3, 1)))
+
+    def test_boundary(self):
+        out = normalize_open(self.net(), 5)
+        assert validate_design(out) == []
+        with pytest.raises(TranslationError) as e:
+            normalize_open(self.net(), 4)
+        assert e.value.kind == "fuel-exhausted"
+
+    def test_uncut_reply_needs_no_pair(self):
+        fx = build_fax((0, 0), (0, 1), 2, 0)
+        net = make_cutnet((atomic_bomb((0, 0)), fx))
+        assert normalize_open(net, 1) == atomic_bomb((0, 1))
+        with pytest.raises(TranslationError):
+            normalize_open(net, 0)
+
+
+class TestArrowShortCircuit:
+    def test_member_verdict_stops_at_first_no(self, monkeypatch):
+        import sys
+        tr = sys.modules["groundkit.translate"]
+        env = one_env()
+        ab = arrow(env.behaviour_at(P, (0, 0)), env.behaviour_at(P, (0, 1)),
+                   BOUNDS)
+        d = negative((0, 0), extra=[(0, 1)])
+        verdicts = [pair_orthogonal(a, d, b) for a, b in ab.cached_orthogonal]
+        assert "no" in verdicts and "yes" in verdicts
+        calls = []
+        monkeypatch.setattr(tr, "pair_orthogonal",
+                            lambda *args: calls.append(args) or
+                            pair_orthogonal(*args))
+        assert arrow_member_verdict(d, ab) == "no"
+        assert len(calls) == verdicts.index("no") + 1
