@@ -29,20 +29,18 @@ from .designs import (
 )
 from .interaction import (
     Converged, CutNet, CutNetError, DEFAULT_FUEL, Diverged,
-    InteractionResult, TraceRecord, join_used_parts, make_cutnet,
+    InteractionResult, TraceRecord, dual_bases, join_used_parts, make_cutnet,
     normalize_closed, orthogonal, render_design, render_snapshots, used_part,
 )
 from .behaviours import (
-    Behaviour, CandidateVerdict, NotAMember, SizeLimitExceeded,
+    Behaviour, CandidateVerdict, NotAMember, OutOfFuel, SizeLimitExceeded,
     UniverseBounds, behaviour, biorthogonal, classify_candidate,
-    count_universe, dual_base, enumerate_universe, full_pool, incarnation_of,
+    count_universe, enumerate_universe, full_pool, incarnation_of,
     is_material, member_verdict, members, orthogonal_set,
 )
 from .translate import (
-    ArrowBehaviour, TranslationEnv, TranslationError, arrow,
-    arrow_incarnation_of, arrow_member_verdict, check_translation,
-    classify_arrow_candidate, free_incarnation, normalize_open,
-    pair_orthogonal, translate,
+    TranslationEnv, TranslationError, arrow, check_translation,
+    free_incarnation, normalize_open, translate,
 )
 from .focusing import (
     Bottom, ClusteredDerivation, NegAtom, One, Par, Plus, PolarizedFormula,

@@ -1,23 +1,30 @@
 """Bounded design universes, orthogonal sets, behaviours, incarnation,
 materiality, and ground-candidate classification.
 
+A behaviour lives on the base of its bounds.  Its counter-tests sit on the
+dual bases (`interaction.dual_bases`): one design for a one-address base,
+a pair of designs on ⊢α and β⊢ for an arrow on α⊢β.  Every function here
+serves both kinds.
+
 Full bi-orthogonals are infinite; every closure computed here is scoped
 to a declared UniverseBounds.  Within those bounds membership failure is
 conclusive (a diverging counter-test exists); success is evidence
-relative to the bounds.
+relative to the bounds.  A test that runs out of fuel leaves a bounded set
+undecided, and computing that set raises OutOfFuel.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .designs import (
     Address, DaimonLeaf, Design, FidLeaf, NegNode, Pitchfork, PosNode,
     Ramification, child, contains_daimon, star, subsets,
 )
 from .interaction import (
-    DEFAULT_FUEL, Converged, join_used_parts, orthogonal, run_closed,
+    DEFAULT_FUEL, VERDICT, BaseMismatch, dual_bases, join_used_parts,
+    run_test,
 )
 
 
@@ -26,6 +33,10 @@ class SizeLimitExceeded(Exception):
 
 
 class NotAMember(Exception):
+    pass
+
+
+class OutOfFuel(ValueError):
     pass
 
 
@@ -49,15 +60,6 @@ class UniverseBounds:
 def full_pool(arity_bound: int) -> tuple[Ramification, ...]:
     """Every ramification drawn from {0..arity_bound}."""
     return tuple(subsets(range(arity_bound + 1)))
-
-
-def dual_base(p: Pitchfork) -> Pitchfork:
-    """⊢ξ ↔ ξ⊢ for single-address bases (the only duality used here)."""
-    if p.neg is None and len(p.pos) == 1:
-        return Pitchfork(next(iter(p.pos)), frozenset())
-    if p.neg is not None and not p.pos:
-        return Pitchfork(None, frozenset({p.neg}))
-    raise ValueError(f"base {p} has no single-address dual")
 
 
 # ---------------------------------------------------------------------------
@@ -180,57 +182,56 @@ def count_universe(bounds: UniverseBounds) -> int:
 # orthogonal sets and behaviours
 
 
-def orthogonal_set(E, bounds: UniverseBounds, fuel: int = DEFAULT_FUEL,
-                   warnings: list | None = None) -> frozenset[Design]:
-    """Bounded E^⊥: the universe of the dual base filtered by orthogonality.
+def _undecided(fuel: int) -> OutOfFuel:
+    return OutOfFuel(f"fuel-exhausted: an orthogonality test needs more than "
+                     f"{fuel} action pairs")
 
-    Fuel-exhausted candidates are excluded; each exclusion is appended to
-    `warnings` when a sink is given.
-    """
+
+def orthogonal_set(E, bounds: UniverseBounds,
+                   fuel: int = DEFAULT_FUEL) -> frozenset:
+    """Bounded E^⊥ for designs E on bounds.base: the counter-tests on its
+    dual bases (designs, or pairs for α⊢β) orthogonal to every design of E,
+    which is tried in the order given.  ∅^⊥ is every counter-test."""
     E = list(E)
-    if not E:
-        raise ValueError("orthogonal of an empty set is unbounded")
-    bases = {d.base for d in E}
-    if len(bases) > 1:
-        raise ValueError("orthogonal set requires a common base")
-    universe = enumerate_universe(bounds.at(dual_base(E[0].base)))
+    if any(d.base != bounds.base for d in E):
+        raise ValueError("orthogonal set requires designs on the bounds' base")
+    universes = [enumerate_universe(bounds.at(p))
+                 for p in dual_bases(bounds.base)]
+    tests = universes[0] if len(universes) == 1 \
+        else itertools.product(*universes)
     out = []
-    for cand in universe:
-        verdicts = [orthogonal(cand, e, fuel) for e in E]
-        if all(v == "yes" for v in verdicts):
+    for cand in tests:
+        v = meet_verdicts(VERDICT[type(run_test(e, cand, fuel))] for e in E)
+        if v == "unknown":
+            raise _undecided(fuel)
+        if v == "yes":
             out.append(cand)
-        elif "unknown" in verdicts and warnings is not None:
-            warnings.append(cand)
     return frozenset(out)
 
 
 def biorthogonal(E, bounds: UniverseBounds,
                  fuel: int = DEFAULT_FUEL) -> frozenset[Design]:
-    """Bounded E^⊥⊥ on the original base."""
-    return orthogonal_set(orthogonal_set(E, bounds, fuel), bounds, fuel)
+    """Bounded E^⊥⊥ on a one-address base."""
+    dual = bounds.at(dual_bases(bounds.base)[0])
+    return orthogonal_set(orthogonal_set(E, bounds, fuel), dual, fuel)
 
 
 @dataclass(frozen=True)
 class Behaviour:
     generators: frozenset[Design]
     bounds: UniverseBounds
-    cached_orthogonal: frozenset[Design] = field(default=None)  # type: ignore
+    cached_orthogonal: frozenset         # designs, or pairs for α⊢β
 
     @property
     def base(self) -> Pitchfork:
-        return next(iter(self.generators)).base
+        return self.bounds.base
 
 
 def behaviour(generators, bounds: UniverseBounds,
               fuel: int = DEFAULT_FUEL) -> Behaviour:
+    """The behaviour generated by designs on bounds.base."""
     gens = frozenset(generators)
-    if not gens:
-        raise ValueError("a behaviour needs at least one generator")
-    bases = {d.base for d in gens}
-    if len(bases) > 1:
-        raise ValueError("generators must share one base")
-    orth = orthogonal_set(gens, bounds, fuel)
-    return Behaviour(gens, bounds, orth)
+    return Behaviour(gens, bounds, orthogonal_set(gens, bounds, fuel))
 
 
 def meet_verdicts(verdicts) -> str:
@@ -245,41 +246,41 @@ def meet_verdicts(verdicts) -> str:
     return out
 
 
+def _counter_tests(d: Design, b: Behaviour) -> frozenset:
+    """The cached counter-tests of b, once d is known to sit on b's base."""
+    if d.base != b.base:
+        raise BaseMismatch(f"design on {d.base}, behaviour on {b.base}")
+    return b.cached_orthogonal
+
+
 def member_verdict(d: Design, b: Behaviour, fuel: int = DEFAULT_FUEL) -> str:
     """'yes' | 'no' | 'unknown': orthogonality to the cached orthogonal."""
-    return meet_verdicts(orthogonal(d, e, fuel) for e in b.cached_orthogonal)
+    return meet_verdicts(VERDICT[type(run_test(d, e, fuel))]
+                         for e in _counter_tests(d, b))
 
 
 def members(b: Behaviour, fuel: int = DEFAULT_FUEL) -> frozenset[Design]:
     """The bounded membership set (the bounded bi-orthogonal)."""
-    universe = enumerate_universe(b.bounds.at(b.base))
-    return frozenset(d for d in universe
-                     if member_verdict(d, b, fuel) == "yes")
-
-
-def _bottom_pruning(d: Design) -> Design:
-    match d.node:
-        case NegNode(focus, _):
-            return Design(d.base, NegNode(focus, ()))
-        case DaimonLeaf():
-            return d
-        case _:
-            return Design(d.base, FidLeaf())
+    out = []
+    for d in enumerate_universe(b.bounds):
+        v = member_verdict(d, b, fuel)
+        if v == "unknown":
+            raise _undecided(fuel)
+        if v == "yes":
+            out.append(d)
+    return frozenset(out)
 
 
 def incarnation_of(d: Design, b: Behaviour,
                    fuel: int = DEFAULT_FUEL) -> Design:
-    """The join of the parts of d used against every cached counter-design."""
-    if member_verdict(d, b, fuel) != "yes":
+    """The join of the parts of d used against every cached counter-test."""
+    results = [run_test(d, e, fuel) for e in _counter_tests(d, b)]
+    verdict = meet_verdicts(VERDICT[type(r)] for r in results)
+    if verdict == "no":
         raise NotAMember("incarnation is defined for members only")
-    traces = []
-    for e in b.cached_orthogonal:      # on the dual base, as member_verdict saw
-        out = run_closed((d, e), fuel)
-        assert isinstance(out, Converged)
-        traces.append(out.trace)
-    if not traces:
-        return _bottom_pruning(d)
-    return join_used_parts(d, traces)
+    if verdict == "unknown":
+        raise _undecided(fuel)
+    return join_used_parts(d, [r.trace for r in results])
 
 
 def is_material(d: Design, b: Behaviour, fuel: int = DEFAULT_FUEL) -> bool:

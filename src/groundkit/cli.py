@@ -214,11 +214,11 @@ def cmd_focus(args) -> int:
     if args.to_strategy:
         s = fo.derivation_to_strategy(d)
         print("strategy:")
-        for game in sorted(s, key=lambda g: (len(g), repr(g))):
-            moves = " ; ".join(
-                f"({fo.pretty(focus)} | "
-                + ", ".join(sorted(fo.pretty(c) for c in choices)) + ")"
-                for focus, choices in game)
+        games = sorted((len(game), " ; ".join(
+            f"({fo.pretty(focus)} | "
+            + ", ".join(sorted(fo.pretty(c) for c in choices)) + ")"
+            for focus, choices in game)) for game in s)
+        for _, moves in games:
             print(f"  {moves}")
     return OK
 

@@ -245,24 +245,45 @@ def normalize_closed(net: CutNet, fuel: int = DEFAULT_FUEL) -> InteractionResult
 # orthogonality
 
 
-class BaseMismatch(Exception):
+class BaseMismatch(ValueError):
     pass
 
 
-def _dual_single(a: Design, b: Design) -> bool:
-    return (a.base.neg is None and len(a.base.pos) == 1
-            and b.base.neg is not None and not b.base.pos
-            and a.base.pos == {b.base.neg})
+def dual_bases(p: Pitchfork) -> tuple[Pitchfork, ...]:
+    """The bases of a counter-test of a design on p: ⊢ξ and ξ⊢ are dual,
+    and a design on α⊢β is tested by a pair on ⊢α and β⊢."""
+    if p.neg is None and len(p.pos) == 1:
+        return (Pitchfork(next(iter(p.pos)), frozenset()),)
+    if p.neg is not None and not p.pos:
+        return (Pitchfork(None, frozenset({p.neg})),)
+    if p.neg is not None and len(p.pos) == 1:
+        beta = next(iter(p.pos))
+        if disjoint(p.neg, beta):
+            return (Pitchfork(None, frozenset({p.neg})),
+                    Pitchfork(beta, frozenset()))
+    raise BaseMismatch(f"base {p} has no dual bases")
 
 
-def orthogonal(d: Design, d2: Design, fuel: int = DEFAULT_FUEL) -> str:
-    """'yes' | 'no' | 'unknown' for two designs on dual single-address bases.
+def run_test(d: Design, test, fuel: int = DEFAULT_FUEL) -> InteractionResult:
+    """Normalize d against a counter-test on its dual bases: one design, or
+    a tuple of designs.  Nothing checks the bases; a caller checks them once
+    for all the tests it runs."""
+    return run_closed((d, test) if isinstance(test, Design) else (d, *test),
+                      fuel)
 
-    Dual bases make the two designs a closed cut-net, so no other check runs.
+
+def orthogonal(d: Design, test, fuel: int = DEFAULT_FUEL) -> str:
+    """'yes' | 'no' | 'unknown' for a design and a counter-test on its dual
+    bases: one design, or for d on α⊢β a pair of designs on ⊢α and β⊢.
+
+    Dual bases make the designs a closed cut-net, so no other check runs.
     """
-    if not (_dual_single(d, d2) or _dual_single(d2, d)):
-        raise BaseMismatch(f"bases {d.base} and {d2.base} are not dual")
-    return VERDICT[type(run_closed((d, d2), fuel))]
+    tests = (test,) if isinstance(test, Design) else tuple(test)
+    if tuple(e.base for e in tests) != dual_bases(d.base):
+        raise BaseMismatch(f"bases {d.base} and "
+                           f"{', '.join(str(e.base) for e in tests)} "
+                           "are not dual")
+    return VERDICT[type(run_test(d, test, fuel))]
 
 
 # ---------------------------------------------------------------------------

@@ -1,43 +1,44 @@
 """Mapping linear implicational ground terms to designs.
 
-Arrow behaviours live on two-address bases (α ⊢ β), so their counter-
-tests are pairs (one design cutting α, one cutting β) and interaction
-runs on three-design closed nets.  Applications need the result of a
-cut-net whose base is ⊢β; a restricted open normalizer handles exactly
-that shape by emitting the uncut actions as output nodes.
+An arrow A → B is an ordinary `behaviours.Behaviour` on the two-address
+base α ⊢ β.  Its counter-tests are pairs (one design cutting α, one
+cutting β), so interaction runs on three-design closed nets; membership,
+incarnation and classification are the behaviour layer's own.
+Applications need the result of a cut-net whose base is ⊢β; a restricted
+open normalizer handles exactly that shape by emitting the uncut actions
+as output nodes.
 
 Classification protocol for arrows over a domain with empty †-free
 material part (such as the behaviour 0, whose only member contains †):
 the defining condition of A → B quantifies over the †-free material
 members of A, so it is vacuous and the defining set is the full bounded
-universe on α ⊢ β.  Its orthogonal is then empty (the universe contains
-the sterile Fid), every candidate is a member, and the incarnation of
-any candidate is its root pruning.  Consequently the copycat design is a
-member of 0 → 0 but classifies PseudoGround(not-material) there, even
-though its cut against the Daimon of 0 yields a Daimon based on the
-codomain address — a material member of 0.  Both facts are exercised by
-the test suite; we implement the literal definition rather than widen
-the quantifier to all material members.
+universe on α ⊢ β.  That universe contains the sterile Fid, so its
+orthogonal holds only pairs led by the Daimon on ⊢α, every candidate is
+a member, and the incarnation of any candidate is its root pruning.
+Consequently the copycat design is a member of 0 → 0 but classifies
+PseudoGround(not-material) there, even though its cut against the Daimon
+of 0 yields a Daimon based on the codomain address — a material member
+of 0.  Both facts are exercised by the test suite; we implement the
+literal definition rather than widen the quantifier to all material
+members.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .designs import (
-    Address, Design, Pitchfork, build_fax, child, daimon, delocate, disjoint,
-    fid, negative, positive, star,
+    Address, Design, Pitchfork, build_fax, child, daimon, delocate, fid,
+    negative, positive, star,
 )
 from .behaviours import (
-    Behaviour, UniverseBounds, contains_daimon, enumerate_universe,
-    is_material, meet_verdicts, members, CandidateVerdict,
+    Behaviour, UniverseBounds, behaviour, contains_daimon, enumerate_universe,
+    is_material, members, orthogonal_set, CandidateVerdict,
     classify_candidate,
 )
 from .interaction import (
-    CONVERGED, DEFAULT_FUEL, OUT_OF_FUEL, UNCUT, VERDICT, Converged, CutNet,
-    CutNetError, InteractionResult, join_used_parts, listeners, make_cutnet,
-    run, run_closed,
+    CONVERGED, DEFAULT_FUEL, OUT_OF_FUEL, UNCUT, CutNet, listeners,
+    make_cutnet, run,
 )
 from .formulas import Absurd, Atom, Formula, Impl
 from .terms import GroundEnv, GroundTerm, ImplE, ImplI, Const, Var, \
@@ -101,19 +102,6 @@ def normalize_open(net: CutNet, fuel: int = DEFAULT_FUEL) -> Design | None:
 # arrow behaviours
 
 
-@dataclass(frozen=True)
-class ArrowBehaviour:
-    domain: Behaviour                    # base ⊢α
-    codomain: Behaviour                  # base ⊢β
-    bounds: UniverseBounds               # scoped to the base α⊢β
-    generators: frozenset[Design]        # the defining set, before closure
-    cached_orthogonal: frozenset[tuple[Design, Design]]  # (at ⊢α, at β⊢) pairs
-
-    @property
-    def base(self) -> Pitchfork:
-        return self.bounds.base
-
-
 def free_incarnation(b: Behaviour, fuel: int = DEFAULT_FUEL) -> frozenset[Design]:
     """The †-free material members of a behaviour, within its bounds."""
     return frozenset(d for d in members(b, fuel)
@@ -125,21 +113,18 @@ def _alpha(b: Behaviour) -> Address:
 
 
 def arrow(bA: Behaviour, bB: Behaviour, bounds: UniverseBounds,
-          fuel: int = DEFAULT_FUEL) -> ArrowBehaviour:
-    """A → B: designs sending every †-free incarnated A-member into the
-    †-free incarnation of B, closed under bi-orthogonality within bounds.
+          fuel: int = DEFAULT_FUEL) -> Behaviour:
+    """A → B on α⊢β: the designs sending every †-free incarnated A-member
+    into the †-free incarnation of B, closed under bi-orthogonality within
+    bounds.
 
     Counter-tests are pairs (a, b) with a on ⊢α and b on β⊢; a design d
     on α⊢β is orthogonal to the pair when the closed net {a, d, b}
     converges.
     """
-    alpha, beta = _alpha(bA), _alpha(bB)
-    arrow_base = Pitchfork(alpha, frozenset({beta}))
-    bounds = bounds.at(arrow_base)
-
+    bounds = bounds.at(Pitchfork(_alpha(bA), frozenset({_alpha(bB)})))
     dom_free = free_incarnation(bA, fuel)
     cod_free = free_incarnation(bB, fuel)
-    universe = enumerate_universe(bounds)
 
     def maps_domain(d: Design) -> bool:
         for a in dom_free:
@@ -148,69 +133,11 @@ def arrow(bA: Behaviour, bB: Behaviour, bounds: UniverseBounds,
                 return False
         return True
 
-    # a list in universe order: the pair loop below stops at the first
+    # in universe order: the orthogonal's test loop stops at the first
     # failing design, so its cost must not follow hash order
-    defining = [d for d in universe if maps_domain(d)]
-
-    a_universe = enumerate_universe(bounds.at(Pitchfork(None,
-                                                        frozenset({alpha}))))
-    b_universe = enumerate_universe(bounds.at(Pitchfork(beta, frozenset())))
-    pairs = []
-    for a, bb in itertools.product(a_universe, b_universe):
-        if all(pair_orthogonal(a, d, bb, fuel) == "yes" for d in defining):
-            pairs.append((a, bb))
-    return ArrowBehaviour(bA, bB, bounds, frozenset(defining),
-                          frozenset(pairs))
-
-
-def _pair_test(a: Design, d: Design, b: Design,
-               fuel: int) -> InteractionResult:
-    """Normalize {a, d, b}; bases ⊢α, α⊢β and β⊢ make it a closed cut-net,
-    so no other check runs."""
-    alpha, beta = d.base.neg, b.base.neg
-    if not (alpha is not None and beta is not None and disjoint(alpha, beta)
-            and a.base == Pitchfork(None, frozenset({alpha}))
-            and d.base.pos == {beta} and not b.base.pos):
-        raise CutNetError([f"bases {a.base}, {d.base} and {b.base} do not "
-                           "form a pair test"])
-    return run_closed((a, d, b), fuel)
-
-
-def pair_orthogonal(a: Design, d: Design, b: Design,
-                    fuel: int = DEFAULT_FUEL) -> str:
-    return VERDICT[type(_pair_test(a, d, b, fuel))]
-
-
-def arrow_member_verdict(d: Design, ab: ArrowBehaviour,
-                         fuel: int = DEFAULT_FUEL) -> str:
-    return meet_verdicts(pair_orthogonal(a, d, b, fuel)
-                         for a, b in ab.cached_orthogonal)
-
-
-def arrow_incarnation_of(d: Design, ab: ArrowBehaviour,
-                         fuel: int = DEFAULT_FUEL) -> Design:
-    traces = []
-    for a, b in ab.cached_orthogonal:
-        out = _pair_test(a, d, b, fuel)
-        assert isinstance(out, Converged)
-        traces.append(out.trace)
-    return join_used_parts(d, traces)
-
-
-def classify_arrow_candidate(d: Design, ab: ArrowBehaviour,
-                             fuel: int = DEFAULT_FUEL) -> CandidateVerdict:
-    if d.base != ab.base:
-        return CandidateVerdict("NotInBehaviour", "base mismatch")
-    verdict = arrow_member_verdict(d, ab, fuel)
-    if verdict == "unknown":
-        return CandidateVerdict("Unknown", "fuel")
-    if verdict == "no":
-        return CandidateVerdict("NotInBehaviour")
-    if contains_daimon(d):
-        return CandidateVerdict("PseudoGround", "contains-daimon")
-    if d != arrow_incarnation_of(d, ab, fuel):
-        return CandidateVerdict("PseudoGround", "not-material")
-    return CandidateVerdict("Ground")
+    defining = [d for d in enumerate_universe(bounds) if maps_domain(d)]
+    return Behaviour(frozenset(defining), bounds,
+                     orthogonal_set(defining, bounds, fuel))
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +165,8 @@ class TranslationEnv:
             raise TranslationError("unsupported-constructor",
                                    f"no behaviour registered for {f}")
         gens = frozenset(delocate(g, _alpha(b), xi) for g in b.generators)
-        from .behaviours import behaviour as mk
-        return mk(gens, self.bounds.at(Pitchfork(None, frozenset({xi}))),
-                  self.fuel)
+        return behaviour(gens, self.bounds.at(Pitchfork(None, frozenset({xi}))),
+                         self.fuel)
 
     def fax_depth(self) -> int:
         return self.bounds.max_depth
@@ -327,11 +253,10 @@ def check_translation(t: GroundTerm, d: Design, env: TranslationEnv,
     root = (0,) if root is None else root
     match ty:
         case Impl(a, b):
-            alpha, beta = child(root, 0), child(root, 1)
-            bA = env.behaviour_at(a, alpha)
-            bB = env.behaviour_at(b, beta)
-            ab = arrow(bA, bB, env.bounds, env.fuel)
-            return classify_arrow_candidate(d, ab, env.fuel)
+            ab = arrow(env.behaviour_at(a, child(root, 0)),
+                       env.behaviour_at(b, child(root, 1)), env.bounds,
+                       env.fuel)
+            return classify_candidate(d, ab, env.fuel)
         case _:
             b = env.behaviour_at(ty, child(root, 0))
             dd = d

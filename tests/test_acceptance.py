@@ -36,8 +36,7 @@ from groundkit.interaction import (
     render_snapshots,
 )
 from groundkit.translate import (
-    TranslationEnv, arrow, classify_arrow_candidate, normalize_open,
-    translate,
+    TranslationEnv, arrow, normalize_open, translate,
 )
 
 XI = (0,)
@@ -170,7 +169,7 @@ def test_criterion_07_fax_translation_and_protocol():
 
     ab = arrow(env.behaviour_at(Absurd(), (0, 0)),
                env.behaviour_at(Absurd(), (0, 1)), bounds)
-    v = classify_arrow_candidate(d, ab)
+    v = classify_candidate(d, ab)
     ok_classify = (v.tag, v.reason) == ("PseudoGround", "not-material")
     report(7, ok_cut and ok_translate and ok_classify,
            "Fax∘† = † at the codomain; copycat translates to Fax; "

@@ -12,11 +12,12 @@ from groundkit.designs import (
 )
 from groundkit.behaviours import (
     NotAMember, SizeLimitExceeded, UniverseBounds, behaviour, biorthogonal,
-    classify_candidate, count_universe, dual_base, enumerate_universe,
-    full_pool, incarnation_of, is_material, member_verdict, members,
-    orthogonal_set,
+    classify_candidate, count_universe, enumerate_universe, full_pool,
+    incarnation_of, is_material, member_verdict, members, orthogonal_set,
 )
-from groundkit.interaction import Converged, make_cutnet, normalize_closed
+from groundkit.interaction import (
+    Converged, dual_bases, make_cutnet, normalize_closed, orthogonal,
+)
 
 XI = (0,)
 POS = Pitchfork(None, frozenset({XI}))
@@ -79,10 +80,15 @@ class TestOrthogonalSets:
         f = [atomic_bomb(XI), daimon(XI)]
         assert orthogonal_set(f, SMALL) <= orthogonal_set(e, SMALL)
 
-    def test_fuel_warnings_sink(self):
-        warnings = []
-        orthogonal_set([atomic_bomb(XI)], SMALL, warnings=warnings)
-        assert warnings == []
+    def test_default_fuel_decides_every_candidate(self):
+        assert orthogonal_set([atomic_bomb(XI)], SMALL)
+        assert members(behaviour_one()) == {atomic_bomb(XI), daimon(XI)}
+
+    def test_fuel_exhaustion_raises(self):
+        with pytest.raises(ValueError, match="fuel-exhausted"):
+            orthogonal_set([atomic_bomb(XI)], SMALL, fuel=0)
+        with pytest.raises(ValueError, match="fuel-exhausted"):
+            members(behaviour_one(), fuel=0)
 
 
 class TestBiorthogonal:
@@ -228,12 +234,32 @@ class TestClassification:
 
 class TestDualBase:
     def test_roundtrip(self):
-        assert dual_base(POS) == NEG
-        assert dual_base(NEG) == POS
+        assert dual_bases(POS) == (NEG,)
+        assert dual_bases(NEG) == (POS,)
 
     def test_rejects_wide_bases(self):
         with pytest.raises(ValueError):
-            dual_base(Pitchfork(None, frozenset({(0,), (1,)})))
+            dual_bases(Pitchfork(None, frozenset({(0,), (1,)})))
+
+
+class TestBaseAndFuelErrors:
+    def test_member_verdict_checks_the_base(self):
+        with pytest.raises(ValueError):
+            member_verdict(skunk(XI), behaviour_one())
+        with pytest.raises(ValueError):
+            incarnation_of(skunk(XI), behaviour_one())
+
+    def test_incarnation_out_of_fuel_is_not_a_non_member(self):
+        with pytest.raises(ValueError, match="fuel-exhausted"):
+            incarnation_of(atomic_bomb(XI), behaviour_one(), fuel=0)
+
+    def test_generators_must_sit_on_the_base(self):
+        with pytest.raises(ValueError):
+            behaviour([skunk(XI)], SMALL)
+
+    def test_empty_set_orthogonal_is_the_dual_universe(self):
+        assert orthogonal_set([], SMALL) == set(enumerate_universe(
+            SMALL.at(NEG)))
 
 
 class TestVerdictShortCircuit:
@@ -241,11 +267,11 @@ class TestVerdictShortCircuit:
         import groundkit.behaviours as bh
         b = behaviour_one(FULL2)
         d = positive(XI, {0: skunk((0, 0))})
-        verdicts = [bh.orthogonal(d, e) for e in b.cached_orthogonal]
+        verdicts = [orthogonal(d, e) for e in b.cached_orthogonal]
         assert "yes" in verdicts and "no" in verdicts
         calls = []
-        real = bh.orthogonal
-        monkeypatch.setattr(bh, "orthogonal",
+        real = bh.run_test
+        monkeypatch.setattr(bh, "run_test",
                             lambda *args: calls.append(args) or real(*args))
         assert member_verdict(d, b) == "no"
         assert len(calls) == verdicts.index("no") + 1
@@ -257,7 +283,7 @@ class TestVerdictShortCircuit:
         def broken(*args):
             raise RuntimeError("internal error")
 
-        monkeypatch.setattr(bh, "orthogonal", broken)
+        monkeypatch.setattr(bh, "run_test", broken)
         with pytest.raises(RuntimeError):
             classify_candidate(atomic_bomb(XI), b)
         v = classify_candidate(skunk(XI), b)

@@ -1,4 +1,5 @@
 import io
+import os
 import pathlib
 import subprocess
 import sys
@@ -266,6 +267,61 @@ class TestEntryPoint:
         assert proc.stdout.startswith("ok: ")
 
 
+def _sweep():
+    """Every verb on every demos/data file of the right suffix."""
+    names = sorted(p.name for p in DATA.iterdir())
+    of = lambda suffix: [n for n in names if n.endswith(suffix)]
+    cases = [("check", n) for n in names]
+    cases += [("design-validate", "--design", n) for n in of(".dsn")]
+    cases += [("orth", a, b) for a in of(".dsn") for b in of(".dsn")]
+    cases += [(verb, "--design", d, "--behaviour", b)
+              for verb in ("incarnate", "classify")
+              for d in of(".dsn") for b in of(".bhv")]
+    cases += [(verb, "--term", t) for verb in ("reduce", "ground")
+              for t in of(".gt")]
+    cases += [("translate", "--term", t, "--env", e)
+              for t in of(".gt") for e in of(".tenv")]
+    cases += [("interact", "--net", n, "--render", r) for n in of(".net")
+              for r in ("snapshots", "trace-lines")]
+    cases += [("behaviour", "--behaviour", b, "--show", s)
+              for b in of(".bhv") for s in ("members", "orthogonal")]
+    cases += [("focus", "--sequent", q, *flag) for q in of(".seq")
+              for flag in ((), ("--to-strategy",), ("--daimon",))]
+    return cases
+
+
+class TestExitContract:
+    @pytest.mark.parametrize("argv", _sweep(), ids=" ".join)
+    def test_status_is_0_1_or_2(self, capsys, argv):
+        argv = [str(DATA / a) if (DATA / a).is_file() else a for a in argv]
+        status, _, _ = run(capsys, *argv)
+        assert status in (0, 1, 2)
+
+    def test_sweep_size(self):
+        assert len(_sweep()) == 66
+
+    def test_base_mismatch_exits_2(self, capsys):
+        status, _, err = run(capsys, "orth", str(DATA / "daimon.dsn"),
+                             str(DATA / "daimon.dsn"))
+        assert status == 2
+        assert "not dual" in err
+        status, _, _ = run(capsys, "incarnate",
+                           "--design", str(DATA / "skunk.dsn"),
+                           "--behaviour", str(DATA / "one.bhv"))
+        assert status == 2
+
+    def test_focus_strategy_order_ignores_hash_seed(self):
+        outputs = set()
+        for seed in ("0", "16"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "groundkit.cli", "focus", "--sequent",
+                 str(DATA / "par-with-plus.seq"), "--to-strategy"],
+                capture_output=True, check=True,
+                env=dict(os.environ, PYTHONHASHSEED=seed))
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
+
+
 class TestFuelExhaustion:
     @pytest.mark.parametrize("render", ["snapshots", "trace-lines"])
     def test_interact_exits_2(self, capsys, render):
@@ -292,6 +348,12 @@ class TestFuelExhaustion:
                                "--env", str(env))
         assert status == 2
         assert "fuel-exhausted" in out + err
+
+    def test_behaviour_exits_2(self, capsys):
+        status, _, err = run(capsys, "behaviour", "--behaviour",
+                             str(DATA / "one.bhv"), "--fuel", "0")
+        assert status == 2
+        assert "fuel-exhausted" in err
 
     def test_net_repl_back_restores_listeners(self):
         from conftest import convergent_pair

@@ -11,7 +11,7 @@ from groundkit.designs import (
     negative_sponge, positive, skunk, validate_design,
 )
 from groundkit.interaction import (
-    BaseMismatch, Converged, CutNetError, Diverged, make_cutnet,
+    BaseMismatch, Converged, CutNetError, Diverged, dual_bases, make_cutnet,
     normalize_closed, orthogonal, render_snapshots, used_part,
 )
 from groundkit.interaction import (
@@ -123,6 +123,34 @@ class TestOrthogonality:
         for _ in range(40):
             n = random_design(rng, Pitchfork(XI, frozenset()), 3)
             assert orthogonal(fid(XI), n) == "no"
+
+
+class TestDualBases:
+    ALPHA, BETA = (0, 0), (0, 1)
+
+    def test_arrow_base_is_tested_by_pairs(self):
+        p = Pitchfork(self.ALPHA, frozenset({self.BETA}))
+        assert dual_bases(p) == (Pitchfork(None, frozenset({self.ALPHA})),
+                                 Pitchfork(self.BETA, frozenset()))
+
+    def test_overlapping_arrow_base_rejected(self):
+        for bad in (Pitchfork(XI, frozenset({(0, 1)})),
+                    Pitchfork(XI, frozenset({(1,), (2,)}))):
+            with pytest.raises(BaseMismatch):
+                dual_bases(bad)
+
+    def test_mismatch_is_a_value_error(self):
+        assert issubclass(BaseMismatch, ValueError)
+
+    def test_pair_test_checks_bases(self):
+        d = negative(self.ALPHA, {(): daimon()}, extra=[self.BETA])
+        a = atomic_bomb(self.ALPHA)
+        assert orthogonal(d, (a, skunk(self.BETA))) == "yes"
+        for bad in ((skunk(self.BETA), a), (a,), (a, skunk((0, 2)))):
+            with pytest.raises(BaseMismatch):
+                orthogonal(d, bad)
+        with pytest.raises(BaseMismatch):
+            orthogonal(a, (d, skunk(self.BETA)))
 
 
 class TestUsedPart:

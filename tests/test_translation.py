@@ -6,12 +6,13 @@ from groundkit.designs import (
     Pitchfork, atomic_bomb, build_fax, daimon, delocate, fid, negative,
     positive, skunk, validate_design,
 )
-from groundkit.behaviours import UniverseBounds, behaviour
-from groundkit.interaction import make_cutnet
+from groundkit.behaviours import (
+    UniverseBounds, behaviour, classify_candidate, member_verdict,
+)
+from groundkit.interaction import make_cutnet, orthogonal, run_test
 from groundkit.translate import (
-    TranslationEnv, TranslationError, arrow, arrow_member_verdict,
-    check_translation, classify_arrow_candidate, free_incarnation,
-    normalize_open, pair_orthogonal, translate,
+    TranslationEnv, TranslationError, arrow, check_translation,
+    free_incarnation, normalize_open, translate,
 )
 
 P = Atom("P")
@@ -156,7 +157,7 @@ class TestArrow:
         assert ab.generators == frozenset(
             enumerate_universe(BOUNDS.at(ab.base)))
         assert fx not in ab.generators
-        assert arrow_member_verdict(fx, ab) == "yes"
+        assert member_verdict(fx, ab) == "yes"
 
     def test_vacuous_domain_pairs_are_daimon_led(self):
         # fid is in the defining set, so the only pairs orthogonal to
@@ -177,12 +178,11 @@ class TestArrow:
         bB = env.behaviour_at(Absurd(), (0, 1))
         ab = arrow(bA, bB, BOUNDS)
         fx = translate(copycat(Absurd()), env, root=(0,))
-        v = classify_arrow_candidate(fx, ab)
+        v = classify_candidate(fx, ab)
         assert (v.tag, v.reason) == ("PseudoGround", "not-material")
         # ... and the interaction side of the protocol:
         out = normalize_open(make_cutnet((daimon((0, 0)), fx)))
         assert out == daimon((0, 1))
-        from groundkit.behaviours import classify_candidate
         v2 = classify_candidate(delocate(out, (0, 1), HOME),
                                 env.atoms[Absurd()])
         assert (v2.tag, v2.reason) == ("PseudoGround", "contains-daimon")
@@ -197,7 +197,7 @@ class TestArrow:
         fx = build_fax((0, 0), (0, 1), 1, 0)
         assert len(ab.generators) == 5
         assert len(ab.cached_orthogonal) == 16
-        assert arrow_member_verdict(fx, ab) == "yes"
+        assert member_verdict(fx, ab) == "yes"
         out = normalize_open(make_cutnet((atomic_bomb((0, 0)), fx)))
         assert out in free_incarnation(bB)
 
@@ -205,8 +205,39 @@ class TestArrow:
         fx = build_fax((0, 0), (0, 1), 1, 0)
         a = atomic_bomb((0, 0))
         b = negative((0, 1), {(): daimon()})
-        assert pair_orthogonal(a, fx, b) == "yes"
-        assert pair_orthogonal(a, fx, skunk((0, 1))) == "no"
+        assert orthogonal(fx, (a, b)) == "yes"
+        assert orthogonal(fx, (a, skunk((0, 1)))) == "no"
+
+
+class TestEmptyDefiningSet:
+    """1 → 0: the bomb of 1 has no image among the †-free material members
+    of 0 (there are none), so no design is in the defining set and the
+    arrow's orthogonal is every pair."""
+
+    def arrow_one_zero(self):
+        home = BOUNDS.at(Pitchfork(None, frozenset({HOME})))
+        env = TranslationEnv({P: behaviour([atomic_bomb(HOME)], home),
+                              Absurd(): behaviour([daimon(HOME)], home)},
+                             BOUNDS, fax_arity=0)
+        return arrow(env.behaviour_at(P, (0, 0)),
+                     env.behaviour_at(Absurd(), (0, 1)), BOUNDS)
+
+    def test_counts(self):
+        ab = self.arrow_one_zero()
+        assert ab.base == Pitchfork((0, 0), frozenset({(0, 1)}))
+        assert len(ab.generators) == 0
+        assert len(ab.cached_orthogonal) == 144
+
+    def test_no_member(self):
+        from groundkit.behaviours import enumerate_universe, members
+        ab = self.arrow_one_zero()
+        assert len(enumerate_universe(ab.bounds)) == 20
+        assert members(ab) == frozenset()
+
+    def test_fax_not_in_behaviour(self):
+        v = classify_candidate(build_fax((0, 0), (0, 1), 2, 0),
+                               self.arrow_one_zero())
+        assert v.tag == "NotInBehaviour"
 
 
 class TestCheckTranslation:
@@ -275,16 +306,16 @@ class TestOpenFuel:
 class TestArrowShortCircuit:
     def test_member_verdict_stops_at_first_no(self, monkeypatch):
         import sys
-        tr = sys.modules["groundkit.translate"]
+        tr = sys.modules["groundkit.behaviours"]
         env = one_env()
         ab = arrow(env.behaviour_at(P, (0, 0)), env.behaviour_at(P, (0, 1)),
                    BOUNDS)
         d = negative((0, 0), extra=[(0, 1)])
-        verdicts = [pair_orthogonal(a, d, b) for a, b in ab.cached_orthogonal]
+        verdicts = [orthogonal(d, (a, b)) for a, b in ab.cached_orthogonal]
         assert "no" in verdicts and "yes" in verdicts
         calls = []
-        monkeypatch.setattr(tr, "pair_orthogonal",
+        monkeypatch.setattr(tr, "run_test",
                             lambda *args: calls.append(args) or
-                            pair_orthogonal(*args))
-        assert arrow_member_verdict(d, ab) == "no"
+                            run_test(*args))
+        assert member_verdict(d, ab) == "no"
         assert len(calls) == verdicts.index("no") + 1
