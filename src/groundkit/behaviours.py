@@ -271,11 +271,21 @@ def members(b: Behaviour, fuel: int = DEFAULT_FUEL) -> frozenset[Design]:
     return frozenset(out)
 
 
+def _test_run(d: Design, b: Behaviour, fuel: int) -> tuple[str, list]:
+    """The cached counter-tests run on d up to the first 'no', as in
+    member_verdict: their verdict and the results of the tests run."""
+    results = []
+    for e in _counter_tests(d, b):
+        results.append(run_test(d, e, fuel))
+        if VERDICT[type(results[-1])] == "no":
+            break
+    return meet_verdicts(VERDICT[type(r)] for r in results), results
+
+
 def incarnation_of(d: Design, b: Behaviour,
                    fuel: int = DEFAULT_FUEL) -> Design:
     """The join of the parts of d used against every cached counter-test."""
-    results = [run_test(d, e, fuel) for e in _counter_tests(d, b)]
-    verdict = meet_verdicts(VERDICT[type(r)] for r in results)
+    verdict, results = _test_run(d, b, fuel)
     if verdict == "no":
         raise NotAMember("incarnation is defined for members only")
     if verdict == "unknown":
@@ -302,16 +312,18 @@ class CandidateVerdict:
 
 def classify_candidate(d: Design, b: Behaviour,
                        fuel: int = DEFAULT_FUEL) -> CandidateVerdict:
-    """Ground iff member, †-free and material; pseudo-ground otherwise."""
+    """Ground iff member, †-free and material; pseudo-ground otherwise.
+    Each counter-test runs once: its result gives both the verdict and the
+    part of d it used."""
     if d.base != b.base:
         return CandidateVerdict("NotInBehaviour", "base mismatch")
-    verdict = member_verdict(d, b, fuel)
+    verdict, results = _test_run(d, b, fuel)
     if verdict == "unknown":
         return CandidateVerdict("Unknown", "fuel")
     if verdict == "no":
         return CandidateVerdict("NotInBehaviour")
     if contains_daimon(d):
         return CandidateVerdict("PseudoGround", "contains-daimon")
-    if not is_material(d, b, fuel):
+    if d != join_used_parts(d, [r.trace for r in results]):
         return CandidateVerdict("PseudoGround", "not-material")
     return CandidateVerdict("Ground")

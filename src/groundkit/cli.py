@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import count
 
 from . import focusing as fo
 from . import sexpr as sx
@@ -78,17 +79,15 @@ def cmd_check(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    t = _load(args.term)
-    out = tm.normalize(t, tm.GroundEnv(), args.fuel)
-    current = t
-    for step, (pos, name) in enumerate(out.trace, start=1):
-        nxt = tm.reduce_step(current, tm.GroundEnv())
-        current = nxt if nxt is not None else current
+    steps = count(1)
+
+    def show(pos, name, term):
         where = ".".join(map(str, pos)) or "root"
-        print(f"step {step}: {name} at {where}")
+        print(f"step {next(steps)}: {name} at {where}")
         if args.format == "pretty":
-            _print_term(current)
-    match out:
+            _print_term(term)
+
+    match tm.normalize(_load(args.term), tm.GroundEnv(), args.fuel, show):
         case tm.Canonical(term, _):
             print("canonical:")
             _print_term(term)
@@ -103,7 +102,6 @@ def cmd_reduce(args) -> int:
         case _:
             print("fuel exhausted")
             return ERR
-    return ERR
 
 
 def cmd_ground(args) -> int:
@@ -190,7 +188,9 @@ def cmd_classify(args) -> int:
 
 def cmd_translate(args) -> int:
     t = _load(args.term)
-    env = _load_tenv(args.env)
+    env = _load(args.env)
+    if not isinstance(env, TranslationEnv):
+        raise CliError(f"{args.env}: expected a .tenv file")
     try:
         d = translate(t, env, root=(0,))
     except TranslationError as e:
@@ -233,52 +233,18 @@ def _print_derivation(d: fo.ClusteredDerivation, indent=0):
 
 
 # ---------------------------------------------------------------------------
-# translation environment files
-
-
-def _load_tenv(path) -> TranslationEnv:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            x = sx.read_sexpr(fh.read())
-    except FileNotFoundError:
-        raise CliError(f"no such file: {path}")
-    if not (isinstance(x, list) and x and x[0] == "tenv"):
-        raise CliError(f"{path}: expected a (tenv ...) form")
-    bounds = None
-    atoms = {}
-    fax_arity = 1
-    fuel = DEFAULT_FUEL
-    for item in x[1:]:
-        match item[0]:
-            case "bounds":
-                bounds = sx.bounds_from_sexpr(item)
-            case "fax-arity":
-                fax_arity = int(item[1])
-            case "fuel":
-                fuel = int(item[1])
-            case "atom":
-                f = sx.formula_from_sexpr(item[1])
-                atoms[f] = sx.behaviour_from_sexpr(item[2])
-            case other:
-                raise CliError(f"{path}: unknown tenv entry {other!r}")
-    if bounds is None:
-        raise CliError(f"{path}: tenv needs a (bounds ...) entry")
-    return TranslationEnv(atoms, bounds, fax_arity, fuel)
-
-
-# ---------------------------------------------------------------------------
 # REPL
 
 
 def cmd_repl(args) -> int:
     if args.term:
-        return _repl_term(_load(args.term), args.fuel)
+        return _repl_term(_load(args.term))
     if args.net:
-        return _repl_net(_load(args.net), args.fuel)
+        return _repl_net(_load(args.net))
     raise CliError("repl needs --term or --net")
 
 
-def _repl_term(t, fuel, inp=None, out=None, env=None) -> int:
+def _repl_term(t, inp=None, out=None, env=None) -> int:
     inp = inp or sys.stdin
     out = out or sys.stdout
     env = env or tm.GroundEnv()
@@ -316,9 +282,8 @@ def _repl_term(t, fuel, inp=None, out=None, env=None) -> int:
             nxt, pos, name = hit
             where = ".".join(map(str, pos)) or "root"
             print(f"applied {name} at {where}", file=out)
-            reprs = [repr(h) for h in history]
-            if repr(nxt) in reprs:
-                idx = reprs.index(repr(nxt))
+            if nxt in history:
+                idx = history.index(nxt)
                 print(f"loop detected: cycle of length {len(history) - idx}",
                       file=out)
             history.append(nxt)
@@ -329,7 +294,7 @@ def _repl_term(t, fuel, inp=None, out=None, env=None) -> int:
     return OK
 
 
-def _repl_net(net: CutNet, fuel, inp=None, out=None) -> int:
+def _repl_net(net: CutNet, inp=None, out=None) -> int:
     inp = inp or sys.stdin
     out = out or sys.stdout
     # history of (current design, listener environment, trace)
@@ -462,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("repl", help="interactive step-through")
     sp.add_argument("--term")
     sp.add_argument("--net")
-    fuel(sp)
     sp.set_defaults(func=cmd_repl)
 
     return p
@@ -478,6 +442,10 @@ def main(argv=None) -> int:
     except (CutNetError, sx.ParseError, tm.GroundTypeError,
             TranslationError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return ERR
+    except RecursionError:
+        print(f"error: {args.verb}: input nested too deeply",
+              file=sys.stderr)
         return ERR
 
 

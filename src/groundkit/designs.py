@@ -14,10 +14,6 @@ Address = tuple[int, ...]
 Ramification = tuple[int, ...]          # canonically sorted
 
 
-def addr(*parts: int) -> Address:
-    return tuple(parts)
-
-
 def child(xi: Address, i: int) -> Address:
     return xi + (i,)
 
@@ -91,10 +87,6 @@ def validate_pitchfork(p: Pitchfork) -> list[str]:
 
 def positive_base(*pos: Address) -> Pitchfork:
     return Pitchfork(None, frozenset(pos))
-
-
-def negative_base(neg: Address, *pos: Address) -> Pitchfork:
-    return Pitchfork(neg, frozenset(pos))
 
 
 # ---------------------------------------------------------------------------

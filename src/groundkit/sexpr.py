@@ -1,6 +1,7 @@
 """S-expression text formats for formulas (.frm), ground terms (.gt),
-designs (.dsn), cut-nets (.net), behaviours (.bhv), and polarized
-sequents.  parse ∘ print = id for every format.
+designs (.dsn), cut-nets (.net), behaviours (.bhv), polarized sequents
+(.seq) and translation environments (.tenv, read only).  parse ∘ print = id
+for every format that has a printer.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ from .designs import (
     format_address, negative, parse_address, positive, star,
 )
 from .formulas import (
-    Absurd, Atom, AtomicBase, AtomicRule, Conj, Disj, Exists, Forall, Formula,
-    IConst, ITerm, IVar, Impl,
+    Absurd, Atom, Conj, Disj, Exists, Forall, Formula, IConst, ITerm, IVar,
+    Impl,
 )
-from .interaction import CutNet, make_cutnet
+from .interaction import DEFAULT_FUEL, CutNet, make_cutnet
 from . import terms as tm
+from .translate import TranslationEnv
 
 
 class ParseError(Exception):
@@ -162,38 +164,6 @@ def formula_from_sexpr(x) -> Formula:
         case "exists":
             return Exists(x[1], formula_from_sexpr(x[2]))
     raise ParseError(f"unknown formula head {head!r}")
-
-
-def base_to_sexpr(b: AtomicBase):
-    out = ["base"]
-    for c in sorted(b.individual_constants):
-        out.append(["individual", c])
-    for name, arity in sorted(b.relational_constants):
-        out.append(["relational", name, str(arity)])
-    for r in b.rules:
-        out.append(["rule",
-                    ["premises", *[formula_to_sexpr(p) for p in r.premises]],
-                    ["conclusion", formula_to_sexpr(r.conclusion)]])
-    return out
-
-
-def base_from_sexpr(x) -> AtomicBase:
-    if _head(x, "base") != "base":
-        raise ParseError("expected a (base ...) form")
-    ind, rel, rules = set(), set(), []
-    for item in x[1:]:
-        match _head(item, "base entry"):
-            case "individual":
-                ind.add(item[1])
-            case "relational":
-                rel.add((item[1], int(item[2])))
-            case "rule":
-                prem = tuple(formula_from_sexpr(p) for p in item[1][1:])
-                conc = formula_from_sexpr(item[2][1])
-                rules.append(AtomicRule(prem, conc))
-            case other:
-                raise ParseError(f"unknown base entry {other!r}")
-    return AtomicBase(frozenset(ind), frozenset(rel), tuple(rules))
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +401,31 @@ def behaviour_from_sexpr(x) -> Behaviour:
     return behaviour(gens, bounds)
 
 
+def tenv_from_sexpr(x) -> TranslationEnv:
+    if not (isinstance(x, list) and x and x[0] == "tenv"):
+        raise ParseError("expected a (tenv ...) form")
+    bounds = None
+    atoms = {}
+    fax_arity = 1
+    fuel = DEFAULT_FUEL
+    for item in x[1:]:
+        match item[0]:
+            case "bounds":
+                bounds = bounds_from_sexpr(item)
+            case "fax-arity":
+                fax_arity = int(item[1])
+            case "fuel":
+                fuel = int(item[1])
+            case "atom":
+                atoms[formula_from_sexpr(item[1])] = \
+                    behaviour_from_sexpr(item[2])
+            case other:
+                raise ParseError(f"unknown tenv entry {other!r}")
+    if bounds is None:
+        raise ParseError("tenv needs a (bounds ...) entry")
+    return TranslationEnv(atoms, bounds, fax_arity, fuel)
+
+
 # ---------------------------------------------------------------------------
 # polarized formulas and sequents
 
@@ -511,6 +506,7 @@ _PARSERS = {
     ".net": cutnet_from_sexpr,
     ".bhv": behaviour_from_sexpr,
     ".seq": sequent_from_sexpr,
+    ".tenv": tenv_from_sexpr,
 }
 
 

@@ -3,7 +3,7 @@
 Terms carry their binding structure explicitly; reduction applies the
 conversion equations leftmost-outermost and stops at a primitive head
 (weak-head form), recording a trace.  Loops are detected by a seen-set
-of serialized terms.
+of the terms themselves (frozen dataclasses, compared structurally).
 """
 
 from __future__ import annotations
@@ -686,15 +686,15 @@ def is_primitive_head(t: GroundTerm) -> bool:
 
 
 def normalize(t: GroundTerm, env: GroundEnv | None = None,
-              fuel: int = DEFAULT_FUEL) -> ReductionOutcome:
+              fuel: int = DEFAULT_FUEL, observe=None) -> ReductionOutcome:
     """Iterate reduction to a primitive head, detecting loops by repetition.
 
-    At most `fuel` reduction steps are taken.
+    At most `fuel` reduction steps are taken, and `observe(pos, rule, term)`
+    sees each step with the term it produced.
     """
     env = env or GroundEnv()
     trace: list[tuple[tuple[int, ...], str]] = []
-    history = [t]
-    seen = {repr(t): 0}
+    seen = {t: 0}                  # each term met, by its place in the run
     while True:
         if is_primitive_head(t):
             return Canonical(t, tuple(trace))
@@ -705,11 +705,11 @@ def normalize(t: GroundTerm, env: GroundEnv | None = None,
             return FuelExhausted(t, tuple(trace))
         t, pos, name = hit
         trace.append((pos, name))
-        key = repr(t)
-        if key in seen:
-            return Loop(tuple(history[seen[key]:]) + (t,), tuple(trace))
-        seen[key] = len(history)
-        history.append(t)
+        if observe is not None:
+            observe(pos, name, t)
+        if t in seen:
+            return Loop(tuple(list(seen)[seen[t]:]) + (t,), tuple(trace))
+        seen[t] = len(seen)
 
 
 # ---------------------------------------------------------------------------

@@ -288,3 +288,32 @@ class TestVerdictShortCircuit:
             classify_candidate(atomic_bomb(XI), b)
         v = classify_candidate(skunk(XI), b)
         assert (v.tag, v.reason) == ("NotInBehaviour", "base mismatch")
+
+
+class TestClassifySinglePass:
+    def count_tests(self, monkeypatch):
+        import groundkit.behaviours as bh
+        calls = []
+        real = bh.run_test
+        monkeypatch.setattr(bh, "run_test",
+                            lambda *args: calls.append(args) or real(*args))
+        return calls
+
+    def test_member_runs_each_counter_test_once(self, monkeypatch):
+        b = behaviour_one(FULL2)
+        assert len(b.cached_orthogonal) == 80
+        calls = self.count_tests(monkeypatch)
+        assert classify_candidate(atomic_bomb(XI), b).tag == "Ground"
+        assert len(calls) == 80
+
+    def test_non_member_stops_at_first_no(self, monkeypatch):
+        b = behaviour_one(FULL2)
+        d = positive(XI, {0: skunk((0, 0))})
+        verdicts = [orthogonal(d, e) for e in b.cached_orthogonal]
+        calls = self.count_tests(monkeypatch)
+        assert classify_candidate(d, b).tag == "NotInBehaviour"
+        assert len(calls) == verdicts.index("no") + 1
+        calls.clear()
+        with pytest.raises(NotAMember):
+            incarnation_of(d, b)
+        assert len(calls) == verdicts.index("no") + 1

@@ -250,7 +250,7 @@ class TestLoopDetection:
         from conftest import pingpong_env, pingpong_term
         from groundkit.cli import _repl_term
         buf = io.StringIO()
-        status = _repl_term(pingpong_term(), 1000,
+        status = _repl_term(pingpong_term(),
                             inp=io.StringIO("step\nstep\nstep\nquit\n"),
                             out=buf, env=pingpong_env())
         assert status == 0
@@ -322,6 +322,78 @@ class TestExitContract:
         assert len(outputs) == 1
 
 
+def identity_chain_text(n):
+    """(λx.x) applied to (λx.x) applied to … a, n redexes deep, built
+    without the recursive printer."""
+    text = "(const a (atom A))"
+    for i in range(n):
+        x = f"(var x{i} (atom A))"
+        text = f"(impl-e (impl-i {x} {x}) {text})"
+    return text
+
+
+class TestDeepInput:
+    def chain(self, tmp_path, n):
+        path = tmp_path / f"chain-{n}.gt"
+        path.write_text(identity_chain_text(n))
+        return str(path)
+
+    def test_reduce_deep_chain_in_one_pass(self, tmp_path, capsys):
+        status, out, _ = run(capsys, "reduce", "--term",
+                             self.chain(tmp_path, 400))
+        assert status == 0
+        assert sum(line.startswith("step ")
+                   for line in out.splitlines()) == 400
+        assert out.endswith("canonical:\n(const a (atom A))\n")
+
+    def test_check_too_deep_exits_2(self, tmp_path, capsys):
+        status, _, err = run(capsys, "check", self.chain(tmp_path, 1500))
+        assert status == 2
+        assert "nested too deeply" in err
+
+    def test_pretty_reduce_never_exits_1(self, tmp_path, capsys):
+        status, out, err = run(capsys, "reduce", "--format", "pretty",
+                               "--term", self.chain(tmp_path, 400))
+        assert status in (0, 2)
+        assert "Traceback" not in out + err
+        if status == 2:
+            assert "nested too deeply" in err
+
+
+class TestTenv:
+    def test_check_reads_tenv(self, capsys):
+        status, out, _ = run(capsys, "check", str(DATA / "zero-env.tenv"))
+        assert (status, out) == (0, "ok: parsed\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("(behaviour)", "expected a (tenv ...) form"),
+        ("(tenv (fax-arity 0))", "tenv needs a (bounds ...) entry"),
+        ("(tenv (colour red))", "unknown tenv entry 'colour'"),
+    ])
+    def test_malformed_env_exits_2(self, tmp_path, capsys, text, message):
+        env = tmp_path / "bad.tenv"
+        env.write_text(text)
+        status, _, err = run(capsys, "translate", "--term",
+                             str(DATA / "copycat.gt"), "--env", str(env))
+        assert status == 2
+        assert err == f"error: {env}: {message}\n"
+
+    def test_env_of_another_format_exits_2(self, capsys):
+        status, _, err = run(capsys, "translate", "--term",
+                             str(DATA / "copycat.gt"),
+                             "--env", str(DATA / "one.bhv"))
+        assert status == 2
+        assert "expected a .tenv file" in err
+
+
+def test_repl_has_no_fuel_option(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("quit\n"))
+    with pytest.raises(SystemExit) as exc:
+        main(["repl", "--fuel", "5", "--term",
+              str(DATA / "identity-apply.gt")])
+    assert exc.value.code == 2
+
+
 class TestFuelExhaustion:
     @pytest.mark.parametrize("render", ["snapshots", "trace-lines"])
     def test_interact_exits_2(self, capsys, render):
@@ -363,6 +435,6 @@ class TestFuelExhaustion:
         start = "\n".join(render_state(net.principal,
                                        listeners(net.designs))) + "\n"
         buf = io.StringIO()
-        _repl_net(net, 1000, inp=io.StringIO("step\nback\n"), out=buf)
+        _repl_net(net, inp=io.StringIO("step\nback\n"), out=buf)
         assert buf.getvalue().startswith(start)
         assert buf.getvalue().endswith(start)

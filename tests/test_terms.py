@@ -131,6 +131,24 @@ class TestLoops:
             assert tm.reduce_step(prev, env) == nxt
 
 
+class TestObserve:
+    @pytest.mark.parametrize("term, env", [
+        (worked_term(), tm.GroundEnv()),
+        (pingpong_term(), pingpong_env()),
+    ], ids=["worked", "pingpong"])
+    def test_hook_sees_each_step_of_reduce_step(self, term, env):
+        seen = []
+        out = tm.normalize(term, env,
+                           observe=lambda *step: seen.append(step))
+        assert [(pos, rule) for pos, rule, _ in seen] == list(out.trace)
+        current = term
+        for pos, rule, t in seen:
+            assert tm.reduce_step_at(current, env) == (t, pos, rule)
+            current = t
+        last = out.term if isinstance(out, tm.Canonical) else out.cycle[-1]
+        assert seen and current == last
+
+
 class TestProperties:
     TERMS = corpus(seed=7, size=300)
 
