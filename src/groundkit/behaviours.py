@@ -28,7 +28,7 @@ from .interaction import (
 )
 
 
-class SizeLimitExceeded(Exception):
+class SizeLimitExceeded(ValueError):
     pass
 
 

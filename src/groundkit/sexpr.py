@@ -2,9 +2,18 @@
 designs (.dsn), cut-nets (.net), behaviours (.bhv), polarized sequents
 (.seq) and translation environments (.tenv, read only).  parse ∘ print = id
 for every format that has a printer.
-"""
 
+`_GRAMMAR` is the grammar of formulas, ground terms and polarized formulas;
+`_read` reads a form by it and `_print` prints a value by it.  They, like
+`read_sexpr` and `write_sexpr`, keep their own stacks, so nesting costs no
+Python stack.  Every reader counts fields with `_fields`, so a malformed
+form raises a `ParseError` naming its head.
+"""
 from __future__ import annotations
+
+import os
+import re
+from itertools import islice
 
 from . import focusing as fo
 from .behaviours import Behaviour, UniverseBounds, behaviour
@@ -13,8 +22,7 @@ from .designs import (
     format_address, negative, parse_address, positive, star,
 )
 from .formulas import (
-    Absurd, Atom, Conj, Disj, Exists, Forall, Formula, IConst, ITerm, IVar,
-    Impl,
+    Absurd, Atom, Conj, Disj, Exists, Forall, Formula, IConst, IVar, Impl,
 )
 from .interaction import DEFAULT_FUEL, CutNet, make_cutnet
 from . import terms as tm
@@ -32,236 +40,244 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 # reader / writer for raw s-expressions
 
+#: a parenthesis or an atom (group 1), or a comment (group 1 empty)
+_TOKEN = re.compile(r"([()]|[^\s();]+)|;[^\n]*")
 
-def tokenize(text: str):
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c.isspace():
-            col += 1
-            i += 1
-        elif c == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            yield (c, line, col)
-            col += 1
-            i += 1
-        else:
-            start = i
-            scol = col
-            while i < len(text) and not text[i].isspace() \
-                    and text[i] not in "();":
-                i += 1
-                col += 1
-            yield (text[start:i], line, scol)
-    yield (None, line, col)
+
+def _error(text: str, message: str, k=None) -> ParseError:
+    """An error at the k-th token of the text, or else at its end (at the
+    comment that ends it, if one does)."""
+    if k is not None:
+        i = next(islice(_TOKEN.finditer(text), k, None)).start()
+    elif (i := text.find(";", text.rfind("\n") + 1)) < 0:
+        i = len(text)
+    line_start = text.rfind("\n", 0, i) + 1
+    return ParseError(message, text.count("\n", 0, i) + 1, i - line_start + 1)
 
 
 def read_sexpr(text: str):
     """Parse one s-expression (atoms are strings, lists are lists)."""
-    toks = list(tokenize(text))
-    pos = [0]
-
-    def peek():
-        return toks[pos[0]]
-
-    def advance():
-        t = toks[pos[0]]
-        pos[0] += 1
-        return t
-
-    def expr():
-        t, line, col = advance()
-        if t is None:
-            raise ParseError("unexpected end of input", line, col)
-        if t == ")":
-            raise ParseError("unexpected ')'", line, col)
+    tokens = _TOKEN.findall(text)
+    top: list = []
+    form, stack = top, []
+    for k, t in enumerate(tokens):
         if t == "(":
-            items = []
-            while True:
-                nt, nline, ncol = peek()
-                if nt is None:
-                    raise ParseError("unclosed '('", nline, ncol)
-                if nt == ")":
-                    advance()
-                    return items
-                items.append(expr())
-        return t
-
-    out = expr()
-    t, line, col = peek()
-    if t is not None:
-        raise ParseError(f"trailing input {t!r}", line, col)
-    return out
+            stack.append(form)
+            form.append(form := [])
+        elif t == ")":
+            if not stack:
+                raise _error(text, "unexpected ')'", k)
+            form = stack.pop()
+        elif t:
+            form.append(t)
+        if top and not stack:
+            for j in range(k + 1, len(tokens)):
+                if tokens[j]:
+                    raise _error(text, f"trailing input {tokens[j]!r}", j)
+            return top[0]
+    if stack:
+        raise _error(text, "unclosed '('")
+    raise _error(text, "unexpected end of input")
 
 
 def write_sexpr(x) -> str:
-    if isinstance(x, list):
-        return "(" + " ".join(write_sexpr(i) for i in x) + ")"
-    return str(x)
+    parts: list[str] = []
+    stack = [enumerate((x,))]
+    while stack:
+        for i, item in stack[-1]:
+            if i:
+                parts.append(" ")
+            if isinstance(item, list):
+                parts.append("(")
+                stack.append(enumerate(item))
+                break
+            parts.append(str(item))
+        else:
+            stack.pop()
+            if stack:
+                parts.append(")")
+    return "".join(parts)
 
 
-def _head(x, what):
-    if not isinstance(x, list) or not x or not isinstance(x[0], str):
-        raise ParseError(f"expected a {what} form, got {write_sexpr(x)}")
-    return x[0]
+def _a(what: str) -> str:
+    return ("an " if what[0] in "aeiou" else "a ") + what
+
+
+def _head(x, what: str) -> str:
+    """The head of the form x, where a `what` form is expected."""
+    if isinstance(x, list) and x and isinstance(x[0], str):
+        return x[0]
+    raise ParseError(f"expected {_a(what)} form, got {write_sexpr(x)}")
+
+
+def _fields(x, n: int, more=False, head=None) -> list:
+    """The fields of the form x, which takes n of them (n or more if
+    `more`); with `head`, x must be a (head …) form."""
+    if head is not None and not (isinstance(x, list) and x and x[0] == head):
+        raise ParseError(f"expected a ({head} ...) form")
+    got = len(x) - 1
+    if got != n and not (more and got > n):
+        raise ParseError(f"({x[0]} …) takes {'at least ' * more}{n} "
+                         f"field{'s' * (n != 1)}, got {got}")
+    return x[1:]
+
+
+def _atom(x, what: str, parse=str):
+    """The atom x parsed, where a `what` is expected."""
+    if isinstance(x, str):
+        try:
+            return parse(x)
+        except ValueError:
+            pass
+    raise ParseError(f"expected {_a(what)}, got {write_sexpr(x)}")
+
+
+def _number(x) -> int:
+    return _atom(x, "number", int)
+
+
+def _address(x):
+    return _atom(x, "address", parse_address)
 
 
 # ---------------------------------------------------------------------------
-# formulas
+# formulas, ground terms and polarized formulas: one table, two walkers
+
+#: head -> (class, field kinds), the fields in the class's field order.  A
+#: kind is a leaf (a key of _LEAVES) or a sort (a key of _SORTS).  A last
+#: kind *k takes the rest of the form, a tuple in the last field.
+_GRAMMAR = {
+    "atom": (Atom, "name *individual"),
+    "absurd": (Absurd, ""),
+    "and": (Conj, "formula formula"),
+    "or": (Disj, "formula formula"),
+    "impl": (Impl, "formula formula"),
+    "forall": (Forall, "name formula"),
+    "exists": (Exists, "name formula"),
+    "var": (tm.Var, "name formula"),
+    "const": (tm.Const, "name formula"),
+    "conj-i": (tm.ConjI, "term term"),
+    "disj-i": (tm.DisjI, "number disjunction term"),
+    "impl-i": (tm.ImplI, "binder term"),
+    "forall-i": (tm.ForallI, "name term"),
+    "exists-i": (tm.ExistsI, "individual existential term"),
+    "exploder": (tm.Exploder, "formula term"),
+    "conj-e": (tm.ConjE, "number term"),
+    "disj-e": (tm.DisjE, "binder binder term term term"),
+    "impl-e": (tm.ImplE, "term term"),
+    "forall-e": (tm.ForallE, "individual term"),
+    "exists-e": (tm.ExistsE, "name binder term term"),
+    "ds": (tm.DS, "term term"),
+    "op": (tm.UserOp, "name *term"),
+    "meta": (tm.MetaVar, "name"),
+    "atom+": (fo.PosAtom, "name"),
+    "atom-": (fo.NegAtom, "name"),
+    "tensor": (fo.Tensor, "polarized polarized"),
+    "par": (fo.Par, "polarized polarized"),
+    "plus": (fo.Plus, "polarized polarized"),
+    "with": (fo.With, "polarized polarized"),
+    "one": (fo.One, ""),
+    "zero": (fo.Zero, ""),
+    "top": (fo.Top, ""),
+    "bot": (fo.Bottom, ""),
+}
+
+#: leaf kind -> how its atom is read; str() prints every leaf
+_LEAVES = {
+    "name": str,
+    "number": int,
+    "individual": lambda s: IVar(s[1:]) if s.startswith("?") else IConst(s),
+}
+
+#: sort -> the classes whose forms it admits
+_SORTS = {"formula": Formula, "disjunction": Disj, "existential": Exists,
+          "term": tm.GroundTerm, "binder": tm.Var,
+          "polarized": fo.PolarizedFormula}
+
+#: head -> (class, fixed field kinds, rest kind or ())
+_ROWS = {head: (cls, tuple(k for k in spec.split() if k[0] != "*"),
+                tuple(k[1:] for k in spec.split() if k[0] == "*"))
+         for head, (cls, spec) in _GRAMMAR.items()}
+_HEADS = {sort: {head for head, (cls, _) in _GRAMMAR.items()
+                 if issubclass(cls, admits)} for sort, admits in _SORTS.items()}
+_HEAD_OF = {cls: head for head, (cls, _) in _GRAMMAR.items()}
 
 
-def iterm_to_sexpr(t: ITerm):
-    return "?" + t.name if isinstance(t, IVar) else t.name
+def _read(x, sort: str):
+    """The value the form x denotes, as a `sort`."""
+    top = [x]
+    todo, built = [(top, 0, sort)], []      # built: each node before its fields
+    while todo:
+        parent, i, sort = todo.pop()
+        head = _head(parent[i], sort)
+        if head not in _HEADS[sort]:
+            raise ParseError(f"({head} …) is not {_a(sort)}")
+        cls, kinds, rest = _ROWS[head]
+        fields = _fields(parent[i], len(kinds), bool(rest))
+        for j, kind in enumerate(kinds + rest * (len(fields) - len(kinds))):
+            if kind in _LEAVES:
+                fields[j] = _atom(fields[j], kind, _LEAVES[kind])
+            else:
+                todo.append((fields, j, kind))
+        built.append((parent, i, cls, fields, len(kinds) if rest else None))
+    for parent, i, cls, fields, n in reversed(built):
+        parent[i] = cls(*fields) if n is None else \
+            cls(*fields[:n], tuple(fields[n:]))
+    return top[0]
 
 
-def iterm_from_sexpr(x) -> ITerm:
-    if not isinstance(x, str):
-        raise ParseError(f"expected an individual term, got {write_sexpr(x)}")
-    return IVar(x[1:]) if x.startswith("?") else IConst(x)
+def _print(value, sort: str):
+    """The form of the value, a `sort`."""
+    top = [value]
+    todo = [(top, 0, sort)]
+    while todo:
+        form, i, sort = todo.pop()
+        head = _HEAD_OF.get(type(form[i]))
+        if head not in _HEADS[sort]:
+            raise ParseError(f"expected {_a(sort)}, "
+                             f"got {_a(type(form[i]).__name__)}")
+        _, kinds, rest = _ROWS[head]
+        fields = list(vars(form[i]).values())
+        if rest:
+            fields[-1:] = fields[-1]
+        form[i] = out = [head, *fields]
+        for j, kind in enumerate(kinds + rest * (len(fields) - len(kinds)), 1):
+            if kind in _LEAVES:
+                out[j] = str(out[j])
+            else:
+                todo.append((out, j, kind))
+    return top[0]
 
 
 def formula_to_sexpr(f: Formula):
-    match f:
-        case Atom(p, args):
-            return ["atom", p, *[iterm_to_sexpr(a) for a in args]]
-        case Absurd():
-            return ["absurd"]
-        case Conj(a, b):
-            return ["and", formula_to_sexpr(a), formula_to_sexpr(b)]
-        case Disj(a, b):
-            return ["or", formula_to_sexpr(a), formula_to_sexpr(b)]
-        case Impl(a, b):
-            return ["impl", formula_to_sexpr(a), formula_to_sexpr(b)]
-        case Forall(v, b):
-            return ["forall", v, formula_to_sexpr(b)]
-        case Exists(v, b):
-            return ["exists", v, formula_to_sexpr(b)]
-    raise TypeError(f"not a formula: {f!r}")
+    return _print(f, "formula")
 
 
 def formula_from_sexpr(x) -> Formula:
-    head = _head(x, "formula")
-    match head:
-        case "atom":
-            return Atom(x[1], tuple(iterm_from_sexpr(a) for a in x[2:]))
-        case "absurd":
-            return Absurd()
-        case "and":
-            return Conj(formula_from_sexpr(x[1]), formula_from_sexpr(x[2]))
-        case "or":
-            return Disj(formula_from_sexpr(x[1]), formula_from_sexpr(x[2]))
-        case "impl":
-            return Impl(formula_from_sexpr(x[1]), formula_from_sexpr(x[2]))
-        case "forall":
-            return Forall(x[1], formula_from_sexpr(x[2]))
-        case "exists":
-            return Exists(x[1], formula_from_sexpr(x[2]))
-    raise ParseError(f"unknown formula head {head!r}")
-
-
-# ---------------------------------------------------------------------------
-# ground terms
+    return _read(x, "formula")
 
 
 def term_to_sexpr(t: tm.GroundTerm):
-    F = formula_to_sexpr
-    match t:
-        case tm.Var(n, ty):
-            return ["var", n, F(ty)]
-        case tm.Const(n, ty):
-            return ["const", n, F(ty)]
-        case tm.ConjI(a, b):
-            return ["conj-i", term_to_sexpr(a), term_to_sexpr(b)]
-        case tm.DisjI(side, d, b):
-            return ["disj-i", str(side), F(d), term_to_sexpr(b)]
-        case tm.ImplI(x, b):
-            return ["impl-i", term_to_sexpr(x), term_to_sexpr(b)]
-        case tm.ForallI(x, b):
-            return ["forall-i", x, term_to_sexpr(b)]
-        case tm.ExistsI(w, e, b):
-            return ["exists-i", iterm_to_sexpr(w), F(e), term_to_sexpr(b)]
-        case tm.Exploder(ty, b):
-            return ["exploder", F(ty), term_to_sexpr(b)]
-        case tm.ConjE(side, b):
-            return ["conj-e", str(side), term_to_sexpr(b)]
-        case tm.DisjE(x1, x2, s, u, v):
-            return ["disj-e", term_to_sexpr(x1), term_to_sexpr(x2),
-                    term_to_sexpr(s), term_to_sexpr(u), term_to_sexpr(v)]
-        case tm.ImplE(f, a):
-            return ["impl-e", term_to_sexpr(f), term_to_sexpr(a)]
-        case tm.ForallE(s, b):
-            return ["forall-e", iterm_to_sexpr(s), term_to_sexpr(b)]
-        case tm.ExistsE(x, v, s, u):
-            return ["exists-e", x, term_to_sexpr(v), term_to_sexpr(s),
-                    term_to_sexpr(u)]
-        case tm.DS(a, b):
-            return ["ds", term_to_sexpr(a), term_to_sexpr(b)]
-        case tm.UserOp(n, args):
-            return ["op", n, *[term_to_sexpr(a) for a in args]]
-        case tm.MetaVar(n):
-            return ["meta", n]
-    raise TypeError(f"not a ground term: {t!r}")
+    return _print(t, "term")
 
 
 def term_from_sexpr(x) -> tm.GroundTerm:
-    F = formula_from_sexpr
-    head = _head(x, "ground term")
+    return _read(x, "term")
 
-    def var(y) -> tm.Var:
-        v = term_from_sexpr(y)
-        if not isinstance(v, tm.Var):
-            raise ParseError("expected a (var ...) binder")
-        return v
 
-    match head:
-        case "var":
-            return tm.Var(x[1], F(x[2]))
-        case "const":
-            return tm.Const(x[1], F(x[2]))
-        case "conj-i":
-            return tm.ConjI(term_from_sexpr(x[1]), term_from_sexpr(x[2]))
-        case "disj-i":
-            d = F(x[2])
-            if not isinstance(d, Disj):
-                raise ParseError("disj-i annotation must be a disjunction")
-            return tm.DisjI(int(x[1]), d, term_from_sexpr(x[3]))
-        case "impl-i":
-            return tm.ImplI(var(x[1]), term_from_sexpr(x[2]))
-        case "forall-i":
-            return tm.ForallI(x[1], term_from_sexpr(x[2]))
-        case "exists-i":
-            e = F(x[2])
-            if not isinstance(e, Exists):
-                raise ParseError("exists-i annotation must be existential")
-            return tm.ExistsI(iterm_from_sexpr(x[1]), e, term_from_sexpr(x[3]))
-        case "exploder":
-            return tm.Exploder(F(x[1]), term_from_sexpr(x[2]))
-        case "conj-e":
-            return tm.ConjE(int(x[1]), term_from_sexpr(x[2]))
-        case "disj-e":
-            return tm.DisjE(var(x[1]), var(x[2]), term_from_sexpr(x[3]),
-                            term_from_sexpr(x[4]), term_from_sexpr(x[5]))
-        case "impl-e":
-            return tm.ImplE(term_from_sexpr(x[1]), term_from_sexpr(x[2]))
-        case "forall-e":
-            return tm.ForallE(iterm_from_sexpr(x[1]), term_from_sexpr(x[2]))
-        case "exists-e":
-            return tm.ExistsE(x[1], var(x[2]), term_from_sexpr(x[3]),
-                              term_from_sexpr(x[4]))
-        case "ds":
-            return tm.DS(term_from_sexpr(x[1]), term_from_sexpr(x[2]))
-        case "op":
-            return tm.UserOp(x[1], tuple(term_from_sexpr(a) for a in x[2:]))
-        case "meta":
-            return tm.MetaVar(x[1])
-    raise ParseError(f"unknown term head {head!r}")
+def polarized_to_sexpr(f: fo.PolarizedFormula):
+    return _print(f, "polarized")
+
+
+def polarized_from_sexpr(x) -> fo.PolarizedFormula:
+    return _read(x, "polarized")
+
+
+def _expect(value, cls, what: str):
+    if not isinstance(value, cls):
+        raise ParseError(f"expected {_a(what)}, "
+                         f"got {_a(type(value).__name__)}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +289,7 @@ def _ram_to_sexpr(ram):
 
 
 def _ram_from_sexpr(x):
-    if _head(x, "ramification") != "I":
-        raise ParseError("expected an (I ...) ramification")
-    return tuple(int(i) for i in x[1:])
+    return tuple(_number(i) for i in _fields(x, 0, True, head="I"))
 
 
 def _extra_clause(d: Design, inferred: frozenset) -> list:
@@ -283,8 +297,16 @@ def _extra_clause(d: Design, inferred: frozenset) -> list:
     return [["extra", *[format_address(a) for a in extra]]] if extra else []
 
 
+def _extra_from_sexpr(rest: list):
+    """The addresses of a leading (extra …) clause in the rest of a pos or
+    neg form, and the forms after it."""
+    if rest and isinstance(rest[0], list) and rest[0][:1] == ["extra"]:
+        return [_address(a) for a in rest[0][1:]], rest[1:]
+    return [], rest
+
+
 def design_to_sexpr(d: Design):
-    match d.node:
+    match _expect(d, Design, "design").node:
         case DaimonLeaf():
             return ["daimon", *[format_address(a) for a in sorted(d.base.pos)]]
         case FidLeaf():
@@ -304,43 +326,34 @@ def design_to_sexpr(d: Design):
                     + _extra_clause(d, inferred)
                     + [["branch", _ram_to_sexpr(key), design_to_sexpr(b)]
                        for key, b in branches])
-    raise TypeError(f"not a design: {d!r}")
 
 
 def design_from_sexpr(x) -> Design:
-    head = _head(x, "design")
-    match head:
+    match _head(x, "design"):
         case "daimon":
-            return daimon(*[parse_address(a) for a in x[1:]])
+            return daimon(*[_address(a) for a in _fields(x, 0, True)])
         case "fid":
-            return fid(*[parse_address(a) for a in x[1:]])
+            return fid(*[_address(a) for a in _fields(x, 0, True)])
         case "pos":
-            focus = parse_address(x[1])
-            ram = _ram_from_sexpr(x[2])
-            rest = x[3:]
-            extra = []
-            if rest and isinstance(rest[0], list) and rest[0][:1] == ["extra"]:
-                extra = [parse_address(a) for a in rest[0][1:]]
-                rest = rest[1:]
+            focus, ram, *rest = _fields(x, 2, True)
+            focus, ram = _address(focus), _ram_from_sexpr(ram)
+            extra, rest = _extra_from_sexpr(rest)
             kids = [design_from_sexpr(c) for c in rest]
             if len(kids) != len(ram):
                 raise ParseError("positive node child count does not match "
                                  "the ramification")
             return positive(focus, dict(zip(ram, kids)), extra)
         case "neg":
-            focus = parse_address(x[1])
-            rest = x[2:]
-            extra = []
-            if rest and isinstance(rest[0], list) and rest[0][:1] == ["extra"]:
-                extra = [parse_address(a) for a in rest[0][1:]]
-                rest = rest[1:]
+            focus, *rest = _fields(x, 1, True)
+            focus = _address(focus)
+            extra, rest = _extra_from_sexpr(rest)
             branches = {}
             for item in rest:
-                if _head(item, "branch") != "branch":
-                    raise ParseError("expected a (branch (I ...) design) form")
-                branches[_ram_from_sexpr(item[1])] = design_from_sexpr(item[2])
+                key, b = _fields(item, 2, head="branch")
+                branches[_ram_from_sexpr(key)] = design_from_sexpr(b)
             return negative(focus, branches, extra)
-    raise ParseError(f"unknown design head {head!r}")
+        case head:
+            raise ParseError(f"unknown design head {head!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +361,13 @@ def design_from_sexpr(x) -> Design:
 
 
 def cutnet_to_sexpr(net: CutNet):
-    return ["net", *[design_to_sexpr(d) for d in net.designs]]
+    return ["net", *[design_to_sexpr(d)
+                     for d in _expect(net, CutNet, "cut-net").designs]]
 
 
 def cutnet_from_sexpr(x) -> CutNet:
-    if _head(x, "net") != "net":
-        raise ParseError("expected a (net ...) form")
-    return make_cutnet(design_from_sexpr(d) for d in x[1:])
+    return make_cutnet(design_from_sexpr(d)
+                       for d in _fields(x, 0, True, head="net"))
 
 
 def _pitchfork_to_sexpr(p: Pitchfork):
@@ -365,13 +378,16 @@ def _pitchfork_to_sexpr(p: Pitchfork):
 
 
 def _pitchfork_from_sexpr(x) -> Pitchfork:
-    head = _head(x, "base")
-    if head == "pos-base":
-        return Pitchfork(None, frozenset(parse_address(a) for a in x[1:]))
-    if head == "neg-base":
-        return Pitchfork(parse_address(x[1]),
-                         frozenset(parse_address(a) for a in x[2:]))
-    raise ParseError(f"unknown base head {head!r}")
+    match _head(x, "base"):
+        case "pos-base":
+            return Pitchfork(None, frozenset(
+                _address(a) for a in _fields(x, 0, True)))
+        case "neg-base":
+            neg, *pos = _fields(x, 1, True)
+            return Pitchfork(_address(neg),
+                             frozenset(_address(a) for a in pos))
+        case head:
+            raise ParseError(f"unknown base head {head!r}")
 
 
 def bounds_to_sexpr(b: UniverseBounds):
@@ -381,44 +397,42 @@ def bounds_to_sexpr(b: UniverseBounds):
 
 
 def bounds_from_sexpr(x) -> UniverseBounds:
-    if _head(x, "bounds") != "bounds":
-        raise ParseError("expected a (bounds ...) form")
-    pool = tuple(_ram_from_sexpr(i) for i in x[2][1:])
-    return UniverseBounds(int(x[1]), pool, _pitchfork_from_sexpr(x[3]))
+    depth, pool, base = _fields(x, 3, head="bounds")
+    pool = tuple(_ram_from_sexpr(i) for i in _fields(pool, 0, True,
+                                                     head="pool"))
+    return UniverseBounds(_number(depth), pool, _pitchfork_from_sexpr(base))
 
 
 def behaviour_to_sexpr(b: Behaviour):
-    gens = sorted(b.generators, key=repr)
+    gens = sorted(_expect(b, Behaviour, "behaviour").generators, key=repr)
     return ["behaviour", bounds_to_sexpr(b.bounds),
             ["generators", *[design_to_sexpr(g) for g in gens]]]
 
 
 def behaviour_from_sexpr(x) -> Behaviour:
-    if _head(x, "behaviour") != "behaviour":
-        raise ParseError("expected a (behaviour ...) form")
-    bounds = bounds_from_sexpr(x[1])
-    gens = [design_from_sexpr(g) for g in x[2][1:]]
+    bounds, gens = _fields(x, 2, head="behaviour")
+    bounds = bounds_from_sexpr(bounds)
+    gens = [design_from_sexpr(g)
+            for g in _fields(gens, 0, True, head="generators")]
     return behaviour(gens, bounds)
 
 
 def tenv_from_sexpr(x) -> TranslationEnv:
-    if not (isinstance(x, list) and x and x[0] == "tenv"):
-        raise ParseError("expected a (tenv ...) form")
     bounds = None
     atoms = {}
     fax_arity = 1
     fuel = DEFAULT_FUEL
-    for item in x[1:]:
-        match item[0]:
+    for item in _fields(x, 0, True, head="tenv"):
+        match _head(item, "tenv entry"):
             case "bounds":
                 bounds = bounds_from_sexpr(item)
             case "fax-arity":
-                fax_arity = int(item[1])
+                fax_arity = _number(*_fields(item, 1))
             case "fuel":
-                fuel = int(item[1])
+                fuel = _number(*_fields(item, 1))
             case "atom":
-                atoms[formula_from_sexpr(item[1])] = \
-                    behaviour_from_sexpr(item[2])
+                f, b = _fields(item, 2)
+                atoms[formula_from_sexpr(f)] = behaviour_from_sexpr(b)
             case other:
                 raise ParseError(f"unknown tenv entry {other!r}")
     if bounds is None:
@@ -427,112 +441,52 @@ def tenv_from_sexpr(x) -> TranslationEnv:
 
 
 # ---------------------------------------------------------------------------
-# polarized formulas and sequents
-
-
-def polarized_to_sexpr(f: fo.PolarizedFormula):
-    match f:
-        case fo.PosAtom(n):
-            return ["atom+", n]
-        case fo.NegAtom(n):
-            return ["atom-", n]
-        case fo.Tensor(a, b):
-            return ["tensor", polarized_to_sexpr(a), polarized_to_sexpr(b)]
-        case fo.Par(a, b):
-            return ["par", polarized_to_sexpr(a), polarized_to_sexpr(b)]
-        case fo.Plus(a, b):
-            return ["plus", polarized_to_sexpr(a), polarized_to_sexpr(b)]
-        case fo.With(a, b):
-            return ["with", polarized_to_sexpr(a), polarized_to_sexpr(b)]
-        case fo.One():
-            return ["one"]
-        case fo.Zero():
-            return ["zero"]
-        case fo.Top():
-            return ["top"]
-        case fo.Bottom():
-            return ["bot"]
-    raise TypeError(f"not a polarized formula: {f!r}")
-
-
-def polarized_from_sexpr(x) -> fo.PolarizedFormula:
-    head = _head(x, "polarized formula")
-    match head:
-        case "atom+":
-            return fo.PosAtom(x[1])
-        case "atom-":
-            return fo.NegAtom(x[1])
-        case "tensor":
-            return fo.Tensor(polarized_from_sexpr(x[1]),
-                             polarized_from_sexpr(x[2]))
-        case "par":
-            return fo.Par(polarized_from_sexpr(x[1]),
-                          polarized_from_sexpr(x[2]))
-        case "plus":
-            return fo.Plus(polarized_from_sexpr(x[1]),
-                           polarized_from_sexpr(x[2]))
-        case "with":
-            return fo.With(polarized_from_sexpr(x[1]),
-                           polarized_from_sexpr(x[2]))
-        case "one":
-            return fo.One()
-        case "zero":
-            return fo.Zero()
-        case "top":
-            return fo.Top()
-        case "bot":
-            return fo.Bottom()
-    raise ParseError(f"unknown polarized head {head!r}")
+# sequents
 
 
 def sequent_to_sexpr(seq):
-    return ["seq", *[polarized_to_sexpr(f) for f in seq]]
+    return ["seq", *[polarized_to_sexpr(f)
+                     for f in _expect(seq, tuple, "sequent")]]
 
 
 def sequent_from_sexpr(x):
-    if _head(x, "seq") != "seq":
-        raise ParseError("expected a (seq ...) form")
-    return tuple(polarized_from_sexpr(f) for f in x[1:])
+    return tuple(polarized_from_sexpr(f)
+                 for f in _fields(x, 0, True, head="seq"))
 
 
 # ---------------------------------------------------------------------------
 # file helpers
 
 
-_PARSERS = {
-    ".frm": formula_from_sexpr,
-    ".gt": term_from_sexpr,
-    ".dsn": design_from_sexpr,
-    ".net": cutnet_from_sexpr,
-    ".bhv": behaviour_from_sexpr,
-    ".seq": sequent_from_sexpr,
-    ".tenv": tenv_from_sexpr,
+#: extension -> (reader, printer); .tenv files are read only
+_FORMATS = {
+    ".frm": (formula_from_sexpr, formula_to_sexpr),
+    ".gt": (term_from_sexpr, term_to_sexpr),
+    ".dsn": (design_from_sexpr, design_to_sexpr),
+    ".net": (cutnet_from_sexpr, cutnet_to_sexpr),
+    ".bhv": (behaviour_from_sexpr, behaviour_to_sexpr),
+    ".seq": (sequent_from_sexpr, sequent_to_sexpr),
+    ".tenv": (tenv_from_sexpr, None),
 }
 
 
-def load(path: str):
-    import os
+def _format(path: str):
     ext = os.path.splitext(path)[1]
-    parser = _PARSERS.get(ext)
-    if parser is None:
+    if ext not in _FORMATS:
         raise ParseError(f"unknown file extension {ext!r}")
+    return ext, _FORMATS[ext]
+
+
+def load(path: str):
+    _, (reader, _) = _format(path)
     with open(path, encoding="utf-8") as fh:
-        return parser(read_sexpr(fh.read()))
+        return reader(read_sexpr(fh.read()))
 
 
 def dump(value, path: str) -> None:
-    import os
-    ext = os.path.splitext(path)[1]
-    writers = {
-        ".frm": formula_to_sexpr,
-        ".gt": term_to_sexpr,
-        ".dsn": design_to_sexpr,
-        ".net": cutnet_to_sexpr,
-        ".bhv": behaviour_to_sexpr,
-        ".seq": sequent_to_sexpr,
-    }
-    writer = writers.get(ext)
-    if writer is None:
-        raise ParseError(f"unknown file extension {ext!r}")
+    ext, (_, printer) = _format(path)
+    if printer is None:
+        raise ParseError(f"{ext} files are read only")
+    text = write_sexpr(printer(value)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(write_sexpr(writer(value)) + "\n")
+        fh.write(text)

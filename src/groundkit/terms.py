@@ -452,11 +452,13 @@ def _fresh_name(base: str, taken: set[str]) -> str:
 
 def subst(t: GroundTerm, var: Var, repl: GroundTerm) -> GroundTerm:
     """Capture-avoiding substitution of a ground term for a typed variable."""
-    repl_free = free_vars(repl)
-    repl_names = {v.name for v in repl_free}
+    repl_names = None           # names free in repl, found at the first binder
 
     def freshen(x: Var, body: GroundTerm) -> tuple[Var, GroundTerm]:
-        if x in repl_free or (x.name in repl_names):
+        nonlocal repl_names
+        if repl_names is None:
+            repl_names = {v.name for v in free_vars(repl)}
+        if x.name in repl_names:
             taken = repl_names | {v.name for v in free_vars(body)}
             nx = Var(_fresh_name(x.name, taken), x.type)
             return nx, subst(body, x, nx)

@@ -1,12 +1,16 @@
+import contextlib
 import io
 import os
 import pathlib
 import subprocess
 import sys
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import groundkit.sexpr as sx
+from groundkit.behaviours import UniverseBounds
 from groundkit.cli import main
 from groundkit.designs import build_fax, daimon, fid, skunk
 
@@ -321,6 +325,50 @@ class TestExitContract:
             outputs.add(proc.stdout)
         assert len(outputs) == 1
 
+    @pytest.mark.parametrize("text, suffix, message", [
+        ("(impl-i)", ".gt", "(impl-i …) takes 2 fields, got 0"),
+        ("(var (x) (atom A))", ".gt", "expected a name, got (x)"),
+        ("(atom)", ".frm", "(atom …) takes at least 1 field, got 0"),
+        ("(neg)", ".dsn", "(neg …) takes at least 1 field, got 0"),
+        ("(behaviour)", ".bhv", "(behaviour …) takes 2 fields, got 0"),
+        ("(seq (tensor (atom+ A)))", ".seq", "(tensor …) takes 2 fields, got 1"),
+        ("(tenv (bounds))", ".tenv", "(bounds …) takes 3 fields, got 0"),
+        ("(tenv ())", ".tenv", "expected a tenv entry form, got ()"),
+        ("(tenv (bounds 2 (pool (I)) (pos-base 0)) (fax-arity))", ".tenv",
+         "(fax-arity …) takes 1 field, got 0"),
+        ("(seq (atom+ (x)))", ".seq", "expected a name, got (x)"),
+    ])
+    def test_malformed_file_exits_2(self, tmp_path, capsys, text, suffix,
+                                    message):
+        path = tmp_path / f"bad{suffix}"
+        path.write_text(text)
+        status, out, err = run(capsys, "check", str(path))
+        assert (status, out, err) == (2, "", f"error: {path}: {message}\n")
+
+    def test_universe_over_cap_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a cap of 1000 in place of 10**6, so the enumeration gives up at once
+        monkeypatch.setattr(UniverseBounds.__init__, "__defaults__", (1000,))
+        path = tmp_path / "big.bhv"
+        path.write_text("(behaviour (bounds 3 (pool (I) (I 0) (I 1) (I 0 1))"
+                        " (pos-base 0)) (generators (pos 0 (I))))")
+        status, _, err = run(capsys, "check", str(path))
+        assert (status, err) == (2, "error: universe exceeds cap 1000\n")
+
+    @pytest.mark.parametrize("suffix, message", [
+        (".gt", "expected a term, got a Design"),
+        (".seq", "expected a sequent, got a Design"),
+        (".tenv", ".tenv files are read only"),
+    ])
+    def test_translate_out_of_another_format_exits_2(self, tmp_path, capsys,
+                                                     suffix, message):
+        out = tmp_path / f"x{suffix}"
+        status, _, err = run(capsys, "translate", "--term",
+                             str(DATA / "copycat.gt"),
+                             "--env", str(DATA / "zero-env.tenv"),
+                             "--out", str(out))
+        assert (status, err) == (2, f"error: {message}\n")
+        assert not out.exists()
+
 
 def identity_chain_text(n):
     """(λx.x) applied to (λx.x) applied to … a, n redexes deep, built
@@ -358,6 +406,57 @@ class TestDeepInput:
         assert "Traceback" not in out + err
         if status == 2:
             assert "nested too deeply" in err
+
+    def test_pretty_reduce_deep_chain(self, tmp_path, capsys):
+        status, out, _ = run(capsys, "reduce", "--format", "pretty",
+                             "--term", self.chain(tmp_path, 400))
+        assert status == 0
+        assert sum(line.startswith("step ")
+                   for line in out.splitlines()) == 400
+
+    def test_deep_chain_dump_load_dump(self, tmp_path):
+        # compares text: dataclass __eq__ recurses too deep for these terms
+        first, second = tmp_path / "first.gt", tmp_path / "second.gt"
+        sx.dump(sx.load(self.chain(tmp_path, 900)), str(first))
+        sx.dump(sx.load(str(first)), str(second))
+        assert first.read_text() == second.read_text() \
+            == identity_chain_text(900) + "\n"
+
+
+#: a file of each extension: the form alone, and inside its container
+CONTAINERS = {
+    ".frm": [lambda f: f], ".gt": [lambda f: f],
+    ".dsn": [lambda f: f, lambda f: ["pos", "0", ["I", "0"], f]],
+    ".net": [lambda f: f, lambda f: ["net", f]],
+    ".bhv": [lambda f: f, lambda f: [
+        "behaviour", ["bounds", "1", ["pool", ["I"]], ["pos-base", "0"]],
+        ["generators", f]]],
+    ".seq": [lambda f: f, lambda f: ["seq", f]],
+    ".tenv": [lambda f: f, lambda f: ["tenv", f],
+              lambda f: ["tenv", ["atom", f, f]]],
+}
+ATOMS = st.sampled_from(["A", "x", "?x", "0", "1", "-1", "0.1", "ε", "I"])
+FORMS = st.recursive(
+    ATOMS | st.just([]),
+    lambda kids: st.one_of(
+        st.tuples(st.sampled_from(sorted(sx._GRAMMAR)),
+                  st.lists(kids, max_size=4)).map(lambda h: [h[0], *h[1]]),
+        st.lists(kids, min_size=1, max_size=3)),
+    max_leaves=12)
+
+
+class TestRandomForms:
+    @settings(deadline=None)
+    @given(form=FORMS)
+    def test_check_exits_0_1_or_2(self, tmp_path_factory, form):
+        where = tmp_path_factory.mktemp("forms")
+        for suffix, wraps in CONTAINERS.items():
+            for k, wrap in enumerate(wraps):
+                path = where / f"form{k}{suffix}"
+                path.write_text(sx.write_sexpr(wrap(form)))
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    assert main(["check", str(path)]) in (0, 1, 2)
 
 
 class TestTenv:

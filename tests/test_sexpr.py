@@ -9,6 +9,7 @@ from test_designs import random_design
 
 import groundkit.sexpr as sx
 from groundkit import focusing as fo
+from groundkit import terms as tm
 from groundkit.behaviours import Behaviour, UniverseBounds, behaviour
 from groundkit.designs import (
     Pitchfork, atomic_bomb, build_fax, daimon, format_address, negative,
@@ -73,6 +74,54 @@ class TestTerms:
     def test_random_corpus_roundtrip(self):
         for t in corpus(47, 60):
             assert sx.term_from_sexpr(sx.term_to_sexpr(t)) == t
+
+
+class TestGrammar:
+    """Every row of the grammar table has a round-trip case here or in
+    TestFormulas and the random term corpus."""
+    Px = Atom("P", (IVar("x"),))
+    TERMS = [
+        tm.ForallI("x", tm.Var("p", Px)),
+        tm.ExistsI(IConst("a"), Exists("x", Px),
+                   tm.Const("c", Atom("P", (IConst("a"),)))),
+        tm.Exploder(Atom("Q"), tm.Const("bottom", Absurd())),
+        tm.ForallE(IVar("y"), tm.Const("all", Forall("x", Px))),
+        tm.ExistsE("x", tm.Var("h", Px), tm.Const("some", Exists("x", Px)),
+                   tm.Var("h", Px)),
+        tm.DS(tm.Const("d", Disj(Atom("A"), Atom("B"))),
+              tm.Const("n", Impl(Atom("A"), Absurd()))),
+        tm.UserOp("plus", (tm.MetaVar("m"), tm.Const("z", Atom("N")))),
+        tm.UserOp("nil", ()),
+    ]
+    POLARIZED = [fo.Tensor(fo.Par(fo.PosAtom("A"), fo.NegAtom("B")),
+                           fo.Plus(fo.With(fo.One(), fo.Zero()),
+                                   fo.Par(fo.Top(), fo.Bottom())))]
+
+    def test_roundtrip_through_text(self):
+        for t in self.TERMS:
+            text = sx.write_sexpr(sx.term_to_sexpr(t))
+            assert sx.term_from_sexpr(sx.read_sexpr(text)) == t
+        for f in self.POLARIZED:
+            text = sx.write_sexpr(sx.polarized_to_sexpr(f))
+            assert sx.polarized_from_sexpr(sx.read_sexpr(text)) == f
+
+    def test_every_row_has_a_roundtrip_case(self):
+        forms = ([sx.formula_to_sexpr(f) for f in TestFormulas.CASES]
+                 + [sx.term_to_sexpr(t) for t in self.TERMS + corpus(47, 60)]
+                 + [sx.polarized_to_sexpr(f) for f in self.POLARIZED])
+        heads, todo = set(), forms
+        while todo:
+            x = todo.pop()
+            if isinstance(x, list):
+                heads.add(x[0])
+                todo += x[1:]
+        assert sorted(set(sx._GRAMMAR) - heads) == []
+
+    def test_printer_rejects_another_kind(self):
+        with pytest.raises(sx.ParseError, match="expected a term"):
+            sx.term_to_sexpr(daimon(XI))
+        with pytest.raises(sx.ParseError, match="expected a disjunction"):
+            sx.term_to_sexpr(tm.DisjI(1, Atom("A"), tm.Const("a", Atom("A"))))
 
 
 class TestAddresses:
