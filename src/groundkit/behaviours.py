@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 
 from .designs import (
     Address, DaimonLeaf, Design, FidLeaf, NegNode, Pitchfork, PosNode,
@@ -72,6 +73,8 @@ def enumerate_universe(bounds: UniverseBounds) -> tuple[Design, ...]:
     Discipline: negative branches inherit the full context; positive
     rules distribute each context address to one child or drop it.
     """
+    if count_universe(bounds) > bounds.cap:
+        raise SizeLimitExceeded(f"universe exceeds cap {bounds.cap}")
     pool = bounds.pool
     budget = [bounds.cap]
 
@@ -142,40 +145,39 @@ def enumerate_universe(bounds: UniverseBounds) -> tuple[Design, ...]:
 
 def count_universe(bounds: UniverseBounds) -> int:
     """Independent recursive count of the universe (no enumeration)."""
-    pool = bounds.pool
+    count = _count_pos if bounds.base.neg is None else _count_neg
+    return count(bounds.pool, len(bounds.base.pos), bounds.max_depth)
 
-    def count_pos(n_ctx_plus_focus: int, depth: int) -> int:
-        # depends only on the number of base addresses
-        total = 2
-        if depth >= 1:
-            for _ in range(n_ctx_plus_focus):        # choice of focus
-                n_ctx = n_ctx_plus_focus - 1
-                for ram in pool:
-                    for assign in itertools.product(range(len(ram) + 1),
-                                                    repeat=n_ctx):
-                        prod = 1
-                        for k in range(len(ram)):
-                            n_here = sum(1 for s in assign if s == k)
-                            prod *= count_neg(n_here, depth - 1)
-                        total += prod
-        return total
 
-    def count_neg(n_ctx: int, depth: int) -> int:
-        if depth < 1:
-            return 0
-        total = 0
-        for n in range(len(pool) + 1):
-            for keys in itertools.combinations(pool, n):
-                prod = 1
-                for I in keys:
-                    prod *= count_pos(n_ctx + len(I), depth - 1)
-                total += prod
-        return total
+@cache
+def _count_pos(pool, n: int, depth: int) -> int:
+    """Positive designs on a base of n addresses, whatever they are."""
+    total = 2
+    if depth >= 1:
+        for _ in range(n):                           # choice of focus
+            for ram in pool:
+                for assign in itertools.product(range(len(ram) + 1),
+                                                repeat=n - 1):
+                    prod = 1
+                    for k in range(len(ram)):
+                        prod *= _count_neg(pool, assign.count(k), depth - 1)
+                    total += prod
+    return total
 
-    base = bounds.base
-    if base.neg is None:
-        return count_pos(len(base.pos), bounds.max_depth)
-    return count_neg(len(base.pos), bounds.max_depth)
+
+@cache
+def _count_neg(pool, n: int, depth: int) -> int:
+    """Negative designs with a context of n addresses."""
+    if depth < 1:
+        return 0
+    total = 0
+    for size in range(len(pool) + 1):
+        for keys in itertools.combinations(pool, size):
+            prod = 1
+            for I in keys:
+                prod *= _count_pos(pool, n + len(I), depth - 1)
+            total += prod
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +194,11 @@ def orthogonal_set(E, bounds: UniverseBounds,
     """Bounded E^⊥ for designs E on bounds.base: the counter-tests on its
     dual bases (designs, or pairs for α⊢β) orthogonal to every design of E,
     which is tried in the order given.  ∅^⊥ is every counter-test."""
+    return frozenset(_orthogonal(E, bounds, fuel))
+
+
+def _orthogonal(E, bounds: UniverseBounds, fuel: int) -> tuple:
+    """orthogonal_set's counter-tests in universe (for pairs, product) order."""
     E = list(E)
     if any(d.base != bounds.base for d in E):
         raise ValueError("orthogonal set requires designs on the bounds' base")
@@ -206,7 +213,7 @@ def orthogonal_set(E, bounds: UniverseBounds,
             raise _undecided(fuel)
         if v == "yes":
             out.append(cand)
-    return frozenset(out)
+    return tuple(out)
 
 
 def biorthogonal(E, bounds: UniverseBounds,
@@ -220,7 +227,7 @@ def biorthogonal(E, bounds: UniverseBounds,
 class Behaviour:
     generators: frozenset[Design]
     bounds: UniverseBounds
-    cached_orthogonal: frozenset         # designs, or pairs for α⊢β
+    cached_orthogonal: tuple     # designs, or pairs for α⊢β; universe order
 
     @property
     def base(self) -> Pitchfork:
@@ -229,9 +236,10 @@ class Behaviour:
 
 def behaviour(generators, bounds: UniverseBounds,
               fuel: int = DEFAULT_FUEL) -> Behaviour:
-    """The behaviour generated by designs on bounds.base."""
-    gens = frozenset(generators)
-    return Behaviour(gens, bounds, orthogonal_set(gens, bounds, fuel))
+    """The behaviour generated by designs on bounds.base, which its
+    counter-tests are tried on in the order given."""
+    gens = list(generators)
+    return Behaviour(frozenset(gens), bounds, _orthogonal(gens, bounds, fuel))
 
 
 def meet_verdicts(verdicts) -> str:
@@ -246,7 +254,7 @@ def meet_verdicts(verdicts) -> str:
     return out
 
 
-def _counter_tests(d: Design, b: Behaviour) -> frozenset:
+def _counter_tests(d: Design, b: Behaviour) -> tuple:
     """The cached counter-tests of b, once d is known to sit on b's base."""
     if d.base != b.base:
         raise BaseMismatch(f"design on {d.base}, behaviour on {b.base}")

@@ -145,7 +145,8 @@ def _address(x):
 
 #: head -> (class, field kinds), the fields in the class's field order.  A
 #: kind is a leaf (a key of _LEAVES) or a sort (a key of _SORTS).  A last
-#: kind *k takes the rest of the form, a tuple in the last field.
+#: kind *k takes the rest of the form, a tuple in the last field.  The term
+#: rows are `terms.FIELDS`'s without the binder scopes (after `>`).
 _GRAMMAR = {
     "atom": (Atom, "name *individual"),
     "absurd": (Absurd, ""),
@@ -154,22 +155,13 @@ _GRAMMAR = {
     "impl": (Impl, "formula formula"),
     "forall": (Forall, "name formula"),
     "exists": (Exists, "name formula"),
-    "var": (tm.Var, "name formula"),
-    "const": (tm.Const, "name formula"),
-    "conj-i": (tm.ConjI, "term term"),
-    "disj-i": (tm.DisjI, "number disjunction term"),
-    "impl-i": (tm.ImplI, "binder term"),
-    "forall-i": (tm.ForallI, "name term"),
-    "exists-i": (tm.ExistsI, "individual existential term"),
-    "exploder": (tm.Exploder, "formula term"),
-    "conj-e": (tm.ConjE, "number term"),
-    "disj-e": (tm.DisjE, "binder binder term term term"),
-    "impl-e": (tm.ImplE, "term term"),
-    "forall-e": (tm.ForallE, "individual term"),
-    "exists-e": (tm.ExistsE, "name binder term term"),
-    "ds": (tm.DS, "term term"),
-    "op": (tm.UserOp, "name *term"),
-    "meta": (tm.MetaVar, "name"),
+    **{head: (cls, re.sub(">[^ ]*", "", tm.FIELDS[cls])) for head, cls in {
+        "var": tm.Var, "const": tm.Const, "conj-i": tm.ConjI,
+        "disj-i": tm.DisjI, "impl-i": tm.ImplI, "forall-i": tm.ForallI,
+        "exists-i": tm.ExistsI, "exploder": tm.Exploder, "conj-e": tm.ConjE,
+        "disj-e": tm.DisjE, "impl-e": tm.ImplE, "forall-e": tm.ForallE,
+        "exists-e": tm.ExistsE, "ds": tm.DS, "op": tm.UserOp,
+        "meta": tm.MetaVar}.items()},
     "atom+": (fo.PosAtom, "name"),
     "atom-": (fo.NegAtom, "name"),
     "tensor": (fo.Tensor, "polarized polarized"),
@@ -237,7 +229,8 @@ def _print(value, sort: str):
             raise ParseError(f"expected {_a(sort)}, "
                              f"got {_a(type(form[i]).__name__)}")
         _, kinds, rest = _ROWS[head]
-        fields = list(vars(form[i]).values())
+        fields = list(form[i]._fields if isinstance(form[i], tm.GroundTerm)
+                      else vars(form[i]).values())
         if rest:
             fields[-1:] = fields[-1]
         form[i] = out = [head, *fields]

@@ -1,15 +1,22 @@
 """Typed term language of grounds: formation, reduction, groundhood.
 
-Terms carry their binding structure explicitly; reduction applies the
-conversion equations leftmost-outermost and stops at a primitive head
-(weak-head form), recording a trace.  Loops are detected by a seen-set
-of the terms themselves (frozen dataclasses, compared structurally).
+`FIELDS` states each constructor's field kinds and binder scopes once;
+`sexpr` and the walkers here run by it, the walkers with their own stacks.
+Terms are hash-consed (Filliâtre and Conchon, *Type-Safe Modular
+Hash-Consing*, 2006): equal terms are one object, which an intern table
+holds weakly, and a term's structural hash and free (individual) variables
+are computed once, so `==`, `hash`, `free_vars` and `term_free_ivars` cost
+O(1).  Reduction applies the conversion equations leftmost-outermost and
+stops at a primitive head (weak-head form), recording a trace; loops are
+detected by a seen-set of the terms themselves.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
+from weakref import ref as weak_ref
 
 from .formulas import (
     Absurd, Atom, AtomicBase, AtomicDerivation, Conj, Disj, Exists, Forall,
@@ -32,190 +39,262 @@ class GroundTypeError(Exception):
 # terms
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    type: Formula
+class GroundTerm:
+    """A ground term; each subclass is a constructor, laid out in FIELDS.
+    Terms are shared, so no field is assigned after construction."""
+
+    __slots__ = ("_fields", "_hash", "_free_vars", "_free_ivars",
+                 "__weakref__")
+
+    def __new__(cls, *fields):
+        ref = cls._interned.get(fields)
+        if ref is not None and (t := ref()) is not None:
+            return t
+        if len(fields) != len(cls.__slots__):
+            raise TypeError(f"{cls.__name__} takes {len(cls.__slots__)} "
+                            f"fields, got {len(fields)}")
+        t = object.__new__(cls)
+        t._fields = fields
+        for name, value in zip(cls.__slots__, fields):
+            setattr(t, name, value)
+        t._hash = hash(fields)
+        t._free_vars, t._free_ivars = _free(t)
+        cls._interned[fields] = weak_ref(t)
+        return t
+
+    def __del__(self):
+        table, key = type(self)._interned, self._fields
+        if key in table and table[key]() in (self, None):
+            del table[key]
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self.__slots__, self._fields)
+        return f"{type(self).__name__}({', '.join(fields)})"
 
 
-@dataclass(frozen=True)
-class Const:
-    name: str
-    type: Formula
+class Var(GroundTerm):
+    __slots__ = __match_args__ = ("name", "type")
 
 
-@dataclass(frozen=True)
-class ConjI:
-    left: "GroundTerm"
-    right: "GroundTerm"
+class Const(GroundTerm):
+    __slots__ = __match_args__ = ("name", "type")
 
 
-@dataclass(frozen=True)
-class DisjI:
-    side: int                      # 1 or 2
-    disjunction: Disj              # full target type, as in the bracket notation
-    body: "GroundTerm"
+class ConjI(GroundTerm):
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class ImplI:
-    var: Var
-    body: "GroundTerm"
+class DisjI(GroundTerm):
+    __slots__ = __match_args__ = ("side", "disjunction", "body")
 
 
-@dataclass(frozen=True)
-class ForallI:
-    ivar: str
-    body: "GroundTerm"
+class ImplI(GroundTerm):
+    __slots__ = __match_args__ = ("var", "body")
 
 
-@dataclass(frozen=True)
-class ExistsI:
-    witness: ITerm
-    existential: Exists            # full target type
-    body: "GroundTerm"
+class ForallI(GroundTerm):
+    __slots__ = __match_args__ = ("ivar", "body")
 
 
-@dataclass(frozen=True)
-class Exploder:
+class ExistsI(GroundTerm):
+    __slots__ = __match_args__ = ("witness", "existential", "body")
+
+
+class Exploder(GroundTerm):
     """The explosion operation 0_A from absurdity to an arbitrary target."""
 
-    target: Formula
-    body: "GroundTerm"
+    __slots__ = __match_args__ = ("target", "body")
 
 
-@dataclass(frozen=True)
-class ConjE:
-    side: int
-    body: "GroundTerm"
+class ConjE(GroundTerm):
+    __slots__ = __match_args__ = ("side", "body")
 
 
-@dataclass(frozen=True)
-class DisjE:
-    var1: Var
-    var2: Var
-    scrutinee: "GroundTerm"
-    left_arm: "GroundTerm"         # var1 bound here
-    right_arm: "GroundTerm"        # var2 bound here
+class DisjE(GroundTerm):
+    __slots__ = __match_args__ = ("var1", "var2", "scrutinee", "left_arm",
+                                  "right_arm")
 
 
-@dataclass(frozen=True)
-class ImplE:
-    function: "GroundTerm"
-    argument: "GroundTerm"
+class ImplE(GroundTerm):
+    __slots__ = __match_args__ = ("function", "argument")
 
 
-@dataclass(frozen=True)
-class ForallE:
-    term: ITerm
-    body: "GroundTerm"
+class ForallE(GroundTerm):
+    __slots__ = __match_args__ = ("term", "body")
 
 
-@dataclass(frozen=True)
-class ExistsE:
-    ivar: str
-    var: Var
-    scrutinee: "GroundTerm"
-    arm: "GroundTerm"              # ivar and var bound here
+class ExistsE(GroundTerm):
+    __slots__ = __match_args__ = ("ivar", "var", "scrutinee", "arm")
 
 
-@dataclass(frozen=True)
-class DS:
+class DS(GroundTerm):
     """Disjunctive syllogism: from A or B and not-A, conclude B."""
 
-    disjunct: "GroundTerm"
-    negation: "GroundTerm"
+    __slots__ = __match_args__ = ("disjunct", "negation")
 
 
-@dataclass(frozen=True)
-class UserOp:
-    name: str
-    args: tuple["GroundTerm", ...]
+class UserOp(GroundTerm):
+    __slots__ = __match_args__ = ("name", "args")
 
 
-@dataclass(frozen=True)
-class MetaVar:
+class MetaVar(GroundTerm):
     """Pattern metavariable; only legal inside equation patterns."""
 
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
 
-GroundTerm = (Var | Const | ConjI | DisjI | ImplI | ForallI | ExistsI
-              | Exploder | ConjE | DisjE | ImplE | ForallE | ExistsE
-              | DS | UserOp | MetaVar)
+#: constructor -> the kind of each field, in order.  A kind is a leaf (name,
+#: number, individual), a sort (formula, disjunction, existential, term, or
+#: binder: a typed variable), or *term: a tuple of terms, the rest of the
+#: form in `sexpr`.  After a binder, or a name that binds an individual
+#: variable, `>` lists the later fields it binds in.
+FIELDS = {
+    Var: "name formula",
+    Const: "name formula",
+    ConjI: "term term",
+    DisjI: "number disjunction term",        # side 1 or 2, full target type
+    ImplI: "binder>body term",
+    ForallI: "name>body term",
+    ExistsI: "individual existential term",  # witness, full target type
+    Exploder: "formula term",
+    ConjE: "number term",
+    DisjE: "binder>left_arm binder>right_arm term term term",
+    ImplE: "term term",
+    ForallE: "individual term",
+    ExistsE: "name>var,arm binder>arm term term",
+    DS: "term term",
+    UserOp: "name *term",
+    MetaVar: "name",
+}
+
+_FORMULAS = frozenset({"formula", "disjunction", "existential"})
+_NONE: frozenset = frozenset()
+_formula_ivars = lru_cache(maxsize=4096)(free_ivars)
+
+
+def _lay_out(cls) -> None:
+    """Give cls its fields' kinds and the binders binding in each, from its
+    row of FIELDS, and an intern table: fields -> weak reference to term."""
+    words = [w.split(">") + [""] for w in FIELDS[cls].split()]
+    cls._kinds = tuple(w[0] for w in words)
+    cls._scopes = tuple(tuple(i for i, w in enumerate(words)
+                              if name in w[1].split(","))
+                        for name in cls.__slots__)
+    cls._interned = {}
+
+
+for _cls in FIELDS:
+    _lay_out(_cls)
 
 #: constructors of the core language C (introduction-like primitives)
 PRIMITIVE_HEADS = (ConjI, DisjI, ImplI, ForallI, ExistsI, Exploder, Const, Var)
 
 
+def _spread(t: GroundTerm) -> tuple[list, tuple, tuple]:
+    """The fields of t as a list, a *term tuple spread out, with the kind
+    of each and the binders that bind in each."""
+    kinds = t._kinds
+    if kinds[-1] != "*term":
+        return list(t._fields), kinds, t._scopes
+    *fixed, rest = t._fields
+    return ([*fixed, *rest], kinds[:-1] + ("term",) * len(rest),
+            t._scopes[:-1] + ((),) * len(rest))
+
+
+def _make(cls, flat: list) -> GroundTerm:
+    """The term of class cls with the spread-out fields flat."""
+    n = len(cls._kinds) - 1
+    return cls(*flat[:n], tuple(flat[n:])) if cls._kinds[n] == "*term" \
+        else cls(*flat)
+
+
+def _hidden(flat: list, scopes: tuple, x) -> set[int]:
+    """The fields bound by a binder equal to x (variable or ivar name)."""
+    return {j for j, scope in enumerate(scopes)
+            if any(flat[i] == x for i in scope)}
+
+
+def _free(t: GroundTerm) -> tuple[frozenset, frozenset]:
+    """The free variables and free individual variables of a new term, from
+    its fields' own."""
+    if type(t) is Var:
+        return frozenset((t,)), _formula_ivars(t.type)   # a cycle, freed by gc
+    flat, kinds, scopes = _spread(t)
+    free_v = free_iv = _NONE
+    for value, kind, scope in zip(flat, kinds, scopes):
+        if kind == "term":
+            vs, ivs = value._free_vars, value._free_ivars
+        elif kind == "binder":
+            vs, ivs = _NONE, value._free_ivars
+        elif kind in _FORMULAS:
+            vs, ivs = _NONE, _formula_ivars(value)
+        elif kind == "individual" and isinstance(value, IVar):
+            vs, ivs = _NONE, frozenset((value.name,))
+        else:
+            continue
+        if scope and (vs or ivs):
+            bound = {flat[i] for i in scope}
+            vs, ivs = vs - bound, ivs - bound
+        if vs:
+            free_v = free_v | vs if free_v else vs
+        if ivs:
+            free_iv = free_iv | ivs if free_iv else ivs
+    return free_v, free_iv
+
+
 def children(t: GroundTerm) -> tuple[GroundTerm, ...]:
-    match t:
-        case ConjI(l, r):
-            return (l, r)
-        case DisjI(_, _, b) | ImplI(_, b) | ForallI(_, b) | ExistsI(_, _, b):
-            return (b,)
-        case Exploder(_, b) | ConjE(_, b) | ForallE(_, b):
-            return (b,)
-        case DisjE(_, _, s, u, v):
-            return (s, u, v)
-        case ImplE(f, a):
-            return (f, a)
-        case ExistsE(_, _, s, u):
-            return (s, u)
-        case DS(d, n):
-            return (d, n)
-        case UserOp(_, args):
-            return args
-        case _:
-            return ()
+    flat, kinds, _ = _spread(t)
+    return tuple([v for v, k in zip(flat, kinds) if k == "term"])
+
+
+def rebuild(t: GroundTerm, new_children: tuple[GroundTerm, ...]) -> GroundTerm:
+    flat, kinds, _ = _spread(t)
+    new = iter(new_children)
+    return _make(type(t), [next(new) if k == "term" else v
+                           for v, k in zip(flat, kinds)])
+
+
+def _subterms(t: GroundTerm):
+    """t and the terms inside it, each distinct one once, parents first."""
+    seen, todo = set(), [t]
+    while todo:
+        node = todo.pop()
+        if node not in seen:
+            seen.add(node)
+            yield node
+            todo.extend(reversed(children(node)))
+
+
+def _rewrite(t: GroundTerm, enter) -> GroundTerm:
+    """t rebuilt from the bottom up.  `enter(node)` gives the node's
+    replacement, or its spread-out fields (which it may change) and the
+    positions of the fields to rewrite in turn."""
+    top = [t]
+    todo, built = [(top, 0)], []         # built: each node before its fields
+    while todo:
+        holder, i = todo.pop()
+        step = enter(holder[i])
+        if isinstance(step, GroundTerm):
+            holder[i] = step
+            continue
+        flat, positions = step
+        built.append((holder, i, type(holder[i]), flat))
+        todo.extend((flat, j) for j in positions)
+    for holder, i, cls, flat in reversed(built):
+        holder[i] = _make(cls, flat)
+    return top[0]
 
 
 def free_vars(t: GroundTerm) -> frozenset[Var]:
-    match t:
-        case Var():
-            return frozenset([t])
-        case ImplI(x, b):
-            return free_vars(b) - {x}
-        case DisjE(x1, x2, s, u, v):
-            return free_vars(s) | (free_vars(u) - {x1}) | (free_vars(v) - {x2})
-        case ExistsE(_, x, s, u):
-            return free_vars(s) | (free_vars(u) - {x})
-        case _:
-            out: frozenset[Var] = frozenset()
-            for c in children(t):
-                out |= free_vars(c)
-            return out
+    return t._free_vars
 
 
 def term_free_ivars(t: GroundTerm) -> frozenset[str]:
     """Free individual variables, including those inside type annotations."""
-    match t:
-        case Var(_, ty) | Const(_, ty):
-            return free_ivars(ty)
-        case DisjI(_, d, b):
-            return free_ivars(d) | term_free_ivars(b)
-        case ExistsI(w, e, b):
-            ws = frozenset([w.name]) if isinstance(w, IVar) else frozenset()
-            return ws | free_ivars(e) | term_free_ivars(b)
-        case ForallI(x, b):
-            return term_free_ivars(b) - {x}
-        case ForallE(s, b):
-            ss = frozenset([s.name]) if isinstance(s, IVar) else frozenset()
-            return ss | term_free_ivars(b)
-        case ExistsE(x, v, s, u):
-            return term_free_ivars(s) | ((term_free_ivars(u) | free_ivars(v.type)) - {x})
-        case ImplI(x, b):
-            return free_ivars(x.type) | term_free_ivars(b)
-        case DisjE(x1, x2, s, u, v):
-            return (term_free_ivars(s) | free_ivars(x1.type) | free_ivars(x2.type)
-                    | term_free_ivars(u) | term_free_ivars(v))
-        case Exploder(ty, b):
-            return free_ivars(ty) | term_free_ivars(b)
-        case _:
-            out: frozenset[str] = frozenset()
-            for c in children(t):
-                out |= term_free_ivars(c)
-            return out
+    return t._free_ivars
 
 
 def is_closed_term(t: GroundTerm) -> bool:
@@ -248,12 +327,7 @@ class EquationError(Exception):
 
 
 def metavars(t: GroundTerm) -> frozenset[str]:
-    if isinstance(t, MetaVar):
-        return frozenset([t.name])
-    out: frozenset[str] = frozenset()
-    for c in children(t):
-        out |= metavars(c)
-    return out
+    return frozenset(n.name for n in _subterms(t) if type(n) is MetaVar)
 
 
 def validate_equation(eq: Equation) -> None:
@@ -451,119 +525,47 @@ def _fresh_name(base: str, taken: set[str]) -> str:
 
 
 def subst(t: GroundTerm, var: Var, repl: GroundTerm) -> GroundTerm:
-    """Capture-avoiding substitution of a ground term for a typed variable."""
-    repl_names = None           # names free in repl, found at the first binder
+    """Capture-avoiding substitution of a ground term for a typed variable.
 
-    def freshen(x: Var, body: GroundTerm) -> tuple[Var, GroundTerm]:
-        nonlocal repl_names
-        if repl_names is None:
-            repl_names = {v.name for v in free_vars(repl)}
-        if x.name in repl_names:
-            taken = repl_names | {v.name for v in free_vars(body)}
-            nx = Var(_fresh_name(x.name, taken), x.type)
-            return nx, subst(body, x, nx)
-        return x, body
+    A binder named like a free variable of repl is renamed wherever it
+    stands, whether or not var occurs under it."""
+    repl_names = {v.name for v in free_vars(repl)}
 
-    def go(t: GroundTerm) -> GroundTerm:
-        match t:
-            case Var():
-                return repl if t == var else t
-            case ImplI(x, b):
-                if x == var:
-                    return t
-                x, b = freshen(x, b)
-                return ImplI(x, go(b))
-            case DisjE(x1, x2, s, u, v):
-                s2 = go(s)
-                if x1 == var:
-                    u2 = u
-                else:
-                    x1, u = freshen(x1, u)
-                    u2 = go(u)
-                if x2 == var:
-                    v2 = v
-                else:
-                    x2, v = freshen(x2, v)
-                    v2 = go(v)
-                return DisjE(x1, x2, s2, u2, v2)
-            case ExistsE(iv, x, s, u):
-                s2 = go(s)
-                if x == var:
-                    return ExistsE(iv, x, s2, u)
-                x, u = freshen(x, u)
-                return ExistsE(iv, x, s2, go(u))
-            case _:
-                return rebuild(t, tuple(go(c) for c in children(t)))
-    return go(t)
+    def enter(node: GroundTerm):
+        if node is var:
+            return repl
+        if var not in node._free_vars and not repl_names:
+            return node                   # nothing to replace or rename
+        flat, kinds, scopes = _spread(node)
+        hidden = _hidden(flat, scopes, var)
+        for i, x in enumerate(flat):
+            if kinds[i] == "binder" and x is not var and x.name in repl_names:
+                body = [j for j, scope in enumerate(scopes) if i in scope]
+                taken = repl_names | {v.name for j in body
+                                      for v in free_vars(flat[j])}
+                flat[i] = nx = Var(_fresh_name(x.name, taken), x.type)
+                for j in body:
+                    flat[j] = subst(flat[j], x, nx)
+        return flat, [j for j, k in enumerate(kinds)
+                      if k == "term" and j not in hidden]
+    return _rewrite(t, enter)
 
 
 def subst_term_ivar(t: GroundTerm, ivar: str, term: ITerm) -> GroundTerm:
     """Substitute an individual term everywhere, including type annotations."""
-    def sv(v: Var) -> Var:
-        return Var(v.name, subst_ivar(v.type, ivar, term))
-
-    def si(s: ITerm) -> ITerm:
-        return term if isinstance(s, IVar) and s.name == ivar else s
-
-    def go(t: GroundTerm) -> GroundTerm:
-        match t:
-            case Var():
-                return sv(t)
-            case Const(n, ty):
-                return Const(n, subst_ivar(ty, ivar, term))
-            case DisjI(side, d, b):
-                return DisjI(side, subst_ivar(d, ivar, term), go(b))
-            case ExistsI(w, e, b):
-                return ExistsI(si(w), subst_ivar(e, ivar, term), go(b))
-            case ImplI(x, b):
-                return ImplI(sv(x), go(b))
-            case ForallI(x, b):
-                return t if x == ivar else ForallI(x, go(b))
-            case ForallE(s, b):
-                return ForallE(si(s), go(b))
-            case ExistsE(x, v, s, u):
-                if x == ivar:
-                    return ExistsE(x, v, go(s), u)
-                return ExistsE(x, sv(v), go(s), go(u))
-            case DisjE(x1, x2, s, u, v):
-                return DisjE(sv(x1), sv(x2), go(s), go(u), go(v))
-            case Exploder(ty, b):
-                return Exploder(subst_ivar(ty, ivar, term), go(b))
-            case _:
-                return rebuild(t, tuple(go(c) for c in children(t)))
-    return go(t)
-
-
-def rebuild(t: GroundTerm, new_children: tuple[GroundTerm, ...]) -> GroundTerm:
-    match t:
-        case ConjI():
-            return ConjI(*new_children)
-        case DisjI(side, d, _):
-            return DisjI(side, d, new_children[0])
-        case ImplI(x, _):
-            return ImplI(x, new_children[0])
-        case ForallI(x, _):
-            return ForallI(x, new_children[0])
-        case ExistsI(w, e, _):
-            return ExistsI(w, e, new_children[0])
-        case Exploder(ty, _):
-            return Exploder(ty, new_children[0])
-        case ConjE(side, _):
-            return ConjE(side, new_children[0])
-        case DisjE(x1, x2, _, _, _):
-            return DisjE(x1, x2, *new_children)
-        case ImplE():
-            return ImplE(*new_children)
-        case ForallE(s, _):
-            return ForallE(s, new_children[0])
-        case ExistsE(x, v, _, _):
-            return ExistsE(x, v, *new_children)
-        case DS():
-            return DS(*new_children)
-        case UserOp(name, _):
-            return UserOp(name, new_children)
-        case _:
-            return t
+    def enter(node: GroundTerm):
+        if ivar not in node._free_ivars:
+            return node
+        flat, kinds, scopes = _spread(node)
+        hidden = _hidden(flat, scopes, ivar)
+        for j, kind in enumerate(kinds):
+            if j not in hidden and kind in _FORMULAS:
+                flat[j] = subst_ivar(flat[j], ivar, term)
+            elif j not in hidden and flat[j] == IVar(ivar):
+                flat[j] = term
+        return flat, [j for j, k in enumerate(kinds)
+                      if k in ("term", "binder") and j not in hidden]
+    return _rewrite(t, enter)
 
 
 # ---------------------------------------------------------------------------
@@ -573,28 +575,29 @@ def rebuild(t: GroundTerm, new_children: tuple[GroundTerm, ...]) -> GroundTerm:
 def _match(pattern: GroundTerm, t: GroundTerm,
            binding: dict[str, GroundTerm]) -> bool:
     """Syntactic first-order matching; repeated metavariables must agree."""
-    if isinstance(pattern, MetaVar):
-        if pattern.name in binding:
-            return binding[pattern.name] == t
-        binding[pattern.name] = t
-        return True
-    if type(pattern) is not type(t):
-        return False
-    pc, tc_ = children(pattern), children(t)
-    if len(pc) != len(tc_):
-        return False
-    # constructor payloads beyond children must agree; compare shells
-    if rebuild(pattern, tuple(MetaVar("·") for _ in pc)) != \
-       rebuild(t, tuple(MetaVar("·") for _ in tc_)):
-        return False
-    return all(_match(p, c, binding) for p, c in zip(pc, tc_))
+    todo = [(pattern, t)]
+    while todo:
+        p, u = todo.pop()
+        if type(p) is MetaVar:
+            if binding.setdefault(p.name, u) is not u:
+                return False
+            continue
+        (pf, kinds, _), (uf, u_kinds, _) = _spread(p), _spread(u)
+        if type(p) is not type(u) or kinds != u_kinds or any(
+                a != b for a, b, k in zip(pf, uf, kinds) if k != "term"):
+            return False
+        todo += reversed([(a, b) for a, b, k in zip(pf, uf, kinds)
+                          if k == "term"])
+    return True
 
 
 def _instantiate(pattern: GroundTerm, binding: dict[str, GroundTerm]) -> GroundTerm:
-    if isinstance(pattern, MetaVar):
-        return binding[pattern.name]
-    return rebuild(pattern, tuple(_instantiate(c, binding)
-                                  for c in children(pattern)))
+    def enter(p: GroundTerm):
+        if type(p) is MetaVar:
+            return binding[p.name]
+        flat, kinds, _ = _spread(p)
+        return flat, [j for j, k in enumerate(kinds) if k == "term"]
+    return _rewrite(pattern, enter)
 
 
 def _head_step(t: GroundTerm, env: GroundEnv) -> tuple[GroundTerm, str] | None:
@@ -632,19 +635,19 @@ def reduce_step_at(t: GroundTerm, env: GroundEnv | None = None,
                    ) -> tuple[GroundTerm, tuple[int, ...], str] | None:
     """Leftmost-outermost step with its position and equation name."""
     env = env or GroundEnv()
-
-    def go(t: GroundTerm, pos: tuple[int, ...]):
-        hit = _head_step(t, env)
-        if hit is not None:
-            return hit[0], pos, hit[1]
-        cs = children(t)
-        for i, c in enumerate(cs):
-            sub = go(c, pos + (i,))
-            if sub is not None:
-                new, p, name = sub
-                return rebuild(t, cs[:i] + (new,) + cs[i + 1:]), p, name
-        return None
-    return go(t, ())
+    path, node = [], t       # path: [ancestor, its children, the one searched]
+    while (hit := _head_step(node, env)) is None:
+        path.append([node, children(node), -1])
+        while path[-1][2] + 1 == len(path[-1][1]):
+            path.pop()
+            if not path:
+                return None
+        path[-1][2] += 1
+        node = path[-1][1][path[-1][2]]
+    new = hit[0]
+    for parent, cs, k in reversed(path):
+        new = rebuild(parent, cs[:k] + (new,) + cs[k + 1:])
+    return new, tuple(k for _, _, k in path), hit[1]
 
 
 def reduce_step(t: GroundTerm, env: GroundEnv | None = None) -> GroundTerm | None:
@@ -849,24 +852,20 @@ def close_instance(t: GroundTerm,
 
 def is_linear(t: GroundTerm) -> bool:
     """True iff every implication binder binds exactly one occurrence."""
-    def count(t: GroundTerm, v: Var) -> int:
-        match t:
-            case Var():
-                return 1 if t == v else 0
-            case ImplI(x, b):
-                return 0 if x == v else count(b, v)
-            case DisjE(x1, x2, s, u, w):
-                n = count(s, v)
-                n += 0 if x1 == v else count(u, v)
-                n += 0 if x2 == v else count(w, v)
-                return n
-            case ExistsE(_, x, s, u):
-                return count(s, v) + (0 if x == v else count(u, v))
-            case _:
-                return sum(count(c, v) for c in children(t))
+    return all(_occurrences(n.body, n.var) == 1
+               for n in _subterms(t) if type(n) is ImplI)
 
-    def ok(t: GroundTerm) -> bool:
-        if isinstance(t, ImplI) and count(t.body, t.var) != 1:
-            return False
-        return all(ok(c) for c in children(t))
-    return ok(t)
+
+def _occurrences(t: GroundTerm, v: Var) -> int:
+    """The number of free occurrences of v in t."""
+    n, todo = 0, [t]
+    while todo:
+        node = todo.pop()
+        if node is v:
+            n += 1
+        elif v in node._free_vars:
+            flat, kinds, scopes = _spread(node)
+            hidden = _hidden(flat, scopes, v)
+            todo.extend(c for j, (c, k) in enumerate(zip(flat, kinds))
+                        if k == "term" and j not in hidden)
+    return n

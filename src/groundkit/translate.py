@@ -33,7 +33,7 @@ from .designs import (
 )
 from .behaviours import (
     Behaviour, UniverseBounds, behaviour, contains_daimon, enumerate_universe,
-    is_material, members, orthogonal_set, CandidateVerdict,
+    is_material, members, CandidateVerdict,
     classify_candidate,
 )
 from .interaction import (
@@ -136,8 +136,7 @@ def arrow(bA: Behaviour, bB: Behaviour, bounds: UniverseBounds,
     # in universe order: the orthogonal's test loop stops at the first
     # failing design, so its cost must not follow hash order
     defining = [d for d in enumerate_universe(bounds) if maps_domain(d)]
-    return Behaviour(frozenset(defining), bounds,
-                     orthogonal_set(defining, bounds, fuel))
+    return behaviour(defining, bounds, fuel)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,20 @@ class TestEnumeration:
         with pytest.raises(SizeLimitExceeded):
             enumerate_universe(capped)
 
+    def test_over_cap_is_refused_before_any_design_is_built(self,
+                                                            monkeypatch):
+        import groundkit.behaviours as bh
+
+        def built(*args):
+            raise AssertionError("a design was built")
+
+        monkeypatch.setattr(bh, "Design", built)
+        stated = UniverseBounds(3, full_pool(1), NEG)
+        assert count_universe(stated) == 5_432_882_874_153
+        with pytest.raises(SizeLimitExceeded,
+                           match="universe exceeds cap 1000000"):
+            enumerate_universe(stated)
+
 
 class TestOrthogonalSets:
     def test_bomb_orthogonal_is_single_responder(self):
@@ -288,6 +302,24 @@ class TestVerdictShortCircuit:
             classify_candidate(atomic_bomb(XI), b)
         v = classify_candidate(skunk(XI), b)
         assert (v.tag, v.reason) == ("NotInBehaviour", "base mismatch")
+
+
+def universe_order(b):
+    """The counter-tests of b in the order their universe is enumerated
+    (for pairs, the product order of the two universes)."""
+    universes = [enumerate_universe(b.bounds.at(p))
+                 for p in dual_bases(b.base)]
+    tests = universes[0] if len(universes) == 1 \
+        else itertools.product(*universes)
+    cached = set(b.cached_orthogonal)
+    return tuple(e for e in tests if e in cached)
+
+
+def test_counter_tests_are_in_universe_order():
+    b = behaviour_one(FULL2)
+    assert isinstance(b.cached_orthogonal, tuple)
+    assert len(b.cached_orthogonal) == len(set(b.cached_orthogonal)) == 80
+    assert b.cached_orthogonal == universe_order(b)
 
 
 class TestClassifySinglePass:

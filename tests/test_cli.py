@@ -394,6 +394,32 @@ class TestDeepInput:
                    for line in out.splitlines()) == 400
         assert out.endswith("canonical:\n(const a (atom A))\n")
 
+    def test_reduce_ten_thousand_redexes(self, tmp_path, capsys):
+        status, out, _ = run(capsys, "reduce", "--format", "trace-lines",
+                             "--term", self.chain(tmp_path, 10_000))
+        assert status == 0
+        assert sum(line.startswith("step ")
+                   for line in out.splitlines()) == 10_000
+        assert out.endswith("canonical:\n(const a (atom A))\n")
+
+    def test_reduce_projections_over_a_deep_pair(self, tmp_path, capsys):
+        """1,000 first projections over a 1,000-deep left-nested pair: the
+        redex is the innermost projection, at the bottom of the spine."""
+        n = 1000
+        text = "(const a (atom A))"
+        for _ in range(n):
+            text = f"(conj-i {text} (const b (atom B)))"
+        for _ in range(n):
+            text = f"(conj-e 1 {text})"
+        path = tmp_path / "projections.gt"
+        path.write_text(text)
+        status, out, _ = run(capsys, "reduce", "--term", str(path))
+        assert status == 0
+        lines = out.splitlines()
+        assert lines[0] == "step 1: conj-e at " + ".".join("0" * (n - 1))
+        assert sum(line.startswith("step ") for line in lines) == n
+        assert out.endswith("canonical:\n(const a (atom A))\n")
+
     def test_check_too_deep_exits_2(self, tmp_path, capsys):
         status, _, err = run(capsys, "check", self.chain(tmp_path, 1500))
         assert status == 2

@@ -105,6 +105,26 @@ class TestGrammar:
             text = sx.write_sexpr(sx.polarized_to_sexpr(f))
             assert sx.polarized_from_sexpr(sx.read_sexpr(text)) == f
 
+    def test_term_rows_are_the_terms_table(self):
+        """Each ground-term class has one row in `terms.FIELDS`, with one
+        kind per field and binder scopes naming later fields, and the
+        grammar's term heads map onto exactly those classes."""
+        assert set(tm.FIELDS) == set(tm.GroundTerm.__subclasses__())
+        for cls, spec in tm.FIELDS.items():
+            words = spec.split()
+            assert len(words) == len(cls.__match_args__)
+            for i, word in enumerate(words):
+                scope = word.partition(">")[2]
+                for name in filter(None, scope.split(",")):
+                    assert cls.__match_args__.index(name) > i
+        term_rows = [(cls, spec) for cls, spec in sx._GRAMMAR.values()
+                     if issubclass(cls, tm.GroundTerm)]
+        assert sorted(cls.__name__ for cls, _ in term_rows) \
+            == sorted(cls.__name__ for cls in tm.FIELDS)
+        for cls, spec in term_rows:
+            assert spec.split() == [word.partition(">")[0]
+                                    for word in tm.FIELDS[cls].split()]
+
     def test_every_row_has_a_roundtrip_case(self):
         forms = ([sx.formula_to_sexpr(f) for f in TestFormulas.CASES]
                  + [sx.term_to_sexpr(t) for t in self.TERMS + corpus(47, 60)]

@@ -1,10 +1,15 @@
+import random
+import weakref
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     A, AA, identity_term, open_variant, pingpong_env, pingpong_term,
     worked_term,
 )
 from termgen import corpus
+from termgen import TYPES, random_term
 
 from groundkit import terms as tm
 from groundkit.formulas import (
@@ -173,6 +178,56 @@ class TestProperties:
             assert tm.is_primitive_head(out.term)
             again = tm.normalize(out.term)
             assert again == tm.Canonical(out.term, ())
+
+
+class TestInterning:
+    def test_equal_terms_are_one_object(self):
+        a, x = tm.Const("a", A), tm.Var("x", A)
+        assert tm.ImplE(a, x) is tm.ImplE(a, x)
+        assert tm.Var("x", Atom("A")) is x       # formulas compare by value
+        assert tm.ConjI(a, x) is not tm.ImplE(a, x)
+
+    def test_hash_is_structural(self):
+        x = tm.Var("x", A)
+        assert hash(x) == hash(("x", A))
+        assert hash(tm.ImplI(x, x)) == hash((x, x))
+
+    def test_deep_term_hash_and_equality(self):
+        t = u = tm.Const("a", A)
+        for i in range(10_000):
+            x = tm.Var(f"x{i}", A)
+            t, u = tm.ImplE(tm.ImplI(x, x), t), tm.ImplE(tm.ImplI(x, x), u)
+        assert t == u and hash(t) == hash(u) and len({t, u}) == 1
+        assert tm.free_vars(t) == frozenset() and tm.is_closed_term(t)
+
+    def test_table_holds_terms_weakly(self):
+        c = tm.Const("unheld", A)
+        ref = weakref.ref(tm.ConjE(1, c))
+        assert ref() is None
+        assert (1, c) not in tm.ConjE._interned
+
+
+class TestSubstitutionLaw:
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_free_vars_of_subst(self, seed):
+        """fv(t[x := u]) = (fv(t) - {x}) | (fv(u) if x is free in t),
+        with u's free variables named like binders of t to force renaming."""
+        rng = random.Random(seed)
+        scope = tuple(tm.Var(f"s{k}", ty) for k, ty in enumerate(TYPES))
+        t = random_term(rng, rng.choice(TYPES), 3, scope)
+        binders, todo = [], [t]
+        while todo:
+            node = todo.pop()
+            todo += tm.children(node)
+            if isinstance(node, tm.ImplI):
+                binders.append(node.var)
+        x = rng.choice(scope)
+        u = random_term(rng, x.type, 2, tuple(binders) + scope[:2])
+        want = tm.free_vars(t) - {x}
+        if x in tm.free_vars(t):
+            want |= tm.free_vars(u)
+        assert tm.free_vars(tm.subst(t, x, u)) == want
 
 
 # --- capture avoidance, checked against a nameless (de Bruijn) oracle ------

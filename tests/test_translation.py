@@ -201,6 +201,15 @@ class TestArrow:
         out = normalize_open(make_cutnet((atomic_bomb((0, 0)), fx)))
         assert out in free_incarnation(bB)
 
+    def test_pair_tests_are_in_product_order(self):
+        from test_behaviours import universe_order
+        env = one_env()
+        ab = arrow(env.behaviour_at(P, (0, 0)), env.behaviour_at(P, (0, 1)),
+                   BOUNDS)
+        assert isinstance(ab.cached_orthogonal, tuple)
+        assert len(ab.cached_orthogonal) == 16
+        assert ab.cached_orthogonal == universe_order(ab)
+
     def test_pair_orthogonality(self):
         fx = build_fax((0, 0), (0, 1), 1, 0)
         a = atomic_bomb((0, 0))
