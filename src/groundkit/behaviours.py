@@ -206,14 +206,7 @@ def _orthogonal(E, bounds: UniverseBounds, fuel: int) -> tuple:
                  for p in dual_bases(bounds.base)]
     tests = universes[0] if len(universes) == 1 \
         else itertools.product(*universes)
-    out = []
-    for cand in tests:
-        v = meet_verdicts(VERDICT[type(run_test(e, cand, fuel))] for e in E)
-        if v == "unknown":
-            raise _undecided(fuel)
-        if v == "yes":
-            out.append(cand)
-    return tuple(out)
+    return tuple(_passing(tests, E, fuel))
 
 
 def biorthogonal(E, bounds: UniverseBounds,
@@ -242,15 +235,30 @@ def behaviour(generators, bounds: UniverseBounds,
     return Behaviour(frozenset(gens), bounds, _orthogonal(gens, bounds, fuel))
 
 
-def meet_verdicts(verdicts) -> str:
-    """'no' at the first 'no' (it outranks 'unknown', so the rest need not
-    run), else 'unknown' if any verdict is, else 'yes'."""
-    out = "yes"
-    for v in verdicts:
+def _test_run(d, tests, fuel: int) -> tuple[str, list]:
+    """The tests run on d up to the first 'no' (either side may be a pair):
+    'no' at a 'no', else 'unknown' if a test ran out of fuel, else 'yes',
+    and the results of the tests run."""
+    verdict, results = "yes", []
+    for e in tests:
+        results.append(result := run_test(d, e, fuel))
+        v = VERDICT[type(result)]
         if v == "no":
-            return "no"
+            return v, results
         if v == "unknown":
-            out = "unknown"
+            verdict = v
+    return verdict, results
+
+
+def _passing(candidates, tests, fuel: int) -> list:
+    """The candidates that pass every test; OutOfFuel if one is undecided."""
+    out = []
+    for c in candidates:
+        v = _test_run(c, tests, fuel)[0]
+        if v == "unknown":
+            raise _undecided(fuel)
+        if v == "yes":
+            out.append(c)
     return out
 
 
@@ -263,37 +271,19 @@ def _counter_tests(d: Design, b: Behaviour) -> tuple:
 
 def member_verdict(d: Design, b: Behaviour, fuel: int = DEFAULT_FUEL) -> str:
     """'yes' | 'no' | 'unknown': orthogonality to the cached orthogonal."""
-    return meet_verdicts(VERDICT[type(run_test(d, e, fuel))]
-                         for e in _counter_tests(d, b))
+    return _test_run(d, _counter_tests(d, b), fuel)[0]
 
 
 def members(b: Behaviour, fuel: int = DEFAULT_FUEL) -> frozenset[Design]:
     """The bounded membership set (the bounded bi-orthogonal)."""
-    out = []
-    for d in enumerate_universe(b.bounds):
-        v = member_verdict(d, b, fuel)
-        if v == "unknown":
-            raise _undecided(fuel)
-        if v == "yes":
-            out.append(d)
-    return frozenset(out)
-
-
-def _test_run(d: Design, b: Behaviour, fuel: int) -> tuple[str, list]:
-    """The cached counter-tests run on d up to the first 'no', as in
-    member_verdict: their verdict and the results of the tests run."""
-    results = []
-    for e in _counter_tests(d, b):
-        results.append(run_test(d, e, fuel))
-        if VERDICT[type(results[-1])] == "no":
-            break
-    return meet_verdicts(VERDICT[type(r)] for r in results), results
+    return frozenset(_passing(enumerate_universe(b.bounds),
+                              b.cached_orthogonal, fuel))
 
 
 def incarnation_of(d: Design, b: Behaviour,
                    fuel: int = DEFAULT_FUEL) -> Design:
     """The join of the parts of d used against every cached counter-test."""
-    verdict, results = _test_run(d, b, fuel)
+    verdict, results = _test_run(d, _counter_tests(d, b), fuel)
     if verdict == "no":
         raise NotAMember("incarnation is defined for members only")
     if verdict == "unknown":
@@ -325,7 +315,7 @@ def classify_candidate(d: Design, b: Behaviour,
     part of d it used."""
     if d.base != b.base:
         return CandidateVerdict("NotInBehaviour", "base mismatch")
-    verdict, results = _test_run(d, b, fuel)
+    verdict, results = _test_run(d, b.cached_orthogonal, fuel)
     if verdict == "unknown":
         return CandidateVerdict("Unknown", "fuel")
     if verdict == "no":

@@ -244,102 +244,80 @@ def cmd_repl(args) -> int:
     raise CliError("repl needs --term or --net")
 
 
-def _repl_term(t, inp=None, out=None, env=None) -> int:
-    inp = inp or sys.stdin
-    out = out or sys.stdout
-    env = env or tm.GroundEnv()
-    history = [t]
-
-    def show():
-        print(sx.write_sexpr(sx.term_to_sexpr(history[-1])), file=out)
-
-    show()
-    for line in inp:
+def _repl(state, text, trace, advance, inp=None, out=None) -> int:
+    """The step REPL over a history of states: text(state) shows a state,
+    trace(history) gives the lines of its trace, and advance(history) the
+    lines a step prints and the next state (None if there is none)."""
+    out, history = out or sys.stdout, [state]
+    print(text(state), file=out)
+    for line in inp or sys.stdin:
         cmd = line.strip()
         if cmd == "quit":
             break
         elif cmd == "show":
-            show()
+            print(text(history[-1]), file=out)
         elif cmd == "trace":
-            for i, term in enumerate(history):
-                print(f"{i}: {sx.write_sexpr(sx.term_to_sexpr(term))}",
-                      file=out)
+            for entry in trace(history):
+                print(entry, file=out)
+        elif cmd == "back" and len(history) == 1:
+            print("already at step 0", file=out)
         elif cmd == "back":
-            if len(history) == 1:
-                print("already at step 0", file=out)
-            else:
-                history.pop()
-                show()
+            history.pop()
+            print(text(history[-1]), file=out)
         elif cmd == "step":
-            current = history[-1]
-            if tm.is_primitive_head(current):
-                print("canonical (no further step)", file=out)
-                continue
-            hit = tm.reduce_step_at(current, env)
-            if hit is None:
-                print("stuck (no further step)", file=out)
-                continue
-            nxt, pos, name = hit
-            where = ".".join(map(str, pos)) or "root"
-            print(f"applied {name} at {where}", file=out)
-            if nxt in history:
-                idx = history.index(nxt)
-                print(f"loop detected: cycle of length {len(history) - idx}",
-                      file=out)
-            history.append(nxt)
-            show()
+            lines, nxt = advance(history)
+            print(*lines, sep="\n", file=out)
+            if nxt is not None:
+                history.append(nxt)
+                print(text(nxt), file=out)
         elif cmd:
             print(f"unknown command {cmd!r} "
                   "(step, back, show, trace, quit)", file=out)
     return OK
+
+
+def _repl_term(t, inp=None, out=None, env=None) -> int:
+    env = env or tm.GroundEnv()
+
+    def text(term) -> str:
+        return sx.write_sexpr(sx.term_to_sexpr(term))
+
+    def advance(history):
+        if tm.is_primitive_head(history[-1]):
+            return ["canonical (no further step)"], None
+        if (hit := tm.reduce_step_at(history[-1], env)) is None:
+            return ["stuck (no further step)"], None
+        nxt, pos, name = hit
+        lines = [f"applied {name} at {'.'.join(map(str, pos)) or 'root'}"]
+        if nxt in history:
+            lines.append("loop detected: cycle of length "
+                         f"{len(history) - history.index(nxt)}")
+        return lines, nxt
+
+    return _repl(t, text, lambda history: (
+        f"{i}: {text(term)}" for i, term in enumerate(history)), advance,
+        inp, out)
 
 
 def _repl_net(net: CutNet, inp=None, out=None) -> int:
-    inp = inp or sys.stdin
-    out = out or sys.stdout
-    # history of (current design, listener environment, trace)
-    history = [(net.principal, listeners(net.designs), ())]
+    def advance(history):
+        current, env, trace = history[-1]
+        env = dict(env)
+        nxt = step(current, env)
+        if isinstance(nxt, str):
+            return [{CONVERGED: "converged: † ⊢",
+                     OMEGA: "diverged: Ω reached"}.get(nxt) or
+                    f"diverged at {format_address(current.node.focus)}"], None
+        focus, ram = current.node.focus, current.node.ramification
+        return [f"consumed (+,-) at {_action(focus, ram)}"], \
+            (nxt, env, trace + (("+", focus, ram), ("-", focus, ram)))
 
-    def show():
-        print("\n".join(render_state(*history[-1][:2])), file=out)
-
-    show()
-    for line in inp:
-        cmd = line.strip()
-        if cmd == "quit":
-            break
-        elif cmd == "show":
-            show()
-        elif cmd == "trace":
-            for pol, xi, ram in history[-1][2]:
-                print(f"{pol} {_action(xi, ram)}", file=out)
-        elif cmd == "back":
-            if len(history) == 1:
-                print("already at step 0", file=out)
-            else:
-                history.pop()
-                show()
-        elif cmd == "step":
-            current, env, trace = history[-1]
-            env = dict(env)
-            nxt = step(current, env)
-            if nxt == CONVERGED:
-                print("converged: † ⊢", file=out)
-            elif nxt == OMEGA:
-                print("diverged: Ω reached", file=out)
-            elif isinstance(nxt, str):
-                print(f"diverged at {format_address(current.node.focus)}",
-                      file=out)
-            else:
-                focus, ram = current.node.focus, current.node.ramification
-                print(f"consumed (+,-) at {_action(focus, ram)}", file=out)
-                history.append((nxt, env, trace + (("+", focus, ram),
-                                                   ("-", focus, ram))))
-                show()
-        elif cmd:
-            print(f"unknown command {cmd!r} "
-                  "(step, back, show, trace, quit)", file=out)
-    return OK
+    # a state: the design in control, the listener map and the trace
+    return _repl((net.principal, listeners(net.designs), ()),
+                 lambda state: "\n".join(render_state(*state[:2])),
+                 lambda history: (f"{pol} {_action(xi, ram)}"
+                                  for pol, xi, ram in history[-1][2]),
+                 advance, inp, out)
 
 
 # ---------------------------------------------------------------------------

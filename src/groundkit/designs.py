@@ -3,12 +3,20 @@
 A design is a tree of pitchforks.  Nodes are stored with explicit bases
 so pruning (used by incarnation) keeps contexts stable; contexts are
 checked by inclusion, so weakening is always allowed.
+
+Designs are hash-consed as terms are (Filliâtre and Conchon, *Type-Safe
+Modular Hash-Consing*, 2006): equal designs are one object, held weakly
+by an intern table, so `==` is identity, and the structural hash and the
+daimon flag are computed once.  No walker recurses: `subtrees` is an
+explicit-stack preorder and `fold` builds bottom-up, so any depth works.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import attrgetter
+from weakref import ref as weak_ref
 
 Address = tuple[int, ...]
 Ramification = tuple[int, ...]          # canonically sorted
@@ -30,14 +38,14 @@ def disjoint(a: Address, b: Address) -> bool:
 
 
 def format_address(a: Address) -> str:
-    return ".".join(str(i) for i in a) if a else "ε"
+    return ".".join(map(str, a)) if a else "ε"
 
 
 def parse_address(s: str) -> Address:
     s = s.strip()
     if s in ("ε", "e", ""):
         return ()
-    return tuple(int(p) for p in s.split("."))
+    return tuple(map(int, s.split(".")))
 
 
 def subsets(pool) -> list[Ramification]:
@@ -48,10 +56,11 @@ def subsets(pool) -> list[Ramification]:
 
 
 # ---------------------------------------------------------------------------
-# pitchforks
+# pitchforks; they and design nodes are shared, so no field is assigned after
+# construction (they are not frozen: a frozen dataclass builds slowly)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Pitchfork:
     """A sequent of addresses with at most one address on the left."""
 
@@ -59,7 +68,7 @@ class Pitchfork:
     pos: frozenset[Address]
 
     def __post_init__(self):
-        object.__setattr__(self, "pos", frozenset(self.pos))
+        self.pos = frozenset(self.pos)
 
     @property
     def polarity(self) -> str:
@@ -75,14 +84,9 @@ class Pitchfork:
 
 
 def validate_pitchfork(p: Pitchfork) -> list[str]:
-    problems = []
-    addrs = sorted(p.all_addresses())
-    for i, a in enumerate(addrs):
-        for b in addrs[i + 1:]:
-            if not disjoint(a, b):
-                problems.append(f"addresses {format_address(a)} and "
-                                f"{format_address(b)} are not disjoint")
-    return problems
+    return [f"addresses {format_address(a)} and {format_address(b)} are not "
+            "disjoint" for a, b in combinations(sorted(p.all_addresses()), 2)
+            if not disjoint(a, b)]
 
 
 def positive_base(*pos: Address) -> Pitchfork:
@@ -93,24 +97,24 @@ def positive_base(*pos: Address) -> Pitchfork:
 # designs
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class DaimonLeaf:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class FidLeaf:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class PosNode:
     focus: Address
     ramification: Ramification
     children: tuple["Design", ...]       # aligned with ramification
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class NegNode:
     focus: Address
     branches: tuple[tuple[Ramification, "Design"], ...]  # sorted by key
@@ -122,10 +126,47 @@ class NegNode:
 DesignNode = DaimonLeaf | FidLeaf | PosNode | NegNode
 
 
-@dataclass(frozen=True)
 class Design:
-    base: Pitchfork
-    node: DesignNode
+    """A base and the node of its last rule.  Designs are shared, so no
+    field is assigned after construction."""
+
+    __slots__ = ("base", "node", "_key", "_hash", "_daimon", "__weakref__")
+    __match_args__ = ("base", "node")
+    #: base, node fields and premises' identities (their hashes collide:
+    #: † and Fid hash alike) -> weak reference to the design
+    _interned: dict = {}
+    _daimon_of = attrgetter("_daimon")
+
+    def __new__(cls, base: Pitchfork, node: DesignNode):
+        kind = type(node)
+        if kind is PosNode:
+            kids = node.children
+            key = (base.neg, base.pos, node.focus, node.ramification,
+                   tuple(map(id, kids)))
+        elif kind is NegNode:
+            keys, kids = zip(*node.branches) if node.branches else ((), ())
+            key = (kind, base.neg, base.pos, node.focus, keys, *map(id, kids))
+        else:
+            kids, key = (), (base.neg, base.pos, node)
+        ref = cls._interned.get(key)
+        if ref is not None and (d := ref()) is not None:
+            return d
+        d = object.__new__(cls)
+        d.base, d.node, d._key, d._hash = base, node, key, hash((base, node))
+        d._daimon = kind is DaimonLeaf or any(map(cls._daimon_of, kids))
+        cls._interned[key] = weak_ref(d)
+        return d
+
+    def __del__(self):
+        table, key = type(self)._interned, self._key
+        if (ref := table.get(key)) is not None and ref() in (self, None):
+            del table[key]
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"Design(base={self.base!r}, node={self.node!r})"
 
 
 # --- constructors ----------------------------------------------------------
@@ -209,108 +250,104 @@ def build_fax(xi: Address, xi2: Address, depth: int, arity_bound: int = 1) -> De
 
 
 def subtrees(d: Design):
-    """Yield (path, design) pairs in preorder; paths are child selectors."""
-    yield (), d
-    match d.node:
-        case PosNode(_, ram, kids):
-            for i, c in zip(ram, kids):
-                for p, s in subtrees(c):
-                    yield (("i", i),) + p, s
-        case NegNode(_, branches):
-            for key, b in branches:
-                for p, s in subtrees(b):
-                    yield (("I", key),) + p, s
+    """Yield (path, design) pairs in preorder; paths are child selectors:
+    ("i", i) for the child at ξ.i, ("I", I) for the branch I."""
+    todo = [((), d)]
+    while todo:
+        path, s = todo.pop()
+        yield path, s
+        node = s.node
+        tag, premises = ("i", zip(node.ramification, node.children)) \
+            if isinstance(node, PosNode) else ("I", node.branches) \
+            if isinstance(node, NegNode) else ("", ())
+        todo += [(path + ((tag, k),), p) for k, p in premises][::-1]
+
+
+def fold(top, enter):
+    """A value built bottom-up without recursion: enter(item), called in
+    preorder, gives (make, items), and the value is make(items' values)."""
+    root = [top]
+    todo, built = [(root, 0)], []
+    while todo:
+        holder, i = todo.pop()
+        make, items = enter(holder[i])
+        items = list(items)
+        built.append((holder, i, make, items))
+        todo += [(items, j) for j in reversed(range(len(items)))]
+    for holder, i, make, items in reversed(built):
+        holder[i] = make(items)
+    return root[0]
 
 
 def design_depth(d: Design) -> int:
     """Nesting of rule applications; leaves count zero."""
-    match d.node:
-        case PosNode(_, _, kids):
-            return 1 + max((design_depth(c) for c in kids), default=0)
-        case NegNode(_, branches):
-            return 1 + max((design_depth(b) for _, b in branches), default=0)
-        case _:
-            return 0
+    return max((len(path) + 1 for path, s in subtrees(d)
+                if isinstance(s.node, PosNode | NegNode)), default=0)
 
 
 def contains_daimon(d: Design) -> bool:
-    return any(isinstance(s.node, DaimonLeaf) for _, s in subtrees(d))
+    return d._daimon
 
 
 # --- validation ------------------------------------------------------------
 
 
 def validate_design(d: Design) -> list[str]:
-    """Check every node against the daimon/positive/negative schemas."""
+    """Check every node, in preorder, against the daimon/positive/negative
+    schemas, and its premises' bases against its own."""
     problems = []
+    for path, s in subtrees(d):
+        def fail(checks, sub=()):
+            if msgs := [msg for bad, msg in checks if bad]:
+                where = "root" + "".join(
+                    f"·{v}" if k == "i" else f"·{{{','.join(map(str, v))}}}"
+                    for k, v in path + sub)
+                problems.extend(f"{where}: {msg}" for msg in msgs)
 
-    def fmt_path(path):
-        return "root" + "".join(
-            f"·{v}" if k == "i" else f"·{{{','.join(map(str, v))}}}"
-            for k, v in path)
-
-    def walk(d: Design, path):
-        here = fmt_path(path)
-        for msg in validate_pitchfork(d.base):
-            problems.append(f"{here}: {msg}")
-        match d.node:
+        fail([(True, msg) for msg in validate_pitchfork(s.base)])
+        neg, pos = s.base.neg, s.base.pos
+        match s.node:
             case DaimonLeaf() | FidLeaf():
-                if d.base.neg is not None:
-                    problems.append(f"{here}: leaf rule on a negative pitchfork")
+                fail([(neg is not None, "leaf rule on a negative pitchfork")])
             case PosNode(focus, ram, kids):
-                if d.base.neg is not None:
-                    problems.append(f"{here}: positive rule on a negative "
-                                    "pitchfork")
-                if focus not in d.base.pos:
-                    problems.append(f"{here}: focus {format_address(focus)} "
-                                    "missing from the base")
-                if ram != tuple(sorted(set(ram))) or len(ram) != len(kids):
-                    problems.append(f"{here}: malformed ramification")
-                    return
-                contexts = []
+                malformed = ram != tuple(sorted(set(ram))) \
+                    or len(ram) != len(kids)
+                fail([(neg is not None,
+                       "positive rule on a negative pitchfork"),
+                      (focus not in pos,
+                       f"focus {format_address(focus)} missing from the base"),
+                      (malformed, "malformed ramification")])
+                if malformed:
+                    continue
                 for i, c in zip(ram, kids):
-                    sub = path + ((("i", i)),)
-                    if c.base.neg != child(focus, i):
-                        problems.append(f"{fmt_path(sub)}: premise not based "
-                                        f"on {format_address(child(focus, i))}")
-                    if not c.base.pos <= d.base.pos - {focus}:
-                        problems.append(f"{fmt_path(sub)}: premise context "
-                                        "escapes the conclusion")
-                    contexts.append(c.base.pos)
-                    walk(c, sub)
-                for a in range(len(contexts)):
-                    for b in range(a + 1, len(contexts)):
-                        if contexts[a] & contexts[b]:
-                            problems.append(f"{here}: premise contexts of "
-                                            f"children {ram[a]} and {ram[b]} "
-                                            "overlap")
+                    at = format_address(child(focus, i))
+                    fail([(c.base.neg != child(focus, i),
+                           f"premise not based on {at}"),
+                          (not c.base.pos <= pos - {focus},
+                           "premise context escapes the conclusion")],
+                         (("i", i),))
+                fail([(kids[a].base.pos & kids[b].base.pos,
+                       f"premise contexts of children {ram[a]} and {ram[b]} "
+                       "overlap")
+                      for a, b in combinations(range(len(kids)), 2)])
             case NegNode(focus, branches):
-                if d.base.neg != focus:
-                    problems.append(f"{here}: negative rule must focus the "
-                                    "base's left address")
                 keys = [k for k, _ in branches]
-                if keys != sorted(set(keys)):
-                    problems.append(f"{here}: duplicate or unsorted branch keys")
+                fail([(neg != focus,
+                       "negative rule must focus the base's left address"),
+                      (keys != sorted(set(keys)),
+                       "duplicate or unsorted branch keys")])
                 for key, b in branches:
-                    sub = path + ((("I", key)),)
-                    if tuple(sorted(set(key))) != key:
-                        problems.append(f"{fmt_path(sub)}: malformed "
-                                        "ramification key")
-                    if b.base.neg is not None:
-                        problems.append(f"{fmt_path(sub)}: branch must be a "
-                                        "positive pitchfork")
-                        continue
-                    opened = star(focus, key)
-                    if not opened <= b.base.pos:
-                        problems.append(f"{fmt_path(sub)}: branch misses the "
-                                        "opened sub-addresses")
-                    if not (b.base.pos - opened) <= d.base.pos:
-                        problems.append(f"{fmt_path(sub)}: branch context "
-                                        "escapes the conclusion")
-                    walk(b, sub)
+                    opened, on_pos = star(focus, key), b.base.neg is None
+                    fail([(tuple(sorted(set(key))) != key,
+                           "malformed ramification key"),
+                          (not on_pos, "branch must be a positive pitchfork"),
+                          (on_pos and not opened <= b.base.pos,
+                           "branch misses the opened sub-addresses"),
+                          (on_pos and not b.base.pos - opened <= pos,
+                           "branch context escapes the conclusion")],
+                         (("I", key),))
             case _:
-                problems.append(f"{here}: unknown node")
-    walk(d, ())
+                fail([(True, "unknown node")])
     return problems
 
 
@@ -319,45 +356,38 @@ def validate_design(d: Design) -> list[str]:
 
 def subdesign_order(d1: Design, d2: Design) -> bool:
     """True iff d1 prunes d2: negative branches dropped, positive subtrees
-    replaced by Fid, bases untouched."""
-    if d1.base != d2.base:
+    replaced by Fid, bases untouched; that is, iff d1 ∨ d2 is d2."""
+    try:
+        return merge_subdesigns(d1, d2) is d2
+    except ValueError:
         return False
-    match d1.node, d2.node:
-        case (FidLeaf(), _):
-            return d1.base.neg is None
-        case (DaimonLeaf(), DaimonLeaf()):
-            return True
-        case (PosNode(f1, r1, k1), PosNode(f2, r2, k2)):
-            return (f1 == f2 and r1 == r2
-                    and all(subdesign_order(a, b) for a, b in zip(k1, k2)))
-        case (NegNode(f1, b1), NegNode(f2, b2)):
-            if f1 != f2:
-                return False
-            m2 = dict(b2)
-            return all(k in m2 and subdesign_order(v, m2[k]) for k, v in b1)
-    return False
 
 
 def merge_subdesigns(d1: Design, d2: Design) -> Design:
     """Node-wise join of two prunings of one design."""
-    if d1.base != d2.base:
-        raise ValueError("join requires a common base")
-    match d1.node, d2.node:
-        case (FidLeaf(), _):
-            return d2
-        case (_, FidLeaf()):
-            return d1
-        case (DaimonLeaf(), DaimonLeaf()):
-            return d1
-        case (PosNode(f1, r1, k1), PosNode(f2, r2, k2)) if f1 == f2 and r1 == r2:
-            kids = tuple(merge_subdesigns(a, b) for a, b in zip(k1, k2))
-            return Design(d1.base, PosNode(f1, r1, kids))
-        case (NegNode(f1, b1), NegNode(f2, b2)) if f1 == f2:
-            m = dict(b1)
-            for k, v in b2:
-                m[k] = merge_subdesigns(m[k], v) if k in m else v
-            return Design(d1.base, NegNode(f1, tuple(sorted(m.items()))))
-    raise ValueError("designs are not prunings of a common design")
+    def enter(pair):
+        d1, d2 = pair
+        if d1.base != d2.base:
+            raise ValueError("join requires a common base")
+        match d1.node, d2.node:
+            case (FidLeaf(), _) if d1.base.neg is None:
+                return (lambda _: d2), ()
+            case (_, FidLeaf()) if d2.base.neg is None:
+                return (lambda _: d1), ()
+            case (DaimonLeaf(), DaimonLeaf()):
+                return (lambda _: d1), ()
+            case (PosNode(f1, r1, k1), PosNode(f2, r2, k2)) \
+                    if f1 == f2 and r1 == r2:
+                return (lambda kids: Design(
+                    d1.base, PosNode(f1, r1, tuple(kids)))), zip(k1, k2)
+            case (NegNode(f1, b1), NegNode(f2, b2)) if f1 == f2:
+                m1, m2 = dict(b1), dict(b2)     # a branch on one side only
+                keys = sorted(m1.keys() | m2.keys())    # joins with itself
+                return (lambda bs: Design(d1.base, NegNode(
+                    f1, tuple(zip(keys, bs))))), \
+                    [(m1.get(k, m2.get(k)), m2.get(k, m1.get(k))) for k in keys]
+        raise ValueError("designs are not prunings of a common design")
+    return fold((d1, d2), enter)
 
 
 def delocate(d: Design, old: Address, new: Address) -> Design:
@@ -365,17 +395,17 @@ def delocate(d: Design, old: Address, new: Address) -> Design:
     def ra(a: Address) -> Address:
         return new + a[len(old):] if a[:len(old)] == old else a
 
-    def rp(p: Pitchfork) -> Pitchfork:
-        return Pitchfork(None if p.neg is None else ra(p.neg),
-                         frozenset(ra(a) for a in p.pos))
-
-    def go(d: Design) -> Design:
+    def enter(d: Design):
+        base = Pitchfork(None if d.base.neg is None else ra(d.base.neg),
+                         frozenset(ra(a) for a in d.base.pos))
         match d.node:
             case PosNode(f, ram, kids):
-                node = PosNode(ra(f), ram, tuple(go(c) for c in kids))
+                return (lambda kids: Design(
+                    base, PosNode(ra(f), ram, tuple(kids)))), kids
             case NegNode(f, branches):
-                node = NegNode(ra(f), tuple((k, go(b)) for k, b in branches))
-            case other:
-                node = other
-        return Design(rp(d.base), node)
-    return go(d)
+                keys = [k for k, _ in branches]
+                return (lambda bs: Design(
+                    base, NegNode(ra(f), tuple(zip(keys, bs))))), \
+                    [b for _, b in branches]
+        return (lambda _: Design(base, d.node)), ()
+    return fold(d, enter)

@@ -19,7 +19,7 @@ from itertools import count
 
 from .designs import (
     Address, DaimonLeaf, Design, FidLeaf, NegNode, Pitchfork, PosNode,
-    Ramification, child, daimon, disjoint, format_address, merge_subdesigns,
+    Ramification, child, daimon, disjoint, format_address, fold, subtrees,
 )
 
 DEFAULT_FUEL = 100_000
@@ -219,9 +219,9 @@ def _site(d: Design) -> Address:
 def run_closed(designs, fuel: int = DEFAULT_FUEL) -> InteractionResult:
     """Normalize the designs of a closed cut-net, from its one positive
     design."""
-    principal = next(d for d in designs if d.base.neg is None)
-    trace: list[TraceRecord] = []
-    reason, last, _ = run(principal, listeners(designs), fuel, trace)
+    env = {d.base.neg: d for d in designs}      # the positive one at None
+    principal, trace = env.pop(None), []
+    reason, last, _ = run(principal, env, fuel, trace)
     if reason == CONVERGED:
         trace.append(("†", _site(last), ()))
         return Converged(daimon(), tuple(trace))
@@ -264,11 +264,12 @@ def dual_bases(p: Pitchfork) -> tuple[Pitchfork, ...]:
     raise BaseMismatch(f"base {p} has no dual bases")
 
 
-def run_test(d: Design, test, fuel: int = DEFAULT_FUEL) -> InteractionResult:
-    """Normalize d against a counter-test on its dual bases: one design, or
-    a tuple of designs.  Nothing checks the bases; a caller checks them once
-    for all the tests it runs."""
-    return run_closed((d, test) if isinstance(test, Design) else (d, *test),
+def run_test(d, test, fuel: int = DEFAULT_FUEL) -> InteractionResult:
+    """Normalize a design against a counter-test on its dual bases, either
+    side one design or a tuple of designs (a pair test).  Nothing checks
+    the bases; a caller checks them once for all the tests it runs."""
+    return run_closed(((d,) if isinstance(d, Design) else tuple(d))
+                      + ((test,) if isinstance(test, Design) else tuple(test)),
                       fuel)
 
 
@@ -291,39 +292,41 @@ def orthogonal(d: Design, test, fuel: int = DEFAULT_FUEL) -> str:
 
 
 def used_part(d: Design, trace) -> Design:
-    """Prune a design to the nodes consumed (or reached) in a trace.
-
-    Unconsumed positive subtrees become Fid; negative branches that were
-    never entered are dropped.  Bases are kept, so the result compares
-    under subdesign_order.
-    """
-    consumed = {(xi, I) for pol, xi, I in trace if pol in ("+", "-")}
-
-    def go(d: Design) -> Design:
-        match d.node:
-            case PosNode(focus, ram, kids):
-                if (focus, ram) not in consumed:
-                    return Design(d.base, FidLeaf())
-                return Design(d.base,
-                              PosNode(focus, ram, tuple(go(c) for c in kids)))
-            case NegNode(focus, branches):
-                kept = tuple((key, go(b)) for key, b in branches
-                             if (focus, key) in consumed)
-                return Design(d.base, NegNode(focus, kept))
-            case _:
-                return d
-    return go(d)
+    """Prune a design to the nodes consumed (or reached) in a trace, as
+    join_used_parts does.  Bases are kept, so the result compares under
+    subdesign_order."""
+    return join_used_parts(d, (trace,))
 
 
 def join_used_parts(d: Design, traces) -> Design:
-    """Union of the prunings of one design over several interaction traces."""
-    parts = [used_part(d, t) for t in traces]
-    if not parts:
-        return used_part(d, ())
-    out = parts[0]
-    for p in parts[1:]:
-        out = merge_subdesigns(out, p)
-    return out
+    """Union of the prunings of one design over several traces, in one walk
+    carrying the bit mask of the traces that reach each node: a positive
+    node no trace reaches becomes Fid, a branch no trace enters is dropped."""
+    traces = list(traces)
+    used: dict[tuple[Address, Ramification], int] = {}
+    for k, trace in enumerate(traces):
+        for pol, xi, ram in trace:
+            if pol != "†":
+                used[xi, ram] = used.get((xi, ram), 0) | 1 << k
+
+    def enter(item):
+        s, mask = item
+        node = s.node
+        if isinstance(node, PosNode):
+            mask &= used.get((node.focus, node.ramification), 0)
+            if not mask:
+                return (lambda _: Design(s.base, FidLeaf())), ()
+            return (lambda kids: s if tuple(kids) == node.children else Design(
+                s.base, PosNode(node.focus, node.ramification, tuple(kids)))), \
+                [(c, mask) for c in node.children]
+        if isinstance(node, NegNode):
+            kept = [(key, b, m) for key, b in node.branches
+                    if (m := mask & used.get((node.focus, key), 0))]
+            return (lambda bs: Design(s.base, NegNode(node.focus, tuple(
+                (key, b) for (key, _, _), b in zip(kept, bs))))), \
+                [(b, m) for _, b, m in kept]
+        return (lambda _: s), ()
+    return fold((d, (1 << len(traces)) - 1), enter)
 
 
 # ---------------------------------------------------------------------------
@@ -332,37 +335,29 @@ def join_used_parts(d: Design, traces) -> Design:
 
 def render_design(d: Design, mark: frozenset[Address] = frozenset(),
                   indent: int = 0) -> list[str]:
-    """Indented tree rendering; marked addresses are starred."""
-    pad = "  " * indent
-
+    """Indented tree rendering, one line per node; marked addresses are
+    starred."""
     def fa(a: Address) -> str:
-        s = format_address(a)
-        return f"*{s}*" if a in mark else s
+        return f"*{format_address(a)}*" if a in mark else format_address(a)
 
-    def base_str(p: Pitchfork) -> str:
-        left = fa(p.neg) if p.neg is not None else ""
-        right = ", ".join(fa(a) for a in sorted(p.pos))
-        return f"{left} ⊢ {right}".rstrip()
+    def braces(items) -> str:
+        return "{" + ",".join(map(str, items)) + "}"
 
-    match d.node:
-        case DaimonLeaf():
-            return [f"{pad}† {base_str(d.base)}"]
-        case FidLeaf():
-            return [f"{pad}Ω {base_str(d.base)}"]
-        case PosNode(focus, ram, kids):
-            rs = "{" + ",".join(map(str, ram)) + "}"
-            lines = [f"{pad}(+ {fa(focus)} {rs}) {base_str(d.base)}"]
-            for c in kids:
-                lines += render_design(c, mark, indent + 1)
-            return lines
-        case NegNode(focus, branches):
-            ns = "{" + "; ".join("{" + ",".join(map(str, k)) + "}"
-                                 for k, _ in branches) + "}"
-            lines = [f"{pad}(- {fa(focus)} {ns}) {base_str(d.base)}"]
-            for _, b in branches:
-                lines += render_design(b, mark, indent + 1)
-            return lines
-    raise AssertionError
+    lines = []
+    for path, s in subtrees(d):
+        match s.node:
+            case PosNode(focus, ram, _):
+                rule = f"(+ {fa(focus)} {braces(ram)})"
+            case NegNode(focus, branches):
+                keys = "; ".join(braces(k) for k, _ in branches)
+                rule = f"(- {fa(focus)} {{{keys}}})"
+            case node:
+                rule = "†" if isinstance(node, DaimonLeaf) else "Ω"
+        left = "" if s.base.neg is None else fa(s.base.neg)
+        right = ", ".join(fa(a) for a in sorted(s.base.pos))
+        lines.append(f"{'  ' * (indent + len(path))}{rule} {left} ⊢ {right}"
+                     .rstrip())
+    return lines
 
 
 def render_state(current: Design, env: dict[Address, Design],

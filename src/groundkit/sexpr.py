@@ -18,8 +18,8 @@ from itertools import islice
 from . import focusing as fo
 from .behaviours import Behaviour, UniverseBounds, behaviour
 from .designs import (
-    DaimonLeaf, Design, FidLeaf, NegNode, Pitchfork, PosNode, daimon, fid,
-    format_address, negative, parse_address, positive, star,
+    DaimonLeaf, Design, NegNode, Pitchfork, PosNode, daimon, fid,
+    fold, format_address, negative, parse_address, positive, star,
 )
 from .formulas import (
     Absurd, Atom, Conj, Disj, Exists, Forall, Formula, IConst, IVar, Impl,
@@ -299,54 +299,53 @@ def _extra_from_sexpr(rest: list):
 
 
 def design_to_sexpr(d: Design):
-    match _expect(d, Design, "design").node:
-        case DaimonLeaf():
-            return ["daimon", *[format_address(a) for a in sorted(d.base.pos)]]
-        case FidLeaf():
-            return ["fid", *[format_address(a) for a in sorted(d.base.pos)]]
-        case PosNode(focus, ram, kids):
-            inferred = frozenset({focus})
-            for c in kids:
-                inferred |= c.base.pos
-            return (["pos", format_address(focus), _ram_to_sexpr(ram)]
-                    + _extra_clause(d, inferred)
-                    + [design_to_sexpr(c) for c in kids])
-        case NegNode(focus, branches):
-            inferred = frozenset()
-            for key, b in branches:
-                inferred |= b.base.pos - star(focus, key)
-            return (["neg", format_address(focus)]
-                    + _extra_clause(d, inferred)
-                    + [["branch", _ram_to_sexpr(key), design_to_sexpr(b)]
-                       for key, b in branches])
+    def enter(d: Design):
+        match d.node:
+            case PosNode(focus, ram, kids):
+                inferred = frozenset({focus}).union(*(c.base.pos for c in kids))
+                return (lambda forms: [
+                    "pos", format_address(focus), _ram_to_sexpr(ram),
+                    *_extra_clause(d, inferred), *forms]), kids
+            case NegNode(focus, branches):
+                inferred = frozenset().union(
+                    *(b.base.pos - star(focus, key) for key, b in branches))
+                return (lambda forms: [
+                    "neg", format_address(focus), *_extra_clause(d, inferred),
+                    *[["branch", _ram_to_sexpr(key), form]
+                      for (key, _), form in zip(branches, forms)]]), \
+                    [b for _, b in branches]
+        head = "daimon" if isinstance(d.node, DaimonLeaf) else "fid"
+        return (lambda _: [head, *map(format_address, sorted(d.base.pos))]), ()
+    return fold(_expect(d, Design, "design"), enter)
 
 
 def design_from_sexpr(x) -> Design:
-    match _head(x, "design"):
-        case "daimon":
-            return daimon(*[_address(a) for a in _fields(x, 0, True)])
-        case "fid":
-            return fid(*[_address(a) for a in _fields(x, 0, True)])
-        case "pos":
-            focus, ram, *rest = _fields(x, 2, True)
-            focus, ram = _address(focus), _ram_from_sexpr(ram)
-            extra, rest = _extra_from_sexpr(rest)
-            kids = [design_from_sexpr(c) for c in rest]
-            if len(kids) != len(ram):
-                raise ParseError("positive node child count does not match "
-                                 "the ramification")
-            return positive(focus, dict(zip(ram, kids)), extra)
-        case "neg":
-            focus, *rest = _fields(x, 1, True)
-            focus = _address(focus)
-            extra, rest = _extra_from_sexpr(rest)
-            branches = {}
-            for item in rest:
-                key, b = _fields(item, 2, head="branch")
-                branches[_ram_from_sexpr(key)] = design_from_sexpr(b)
-            return negative(focus, branches, extra)
-        case head:
-            raise ParseError(f"unknown design head {head!r}")
+    def enter(x):
+        match _head(x, "design"):
+            case "daimon" | "fid" as head:
+                leaf = (daimon if head == "daimon" else fid)(
+                    *[_address(a) for a in _fields(x, 0, True)])
+                return (lambda _: leaf), ()
+            case "pos":
+                focus, ram, *rest = _fields(x, 2, True)
+                focus, ram = _address(focus), _ram_from_sexpr(ram)
+                extra, rest = _extra_from_sexpr(rest)
+                if len(rest) != len(ram):
+                    raise ParseError("positive node child count does not "
+                                     "match the ramification")
+                return (lambda kids: positive(focus, dict(zip(ram, kids)),
+                                              extra)), rest
+            case "neg":
+                focus, *rest = _fields(x, 1, True)
+                focus = _address(focus)
+                extra, rest = _extra_from_sexpr(rest)
+                branches = [_fields(item, 2, head="branch") for item in rest]
+                keys = [_ram_from_sexpr(key) for key, _ in branches]
+                return (lambda bs: negative(focus, dict(zip(keys, bs)),
+                                            extra)), [b for _, b in branches]
+            case head:
+                raise ParseError(f"unknown design head {head!r}")
+    return fold(x, enter)
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,8 @@ from .designs import (
     negative, positive, star,
 )
 from .behaviours import (
-    Behaviour, UniverseBounds, behaviour, contains_daimon, enumerate_universe,
-    is_material, members, CandidateVerdict,
-    classify_candidate,
+    Behaviour, UniverseBounds, behaviour, enumerate_universe,
+    CandidateVerdict, classify_candidate, _undecided,
 )
 from .interaction import (
     CONVERGED, DEFAULT_FUEL, OUT_OF_FUEL, UNCUT, CutNet, listeners,
@@ -103,9 +102,16 @@ def normalize_open(net: CutNet, fuel: int = DEFAULT_FUEL) -> Design | None:
 
 
 def free_incarnation(b: Behaviour, fuel: int = DEFAULT_FUEL) -> frozenset[Design]:
-    """The †-free material members of a behaviour, within its bounds."""
-    return frozenset(d for d in members(b, fuel)
-                     if not contains_daimon(d) and is_material(d, b, fuel))
+    """The †-free material members of a behaviour, within its bounds: the
+    designs of its universe that classify_candidate calls Ground."""
+    out = []
+    for d in enumerate_universe(b.bounds):
+        tag = classify_candidate(d, b, fuel).tag
+        if tag == "Unknown":
+            raise _undecided(fuel)
+        if tag == "Ground":
+            out.append(d)
+    return frozenset(out)
 
 
 def _alpha(b: Behaviour) -> Address:

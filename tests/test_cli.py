@@ -563,3 +563,60 @@ class TestFuelExhaustion:
         _repl_net(net, inp=io.StringIO("step\nback\n"), out=buf)
         assert buf.getvalue().startswith(start)
         assert buf.getvalue().endswith(start)
+
+
+def design_chain_text(n, positive_first):
+    """n rules alternating in polarity at 0, 0.0, 0.0.0, …, each with the
+    ramification {0}, built without the printer.  The last rule ends in
+    (daimon …) if it is negative, in an empty (neg …) if it is positive."""
+    parts = []
+    for k in range(n):
+        at = ".".join("0" * (k + 1))
+        rule_positive = (k % 2 == 0) == positive_first
+        parts.append(f"(pos {at} (I 0) " if rule_positive
+                     else f"(neg {at} (branch (I 0) ")
+    end = ".".join("0" * (n + 1))
+    leaf = f"(neg {end})" if rule_positive else f"(daimon {end})"
+    return "".join(parts) + leaf + "".join(
+        ")" if p.startswith("(pos") else "))" for p in parts)
+
+
+class TestDeepDesigns:
+    """A design 1,000 rule pairs deep gets an answer from every verb that
+    reads designs.  Each rule adds an index to the address, so the file is
+    quadratic in the depth: 4.0 MB at 1,000 pairs."""
+
+    PAIRS = 1000
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("deep")
+        d = design_chain_text(2 * self.PAIRS, positive_first=True)
+        e = design_chain_text(2 * self.PAIRS, positive_first=False)
+        paths = {"d": root / "d.dsn", "e": root / "e.dsn",
+                 "net": root / "stuck.net"}
+        paths["d"].write_text(d)
+        paths["e"].write_text(e)
+        paths["net"].write_text(f"(net {d} (neg 0))")
+        return {k: str(v) for k, v in paths.items()}
+
+    def test_check_and_validate(self, capsys, files):
+        assert run(capsys, "check", files["d"])[:2] == (0, "ok: parsed\n")
+        assert run(capsys, "design-validate", "--design", files["e"])[:2] \
+            == (0, "ok\n")
+
+    def test_orth_runs_every_pair(self, capsys, files):
+        assert run(capsys, "orth", files["d"], files["e"])[:2] == (0, "yes\n")
+
+    def test_classify_and_incarnate(self, capsys, files):
+        for verb in ("classify", "incarnate"):
+            status, out, err = run(capsys, verb, "--design", files["d"],
+                                   "--behaviour", str(DATA / "one.bhv"))
+            assert status in (0, 1) and not err, (verb, out, err)
+
+    def test_snapshots(self, capsys, files):
+        status, out, err = run(capsys, "interact", "--net", files["net"],
+                               "--render", "snapshots")
+        assert status == 1 and not err
+        assert out.endswith("== result ==\ndiverges at 0\n")
+        assert len(out.splitlines()) == 2 * self.PAIRS + 7

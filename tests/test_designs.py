@@ -7,7 +7,7 @@ from groundkit.designs import (
     build_fax, child, contains_daimon, daimon, delocate, design_depth,
     disjoint, fid, format_address, merge_subdesigns, negative,
     negative_sponge, parse_address, positive, skunk, star, subdesign_order,
-    subsets, validate_design, validate_pitchfork,
+    subsets, subtrees, validate_design, validate_pitchfork,
 )
 
 XI = (0,)
@@ -250,3 +250,44 @@ class TestMisc:
         moved = delocate(fx, XI, (7,))
         assert moved.base == Pitchfork((7,), frozenset({XI2}))
         assert validate_design(moved) == []
+
+
+class TestInterning:
+    def test_equal_designs_are_one_object(self):
+        assert positive(XI, {0: skunk((0, 0))}) is \
+            positive(XI, {0: skunk((0, 0))})
+        assert build_fax(XI, XI2, 2, 1) is build_fax(XI, XI2, 2, 1)
+        assert daimon(XI) is not fid(XI)
+        rng = random.Random(23)
+        for _ in range(50):
+            d = random_design(rng, Pitchfork(XI, frozenset()), 3)
+            rebuilt = delocate(delocate(d, XI, (9,)), (9,), XI)
+            assert rebuilt is d
+            assert merge_subdesigns(d, d) is d
+
+    def test_repr_is_the_dataclass_text(self):
+        assert repr(atomic_bomb(XI)) == (
+            "Design(base=Pitchfork(neg=None, pos=frozenset({(0,)})), "
+            "node=PosNode(focus=(0,), ramification=(), children=()))")
+        assert repr(skunk(XI)) == (
+            "Design(base=Pitchfork(neg=(0,), pos=frozenset()), "
+            "node=NegNode(focus=(0,), branches=()))")
+        assert repr(negative(XI, {(): daimon()})) == (
+            "Design(base=Pitchfork(neg=(0,), pos=frozenset()), "
+            "node=NegNode(focus=(0,), branches=(((), Design(base=Pitchfork("
+            "neg=None, pos=frozenset()), node=DaimonLeaf())),)))")
+
+    def test_hash_is_the_structural_one(self):
+        rng = random.Random(29)
+        for _ in range(50):
+            d = random_design(rng, Pitchfork(None, frozenset({XI})), 3)
+            assert hash(d) == hash((d.base, d.node))
+        # † and Fid hash alike, as the frozen dataclasses' did
+        assert hash(daimon(XI)) == hash(fid(XI))
+
+    def test_daimon_flag_is_read_from_the_children(self):
+        rng = random.Random(31)
+        for _ in range(100):
+            d = random_design(rng, Pitchfork(XI, frozenset()), 3)
+            assert contains_daimon(d) == any(
+                isinstance(s.node, DaimonLeaf) for _, s in subtrees(d))

@@ -1,18 +1,23 @@
 import random
+from functools import reduce
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from conftest import convergent_pair
 from interaction_oracle import oracle_normalize
 from test_designs import random_design
 
 from groundkit.designs import (
-    Design, FidLeaf, NegNode, Pitchfork, atomic_bomb, daimon, fid, negative,
-    negative_sponge, positive, skunk, validate_design,
+    Design, FidLeaf, NegNode, Pitchfork, PosNode, atomic_bomb, daimon, fid,
+    merge_subdesigns, negative, negative_sponge, positive, skunk,
+    subdesign_order, subtrees, validate_design,
 )
 from groundkit.interaction import (
-    BaseMismatch, Converged, CutNetError, Diverged, dual_bases, make_cutnet,
-    normalize_closed, orthogonal, render_snapshots, used_part,
+    BaseMismatch, Converged, CutNetError, Diverged, dual_bases,
+    join_used_parts, make_cutnet, normalize_closed, orthogonal,
+    render_snapshots, used_part,
 )
 from groundkit.interaction import (
     CONVERGED, NO_BRANCH, OMEGA, UNCUT, FuelExhausted, run_closed, step,
@@ -284,3 +289,64 @@ class TestFuel:
     def test_divergence_needs_no_fuel(self):
         out = normalize_closed(make_cutnet((atomic_bomb(XI), skunk(XI))), 0)
         assert isinstance(out, Diverged)
+
+
+def pruned_oracle(d, trace):
+    """The pruning of d to a trace, by recursion over the design: a positive
+    node is kept when its action was consumed, a negative branch when it
+    was entered.  Fine for the small designs it is given."""
+    consumed = {(xi, ram) for pol, xi, ram in trace if pol in ("+", "-")}
+    match d.node:
+        case PosNode(focus, ram, kids):
+            if (focus, ram) not in consumed:
+                return Design(d.base, FidLeaf())
+            return Design(d.base, PosNode(focus, ram, tuple(
+                pruned_oracle(c, trace) for c in kids)))
+        case NegNode(focus, branches):
+            return Design(d.base, NegNode(focus, tuple(
+                (k, pruned_oracle(b, trace)) for k, b in branches
+                if (focus, k) in consumed)))
+    return d
+
+
+def actions(d):
+    """Every (address, ramification) pair a node of d can consume."""
+    out = []
+    for _, s in subtrees(d):
+        if isinstance(s.node, PosNode):
+            out.append((s.node.focus, s.node.ramification))
+        elif isinstance(s.node, NegNode):
+            out += [(s.node.focus, k) for k, _ in s.node.branches]
+    return out
+
+
+class TestJoinInOneWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), depth=st.sampled_from([2, 3]),
+           negative_base=st.booleans(), n=st.integers(0, 5),
+           real=st.booleans())
+    def test_join_is_the_fold_of_the_used_parts(self, seed, depth,
+                                                negative_base, n, real):
+        """join_used_parts over several traces is the merge of the
+        per-trace used parts, and each used part is the oracle's pruning.
+        The traces come from runs against random counter-designs, or are
+        random sets of the design's actions."""
+        rng = random.Random(seed)
+        pos, neg = Pitchfork(None, frozenset({XI})), Pitchfork(XI, frozenset())
+        d = random_design(rng, neg if negative_base else pos, depth)
+        traces = []
+        for _ in range(n):
+            if real:
+                e = random_design(rng, pos if negative_base else neg, depth)
+                traces.append(run_closed((d, e)).trace)
+            else:
+                picked = [a for a in actions(d) if rng.random() < 0.6]
+                traces.append([("+", xi, ram) for xi, ram in picked]
+                              + [("†", XI, ())])
+        parts = [used_part(d, t) for t in traces]
+        for t, p in zip(traces, parts):
+            assert p is pruned_oracle(d, t)
+        expected = reduce(merge_subdesigns, parts) if parts \
+            else used_part(d, ())
+        assert join_used_parts(d, traces) is expected
+        assert subdesign_order(expected, d)
