@@ -138,9 +138,15 @@ def enumerate_universe(bounds: UniverseBounds) -> tuple[Design, ...]:
         return out
 
     base = bounds.base
-    if base.neg is None:
-        return tuple(positives(base.pos, bounds.max_depth))
-    return tuple(negatives(base.neg, base.pos, bounds.max_depth))
+    try:
+        if base.neg is None:
+            return tuple(positives(base.pos, bounds.max_depth))
+        return tuple(negatives(base.neg, base.pos, bounds.max_depth))
+    finally:
+        # positives and negatives refer to each other, a cycle that would
+        # keep every design in the memos alive until the collector runs
+        memo_pos.clear()
+        memo_neg.clear()
 
 
 def count_universe(bounds: UniverseBounds) -> int:

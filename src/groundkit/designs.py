@@ -8,7 +8,8 @@ Designs are hash-consed as terms are (Filliâtre and Conchon, *Type-Safe
 Modular Hash-Consing*, 2006): equal designs are one object, held weakly
 by an intern table, so `==` is identity, and the structural hash and the
 daimon flag are computed once.  No walker recurses: `subtrees` is an
-explicit-stack preorder and `fold` builds bottom-up, so any depth works.
+explicit-stack preorder, and `sharing.fold` builds designs bottom-up, so
+any depth works.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import attrgetter
 from weakref import ref as weak_ref
+
+from .sharing import Interned, fold, gone
 
 Address = tuple[int, ...]
 Ramification = tuple[int, ...]          # canonically sorted
@@ -38,14 +41,14 @@ def disjoint(a: Address, b: Address) -> bool:
 
 
 def format_address(a: Address) -> str:
-    return ".".join(map(str, a)) if a else "ε"
+    return ".".join(str(i) for i in a) if a else "ε"
 
 
 def parse_address(s: str) -> Address:
     s = s.strip()
     if s in ("ε", "e", ""):
         return ()
-    return tuple(map(int, s.split(".")))
+    return tuple(int(p) for p in s.split("."))
 
 
 def subsets(pool) -> list[Ramification]:
@@ -56,11 +59,10 @@ def subsets(pool) -> list[Ramification]:
 
 
 # ---------------------------------------------------------------------------
-# pitchforks; they and design nodes are shared, so no field is assigned after
-# construction (they are not frozen: a frozen dataclass builds slowly)
+# pitchforks
 
 
-@dataclass(unsafe_hash=True, slots=True)
+@dataclass(frozen=True, slots=True)
 class Pitchfork:
     """A sequent of addresses with at most one address on the left."""
 
@@ -68,7 +70,7 @@ class Pitchfork:
     pos: frozenset[Address]
 
     def __post_init__(self):
-        self.pos = frozenset(self.pos)
+        object.__setattr__(self, "pos", frozenset(self.pos))
 
     @property
     def polarity(self) -> str:
@@ -84,9 +86,14 @@ class Pitchfork:
 
 
 def validate_pitchfork(p: Pitchfork) -> list[str]:
-    return [f"addresses {format_address(a)} and {format_address(b)} are not "
-            "disjoint" for a, b in combinations(sorted(p.all_addresses()), 2)
-            if not disjoint(a, b)]
+    problems = []
+    addrs = sorted(p.all_addresses())
+    for i, a in enumerate(addrs):
+        for b in addrs[i + 1:]:
+            if not disjoint(a, b):
+                problems.append(f"addresses {format_address(a)} and "
+                                f"{format_address(b)} are not disjoint")
+    return problems
 
 
 def positive_base(*pos: Address) -> Pitchfork:
@@ -97,24 +104,24 @@ def positive_base(*pos: Address) -> Pitchfork:
 # designs
 
 
-@dataclass(unsafe_hash=True, slots=True)
+@dataclass(frozen=True, slots=True)
 class DaimonLeaf:
     pass
 
 
-@dataclass(unsafe_hash=True, slots=True)
+@dataclass(frozen=True, slots=True)
 class FidLeaf:
     pass
 
 
-@dataclass(unsafe_hash=True, slots=True)
+@dataclass(frozen=True, slots=True)
 class PosNode:
     focus: Address
     ramification: Ramification
     children: tuple["Design", ...]       # aligned with ramification
 
 
-@dataclass(unsafe_hash=True, slots=True)
+@dataclass(frozen=True, slots=True)
 class NegNode:
     focus: Address
     branches: tuple[tuple[Ramification, "Design"], ...]  # sorted by key
@@ -126,41 +133,37 @@ class NegNode:
 DesignNode = DaimonLeaf | FidLeaf | PosNode | NegNode
 
 
-class Design:
-    """A base and the node of its last rule.  Designs are shared, so no
-    field is assigned after construction."""
+class Design(Interned):
+    """A base and the node of its last rule."""
 
-    __slots__ = ("base", "node", "_key", "_hash", "_daimon", "__weakref__")
+    __slots__ = ("base", "node", "_hash", "_daimon")
     __match_args__ = ("base", "node")
-    #: base, node fields and premises' identities (their hashes collide:
-    #: † and Fid hash alike) -> weak reference to the design
-    _interned: dict = {}
     _daimon_of = attrgetter("_daimon")
 
     def __new__(cls, base: Pitchfork, node: DesignNode):
+        # the key holds the premises' identities: their hashes collide (†
+        # and Fid hash alike)
         kind = type(node)
         if kind is PosNode:
             kids = node.children
+            fields = (node.focus, node.ramification, kids)
             key = (base.neg, base.pos, node.focus, node.ramification,
                    tuple(map(id, kids)))
         elif kind is NegNode:
             keys, kids = zip(*node.branches) if node.branches else ((), ())
+            fields = (node.focus, node.branches)
             key = (kind, base.neg, base.pos, node.focus, keys, *map(id, kids))
         else:
-            kids, key = (), (base.neg, base.pos, node)
-        ref = cls._interned.get(key)
-        if ref is not None and (d := ref()) is not None:
+            kids, fields, key = (), (), (kind, base.neg, base.pos)
+        if (d := cls._interned.get(key, gone)()) is not None:
             return d
         d = object.__new__(cls)
-        d.base, d.node, d._key, d._hash = base, node, key, hash((base, node))
+        d._key, d.base, d.node = key, base, node
+        # hash((base, node)): a dataclass hashes the tuple of its fields
+        d._hash = hash(((base.neg, base.pos), fields))
         d._daimon = kind is DaimonLeaf or any(map(cls._daimon_of, kids))
         cls._interned[key] = weak_ref(d)
         return d
-
-    def __del__(self):
-        table, key = type(self)._interned, self._key
-        if (ref := table.get(key)) is not None and ref() in (self, None):
-            del table[key]
 
     def __hash__(self):
         return self._hash
@@ -256,27 +259,14 @@ def subtrees(d: Design):
     while todo:
         path, s = todo.pop()
         yield path, s
-        node = s.node
-        tag, premises = ("i", zip(node.ramification, node.children)) \
-            if isinstance(node, PosNode) else ("I", node.branches) \
-            if isinstance(node, NegNode) else ("", ())
-        todo += [(path + ((tag, k),), p) for k, p in premises][::-1]
-
-
-def fold(top, enter):
-    """A value built bottom-up without recursion: enter(item), called in
-    preorder, gives (make, items), and the value is make(items' values)."""
-    root = [top]
-    todo, built = [(root, 0)], []
-    while todo:
-        holder, i = todo.pop()
-        make, items = enter(holder[i])
-        items = list(items)
-        built.append((holder, i, make, items))
-        todo += [(items, j) for j in reversed(range(len(items)))]
-    for holder, i, make, items in reversed(built):
-        holder[i] = make(items)
-    return root[0]
+        match s.node:
+            case PosNode(_, ram, kids):
+                premises = [(("i", i), c) for i, c in zip(ram, kids)]
+            case NegNode(_, branches):
+                premises = [(("I", key), b) for key, b in branches]
+            case _:
+                premises = []
+        todo += [(path + (step,), p) for step, p in reversed(premises)]
 
 
 def design_depth(d: Design) -> int:
@@ -293,61 +283,75 @@ def contains_daimon(d: Design) -> bool:
 
 
 def validate_design(d: Design) -> list[str]:
-    """Check every node, in preorder, against the daimon/positive/negative
-    schemas, and its premises' bases against its own."""
+    """Check every node against the daimon/positive/negative schemas."""
     problems = []
-    for path, s in subtrees(d):
-        def fail(checks, sub=()):
-            if msgs := [msg for bad, msg in checks if bad]:
-                where = "root" + "".join(
-                    f"·{v}" if k == "i" else f"·{{{','.join(map(str, v))}}}"
-                    for k, v in path + sub)
-                problems.extend(f"{where}: {msg}" for msg in msgs)
 
-        fail([(True, msg) for msg in validate_pitchfork(s.base)])
-        neg, pos = s.base.neg, s.base.pos
-        match s.node:
+    def report(path, msgs):
+        if msgs:
+            here = "root" + "".join(
+                f"·{v}" if k == "i" else f"·{{{','.join(map(str, v))}}}"
+                for k, v in path)
+            problems.extend(f"{here}: {msg}" for msg in msgs)
+
+    # path, the design there (None for none) and the lines its parent found
+    # about it; a node's premises are checked only if the node is well formed
+    todo = [((), d, [])]
+    while todo:
+        path, d, found = todo.pop()
+        report(path, found)
+        if d is None:
+            continue
+        found, later = validate_pitchfork(d.base), []
+        match d.node:
             case DaimonLeaf() | FidLeaf():
-                fail([(neg is not None, "leaf rule on a negative pitchfork")])
+                if d.base.neg is not None:
+                    found.append("leaf rule on a negative pitchfork")
             case PosNode(focus, ram, kids):
-                malformed = ram != tuple(sorted(set(ram))) \
-                    or len(ram) != len(kids)
-                fail([(neg is not None,
-                       "positive rule on a negative pitchfork"),
-                      (focus not in pos,
-                       f"focus {format_address(focus)} missing from the base"),
-                      (malformed, "malformed ramification")])
-                if malformed:
-                    continue
+                if d.base.neg is not None:
+                    found.append("positive rule on a negative pitchfork")
+                if focus not in d.base.pos:
+                    found.append(f"focus {format_address(focus)} missing "
+                                 "from the base")
+                if ram != tuple(sorted(set(ram))) or len(ram) != len(kids):
+                    found.append("malformed ramification")
+                    kids = ()
                 for i, c in zip(ram, kids):
-                    at = format_address(child(focus, i))
-                    fail([(c.base.neg != child(focus, i),
-                           f"premise not based on {at}"),
-                          (not c.base.pos <= pos - {focus},
-                           "premise context escapes the conclusion")],
-                         (("i", i),))
-                fail([(kids[a].base.pos & kids[b].base.pos,
-                       f"premise contexts of children {ram[a]} and {ram[b]} "
-                       "overlap")
-                      for a, b in combinations(range(len(kids)), 2)])
+                    lines = []
+                    if c.base.neg != child(focus, i):
+                        lines.append("premise not based on "
+                                     f"{format_address(child(focus, i))}")
+                    if not c.base.pos <= d.base.pos - {focus}:
+                        lines.append("premise context escapes the conclusion")
+                    later.append((path + (("i", i),), c, lines))
+                later.append((path, None, [
+                    f"premise contexts of children {ram[a]} and {ram[b]} "
+                    "overlap" for a, b in combinations(range(len(kids)), 2)
+                    if kids[a].base.pos & kids[b].base.pos]))
             case NegNode(focus, branches):
+                if d.base.neg != focus:
+                    found.append("negative rule must focus the base's left "
+                                 "address")
                 keys = [k for k, _ in branches]
-                fail([(neg != focus,
-                       "negative rule must focus the base's left address"),
-                      (keys != sorted(set(keys)),
-                       "duplicate or unsorted branch keys")])
+                if keys != sorted(set(keys)):
+                    found.append("duplicate or unsorted branch keys")
                 for key, b in branches:
-                    opened, on_pos = star(focus, key), b.base.neg is None
-                    fail([(tuple(sorted(set(key))) != key,
-                           "malformed ramification key"),
-                          (not on_pos, "branch must be a positive pitchfork"),
-                          (on_pos and not opened <= b.base.pos,
-                           "branch misses the opened sub-addresses"),
-                          (on_pos and not b.base.pos - opened <= pos,
-                           "branch context escapes the conclusion")],
-                         (("I", key),))
+                    lines = []
+                    if tuple(sorted(set(key))) != key:
+                        lines.append("malformed ramification key")
+                    if b.base.neg is not None:
+                        lines.append("branch must be a positive pitchfork")
+                        later.append((path + (("I", key),), None, lines))
+                        continue
+                    opened = star(focus, key)
+                    if not opened <= b.base.pos:
+                        lines.append("branch misses the opened sub-addresses")
+                    if not (b.base.pos - opened) <= d.base.pos:
+                        lines.append("branch context escapes the conclusion")
+                    later.append((path + (("I", key),), b, lines))
             case _:
-                fail([(True, "unknown node")])
+                found.append("unknown node")
+        report(path, found)
+        todo += reversed(later)
     return problems
 
 
@@ -356,11 +360,29 @@ def validate_design(d: Design) -> list[str]:
 
 def subdesign_order(d1: Design, d2: Design) -> bool:
     """True iff d1 prunes d2: negative branches dropped, positive subtrees
-    replaced by Fid, bases untouched; that is, iff d1 ∨ d2 is d2."""
-    try:
-        return merge_subdesigns(d1, d2) is d2
-    except ValueError:
-        return False
+    replaced by Fid, bases untouched."""
+    todo = [(d1, d2)]
+    while todo:
+        d1, d2 = todo.pop()
+        if d1.base != d2.base:
+            return False
+        match d1.node, d2.node:
+            case (FidLeaf(), _):
+                if d1.base.neg is not None:
+                    return False
+            case (DaimonLeaf(), DaimonLeaf()):
+                pass
+            case (PosNode(f1, r1, k1), PosNode(f2, r2, k2)) \
+                    if f1 == f2 and r1 == r2:
+                todo += zip(k1, k2)
+            case (NegNode(f1, b1), NegNode(f2, b2)) if f1 == f2:
+                m2 = dict(b2)
+                if any(k not in m2 for k, _ in b1):
+                    return False
+                todo += [(v, m2[k]) for k, v in b1]
+            case _:
+                return False
+    return True
 
 
 def merge_subdesigns(d1: Design, d2: Design) -> Design:
@@ -370,22 +392,29 @@ def merge_subdesigns(d1: Design, d2: Design) -> Design:
         if d1.base != d2.base:
             raise ValueError("join requires a common base")
         match d1.node, d2.node:
-            case (FidLeaf(), _) if d1.base.neg is None:
-                return (lambda _: d2), ()
-            case (_, FidLeaf()) if d2.base.neg is None:
-                return (lambda _: d1), ()
+            case (FidLeaf(), _):
+                return None, d2, ()
+            case (_, FidLeaf()):
+                return None, d1, ()
             case (DaimonLeaf(), DaimonLeaf()):
-                return (lambda _: d1), ()
+                return None, d1, ()
             case (PosNode(f1, r1, k1), PosNode(f2, r2, k2)) \
                     if f1 == f2 and r1 == r2:
+                pairs = list(zip(k1, k2))
                 return (lambda kids: Design(
-                    d1.base, PosNode(f1, r1, tuple(kids)))), zip(k1, k2)
+                    d1.base, PosNode(f1, r1, tuple(kids)))), \
+                    pairs, range(len(pairs))
             case (NegNode(f1, b1), NegNode(f2, b2)) if f1 == f2:
-                m1, m2 = dict(b1), dict(b2)     # a branch on one side only
-                keys = sorted(m1.keys() | m2.keys())    # joins with itself
-                return (lambda bs: Design(d1.base, NegNode(
-                    f1, tuple(zip(keys, bs))))), \
-                    [(m1.get(k, m2.get(k)), m2.get(k, m1.get(k))) for k in keys]
+                m1, m2 = dict(b1), dict(b2)
+                if len(m1) < len(b1) or len(m2) < len(b2):
+                    raise ValueError("duplicate branch keys")
+                keys = sorted(m1.keys() | m2.keys())
+                both = [j for j, k in enumerate(keys) if k in m1 and k in m2]
+                # a branch on both sides is joined, one on one side kept
+                parts = [(m1[k], m2[k]) if k in m1 and k in m2
+                         else m1.get(k, m2.get(k)) for k in keys]
+                return (lambda bs: Design(
+                    d1.base, NegNode(f1, tuple(zip(keys, bs))))), parts, both
         raise ValueError("designs are not prunings of a common design")
     return fold((d1, d2), enter)
 
@@ -401,11 +430,12 @@ def delocate(d: Design, old: Address, new: Address) -> Design:
         match d.node:
             case PosNode(f, ram, kids):
                 return (lambda kids: Design(
-                    base, PosNode(ra(f), ram, tuple(kids)))), kids
+                    base, PosNode(ra(f), ram, tuple(kids)))), \
+                    list(kids), range(len(kids))
             case NegNode(f, branches):
                 keys = [k for k, _ in branches]
                 return (lambda bs: Design(
                     base, NegNode(ra(f), tuple(zip(keys, bs))))), \
-                    [b for _, b in branches]
-        return (lambda _: Design(base, d.node)), ()
+                    [b for _, b in branches], range(len(branches))
+        return None, Design(base, d.node), ()
     return fold(d, enter)

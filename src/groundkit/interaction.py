@@ -19,8 +19,9 @@ from itertools import count
 
 from .designs import (
     Address, DaimonLeaf, Design, FidLeaf, NegNode, Pitchfork, PosNode,
-    Ramification, child, daimon, disjoint, format_address, fold, subtrees,
+    Ramification, child, daimon, disjoint, format_address, subtrees,
 )
+from .sharing import fold
 
 DEFAULT_FUEL = 100_000
 
@@ -219,9 +220,13 @@ def _site(d: Design) -> Address:
 def run_closed(designs, fuel: int = DEFAULT_FUEL) -> InteractionResult:
     """Normalize the designs of a closed cut-net, from its one positive
     design."""
-    env = {d.base.neg: d for d in designs}      # the positive one at None
-    principal, trace = env.pop(None), []
-    reason, last, _ = run(principal, env, fuel, trace)
+    for principal in designs:
+        if principal.base.neg is None:
+            break
+    else:
+        raise CutNetError(["a closed cut-net has a positive design"])
+    trace: list[TraceRecord] = []
+    reason, last, _ = run(principal, listeners(designs), fuel, trace)
     if reason == CONVERGED:
         trace.append(("†", _site(last), ()))
         return Converged(daimon(), tuple(trace))
@@ -315,17 +320,17 @@ def join_used_parts(d: Design, traces) -> Design:
         if isinstance(node, PosNode):
             mask &= used.get((node.focus, node.ramification), 0)
             if not mask:
-                return (lambda _: Design(s.base, FidLeaf())), ()
+                return None, Design(s.base, FidLeaf()), ()
             return (lambda kids: s if tuple(kids) == node.children else Design(
                 s.base, PosNode(node.focus, node.ramification, tuple(kids)))), \
-                [(c, mask) for c in node.children]
+                [(c, mask) for c in node.children], range(len(node.children))
         if isinstance(node, NegNode):
             kept = [(key, b, m) for key, b in node.branches
                     if (m := mask & used.get((node.focus, key), 0))]
             return (lambda bs: Design(s.base, NegNode(node.focus, tuple(
                 (key, b) for (key, _, _), b in zip(kept, bs))))), \
-                [(b, m) for _, b, m in kept]
-        return (lambda _: s), ()
+                [(b, m) for _, b, m in kept], range(len(kept))
+        return None, s, ()
     return fold((d, (1 << len(traces)) - 1), enter)
 
 
@@ -338,7 +343,8 @@ def render_design(d: Design, mark: frozenset[Address] = frozenset(),
     """Indented tree rendering, one line per node; marked addresses are
     starred."""
     def fa(a: Address) -> str:
-        return f"*{format_address(a)}*" if a in mark else format_address(a)
+        s = format_address(a)
+        return f"*{s}*" if a in mark else s
 
     def braces(items) -> str:
         return "{" + ",".join(map(str, items)) + "}"

@@ -19,12 +19,13 @@ from . import focusing as fo
 from .behaviours import Behaviour, UniverseBounds, behaviour
 from .designs import (
     DaimonLeaf, Design, NegNode, Pitchfork, PosNode, daimon, fid,
-    fold, format_address, negative, parse_address, positive, star,
+    format_address, negative, parse_address, positive, star,
 )
 from .formulas import (
     Absurd, Atom, Conj, Disj, Exists, Forall, Formula, IConst, IVar, Impl,
 )
 from .interaction import DEFAULT_FUEL, CutNet, make_cutnet
+from .sharing import fold
 from . import terms as tm
 from .translate import TranslationEnv
 
@@ -197,25 +198,23 @@ _HEAD_OF = {cls: head for head, (cls, _) in _GRAMMAR.items()}
 
 def _read(x, sort: str):
     """The value the form x denotes, as a `sort`."""
-    top = [x]
-    todo, built = [(top, 0, sort)], []      # built: each node before its fields
-    while todo:
-        parent, i, sort = todo.pop()
-        head = _head(parent[i], sort)
+    def enter(item):
+        x, sort = item
+        head = _head(x, sort)
         if head not in _HEADS[sort]:
             raise ParseError(f"({head} …) is not {_a(sort)}")
         cls, kinds, rest = _ROWS[head]
-        fields = _fields(parent[i], len(kinds), bool(rest))
+        fields, positions = _fields(x, len(kinds), bool(rest)), []
         for j, kind in enumerate(kinds + rest * (len(fields) - len(kinds))):
             if kind in _LEAVES:
                 fields[j] = _atom(fields[j], kind, _LEAVES[kind])
             else:
-                todo.append((fields, j, kind))
-        built.append((parent, i, cls, fields, len(kinds) if rest else None))
-    for parent, i, cls, fields, n in reversed(built):
-        parent[i] = cls(*fields) if n is None else \
-            cls(*fields[:n], tuple(fields[n:]))
-    return top[0]
+                fields[j] = fields[j], kind
+                positions.insert(0, j)          # read right to left
+        n = len(kinds)
+        return (lambda fs: cls(*fs[:n], tuple(fs[n:]))) if rest else \
+            (lambda fs: cls(*fs)), fields, positions
+    return fold((x, sort), enter)
 
 
 def _print(value, sort: str):
@@ -229,7 +228,7 @@ def _print(value, sort: str):
             raise ParseError(f"expected {_a(sort)}, "
                              f"got {_a(type(form[i]).__name__)}")
         _, kinds, rest = _ROWS[head]
-        fields = list(form[i]._fields if isinstance(form[i], tm.GroundTerm)
+        fields = list(form[i]._key if isinstance(form[i], tm.GroundTerm)
                       else vars(form[i]).values())
         if rest:
             fields[-1:] = fields[-1]
@@ -305,7 +304,8 @@ def design_to_sexpr(d: Design):
                 inferred = frozenset({focus}).union(*(c.base.pos for c in kids))
                 return (lambda forms: [
                     "pos", format_address(focus), _ram_to_sexpr(ram),
-                    *_extra_clause(d, inferred), *forms]), kids
+                    *_extra_clause(d, inferred), *forms]), \
+                    list(kids), range(len(kids))
             case NegNode(focus, branches):
                 inferred = frozenset().union(
                     *(b.base.pos - star(focus, key) for key, b in branches))
@@ -313,9 +313,9 @@ def design_to_sexpr(d: Design):
                     "neg", format_address(focus), *_extra_clause(d, inferred),
                     *[["branch", _ram_to_sexpr(key), form]
                       for (key, _), form in zip(branches, forms)]]), \
-                    [b for _, b in branches]
+                    [b for _, b in branches], range(len(branches))
         head = "daimon" if isinstance(d.node, DaimonLeaf) else "fid"
-        return (lambda _: [head, *map(format_address, sorted(d.base.pos))]), ()
+        return None, [head, *map(format_address, sorted(d.base.pos))], ()
     return fold(_expect(d, Design, "design"), enter)
 
 
@@ -323,9 +323,8 @@ def design_from_sexpr(x) -> Design:
     def enter(x):
         match _head(x, "design"):
             case "daimon" | "fid" as head:
-                leaf = (daimon if head == "daimon" else fid)(
-                    *[_address(a) for a in _fields(x, 0, True)])
-                return (lambda _: leaf), ()
+                return None, (daimon if head == "daimon" else fid)(
+                    *[_address(a) for a in _fields(x, 0, True)]), ()
             case "pos":
                 focus, ram, *rest = _fields(x, 2, True)
                 focus, ram = _address(focus), _ram_from_sexpr(ram)
@@ -334,7 +333,7 @@ def design_from_sexpr(x) -> Design:
                     raise ParseError("positive node child count does not "
                                      "match the ramification")
                 return (lambda kids: positive(focus, dict(zip(ram, kids)),
-                                              extra)), rest
+                                              extra)), rest, range(len(rest))
             case "neg":
                 focus, *rest = _fields(x, 1, True)
                 focus = _address(focus)
@@ -342,7 +341,8 @@ def design_from_sexpr(x) -> Design:
                 branches = [_fields(item, 2, head="branch") for item in rest]
                 keys = [_ram_from_sexpr(key) for key, _ in branches]
                 return (lambda bs: negative(focus, dict(zip(keys, bs)),
-                                            extra)), [b for _, b in branches]
+                                            extra)), \
+                    [b for _, b in branches], range(len(branches))
             case head:
                 raise ParseError(f"unknown design head {head!r}")
     return fold(x, enter)

@@ -1,0 +1,54 @@
+"""What terms and designs share: hash-consing and a bottom-up builder.
+
+`Interned` is the base of the hash-consed classes (Filliâtre and Conchon,
+*Type-Safe Modular Hash-Consing*, 2006).  `fold` builds a value of a tree
+from the bottom up with its own stack, so a tree of any depth can be built.
+"""
+
+from __future__ import annotations
+
+
+def gone():
+    """What a dead weak reference gives; the table default for a new key:
+    `cls._interned.get(key, gone)()` is the live instance with key, or None."""
+    return None
+
+
+class Interned:
+    """A value that is the one live instance with its key `_key`.  Each
+    subclass has a table `_interned`, key -> weak reference to that
+    instance, which its constructor fills and which the instance leaves
+    when it dies.  Instances are shared, so no field is assigned after
+    construction."""
+
+    __slots__ = ("_key", "__weakref__")
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._interned = {}
+
+    def __del__(self):
+        table, key = type(self)._interned, self._key
+        if (ref := table.get(key)) is not None and ref() in (self, None):
+            del table[key]
+
+
+def fold(top, enter):
+    """The value of top, built from the bottom up.  `enter(item)`, called
+    on each item before its parts, gives (make, parts, positions): parts is
+    a list, and the item's value is make(parts) once the part at each of
+    the positions (a sequence, entered in its order) is replaced by its own
+    value.  A make of None makes parts itself the value."""
+    top = [top]
+    todo, built = [(top, 0)], []         # built: each item before its parts
+    while todo:
+        holder, i = todo.pop()
+        make, parts, positions = enter(holder[i])
+        if make is None:
+            holder[i] = parts
+            continue
+        built.append((holder, i, make, parts))
+        todo += [(parts, j) for j in reversed(positions)]
+    for holder, i, make, parts in reversed(built):
+        holder[i] = make(parts)
+    return top[0]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from weakref import ref as weak_ref
 
 from .formulas import (
@@ -23,6 +23,7 @@ from .formulas import (
     Formula, IConst, ITerm, IVar, Impl, check_atomic_derivation, free_ivars,
     subst_ivar,
 )
+from .sharing import Interned, fold, gone
 
 DEFAULT_FUEL = 10_000
 
@@ -39,22 +40,20 @@ class GroundTypeError(Exception):
 # terms
 
 
-class GroundTerm:
+class GroundTerm(Interned):
     """A ground term; each subclass is a constructor, laid out in FIELDS.
-    Terms are shared, so no field is assigned after construction."""
+    A term's key is its fields."""
 
-    __slots__ = ("_fields", "_hash", "_free_vars", "_free_ivars",
-                 "__weakref__")
+    __slots__ = ("_hash", "_free_vars", "_free_ivars")
 
     def __new__(cls, *fields):
-        ref = cls._interned.get(fields)
-        if ref is not None and (t := ref()) is not None:
+        if (t := cls._interned.get(fields, gone)()) is not None:
             return t
         if len(fields) != len(cls.__slots__):
             raise TypeError(f"{cls.__name__} takes {len(cls.__slots__)} "
                             f"fields, got {len(fields)}")
         t = object.__new__(cls)
-        t._fields = fields
+        t._key = fields
         for name, value in zip(cls.__slots__, fields):
             setattr(t, name, value)
         t._hash = hash(fields)
@@ -62,16 +61,11 @@ class GroundTerm:
         cls._interned[fields] = weak_ref(t)
         return t
 
-    def __del__(self):
-        table, key = type(self)._interned, self._fields
-        if key in table and table[key]() in (self, None):
-            del table[key]
-
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
-        fields = map("{}={!r}".format, self.__slots__, self._fields)
+        fields = map("{}={!r}".format, self.__slots__, self._key)
         return f"{type(self).__name__}({', '.join(fields)})"
 
 
@@ -175,15 +169,22 @@ _NONE: frozenset = frozenset()
 _formula_ivars = lru_cache(maxsize=4096)(free_ivars)
 
 
+def _make(cls, flat: list) -> GroundTerm:
+    """The term of class cls with the spread-out fields flat."""
+    n = len(cls._kinds) - 1
+    return cls(*flat[:n], tuple(flat[n:])) if cls._kinds[n] == "*term" \
+        else cls(*flat)
+
+
 def _lay_out(cls) -> None:
     """Give cls its fields' kinds and the binders binding in each, from its
-    row of FIELDS, and an intern table: fields -> weak reference to term."""
+    row of FIELDS, and `_build`, its `_make`."""
     words = [w.split(">") + [""] for w in FIELDS[cls].split()]
     cls._kinds = tuple(w[0] for w in words)
     cls._scopes = tuple(tuple(i for i, w in enumerate(words)
                               if name in w[1].split(","))
                         for name in cls.__slots__)
-    cls._interned = {}
+    cls._build = partial(_make, cls)
 
 
 for _cls in FIELDS:
@@ -198,17 +199,10 @@ def _spread(t: GroundTerm) -> tuple[list, tuple, tuple]:
     of each and the binders that bind in each."""
     kinds = t._kinds
     if kinds[-1] != "*term":
-        return list(t._fields), kinds, t._scopes
-    *fixed, rest = t._fields
+        return list(t._key), kinds, t._scopes
+    *fixed, rest = t._key
     return ([*fixed, *rest], kinds[:-1] + ("term",) * len(rest),
             t._scopes[:-1] + ((),) * len(rest))
-
-
-def _make(cls, flat: list) -> GroundTerm:
-    """The term of class cls with the spread-out fields flat."""
-    n = len(cls._kinds) - 1
-    return cls(*flat[:n], tuple(flat[n:])) if cls._kinds[n] == "*term" \
-        else cls(*flat)
 
 
 def _hidden(flat: list, scopes: tuple, x) -> set[int]:
@@ -266,26 +260,6 @@ def _subterms(t: GroundTerm):
             seen.add(node)
             yield node
             todo.extend(reversed(children(node)))
-
-
-def _rewrite(t: GroundTerm, enter) -> GroundTerm:
-    """t rebuilt from the bottom up.  `enter(node)` gives the node's
-    replacement, or its spread-out fields (which it may change) and the
-    positions of the fields to rewrite in turn."""
-    top = [t]
-    todo, built = [(top, 0)], []         # built: each node before its fields
-    while todo:
-        holder, i = todo.pop()
-        step = enter(holder[i])
-        if isinstance(step, GroundTerm):
-            holder[i] = step
-            continue
-        flat, positions = step
-        built.append((holder, i, type(holder[i]), flat))
-        todo.extend((flat, j) for j in positions)
-    for holder, i, cls, flat in reversed(built):
-        holder[i] = _make(cls, flat)
-    return top[0]
 
 
 def free_vars(t: GroundTerm) -> frozenset[Var]:
@@ -533,9 +507,9 @@ def subst(t: GroundTerm, var: Var, repl: GroundTerm) -> GroundTerm:
 
     def enter(node: GroundTerm):
         if node is var:
-            return repl
+            return None, repl, ()
         if var not in node._free_vars and not repl_names:
-            return node                   # nothing to replace or rename
+            return None, node, ()         # nothing to replace or rename
         flat, kinds, scopes = _spread(node)
         hidden = _hidden(flat, scopes, var)
         for i, x in enumerate(flat):
@@ -546,16 +520,16 @@ def subst(t: GroundTerm, var: Var, repl: GroundTerm) -> GroundTerm:
                 flat[i] = nx = Var(_fresh_name(x.name, taken), x.type)
                 for j in body:
                     flat[j] = subst(flat[j], x, nx)
-        return flat, [j for j, k in enumerate(kinds)
-                      if k == "term" and j not in hidden]
-    return _rewrite(t, enter)
+        return type(node)._build, flat, [
+            j for j, k in enumerate(kinds) if k == "term" and j not in hidden]
+    return fold(t, enter)
 
 
 def subst_term_ivar(t: GroundTerm, ivar: str, term: ITerm) -> GroundTerm:
     """Substitute an individual term everywhere, including type annotations."""
     def enter(node: GroundTerm):
         if ivar not in node._free_ivars:
-            return node
+            return None, node, ()
         flat, kinds, scopes = _spread(node)
         hidden = _hidden(flat, scopes, ivar)
         for j, kind in enumerate(kinds):
@@ -563,9 +537,10 @@ def subst_term_ivar(t: GroundTerm, ivar: str, term: ITerm) -> GroundTerm:
                 flat[j] = subst_ivar(flat[j], ivar, term)
             elif j not in hidden and flat[j] == IVar(ivar):
                 flat[j] = term
-        return flat, [j for j, k in enumerate(kinds)
-                      if k in ("term", "binder") and j not in hidden]
-    return _rewrite(t, enter)
+        return type(node)._build, flat, [
+            j for j, k in enumerate(kinds)
+            if k in ("term", "binder") and j not in hidden]
+    return fold(t, enter)
 
 
 # ---------------------------------------------------------------------------
@@ -594,10 +569,11 @@ def _match(pattern: GroundTerm, t: GroundTerm,
 def _instantiate(pattern: GroundTerm, binding: dict[str, GroundTerm]) -> GroundTerm:
     def enter(p: GroundTerm):
         if type(p) is MetaVar:
-            return binding[p.name]
+            return None, binding[p.name], ()
         flat, kinds, _ = _spread(p)
-        return flat, [j for j, k in enumerate(kinds) if k == "term"]
-    return _rewrite(pattern, enter)
+        return type(p)._build, flat, [
+            j for j, k in enumerate(kinds) if k == "term"]
+    return fold(pattern, enter)
 
 
 def _head_step(t: GroundTerm, env: GroundEnv) -> tuple[GroundTerm, str] | None:

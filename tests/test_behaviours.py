@@ -53,6 +53,24 @@ class TestEnumeration:
         designs = enumerate_universe(FULL2)
         assert len(designs) == len(set(designs))
 
+    def test_designs_die_with_the_universe(self):
+        """Nothing the enumeration built outlives its result, without
+        waiting for the cyclic collector."""
+        import gc
+        from groundkit.designs import Design
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = len(Design._interned)
+            designs = enumerate_universe(FULL2)
+            assert len(Design._interned) >= len(designs)
+            del designs
+            assert len(Design._interned) == before
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_size_cap(self):
         capped = UniverseBounds(3, full_pool(1), POS, cap=1000)
         with pytest.raises(SizeLimitExceeded):

@@ -200,6 +200,35 @@ class TestGeneratorValidatorAgreement:
             assert subdesign_order(p, d)
 
 
+class TestValidationSkipsFaultyNodes:
+    """A premise is checked only below a well-formed node: not below a
+    malformed ramification, nor a branch on a negative pitchfork."""
+
+    def test_branch_on_a_negative_pitchfork(self):
+        inner = negative((0, 0), {(0,): daimon((5,), (5, 1))})
+        d = Design(Pitchfork(XI, frozenset({(5,), (5, 1)})),
+                   NegNode(XI, (((0,), inner),)))
+        assert validate_design(d) == [
+            "root: addresses 5 and 5.1 are not disjoint",
+            "root·{0}: branch must be a positive pitchfork"]
+
+    def test_malformed_ramification(self):
+        bad = Design(Pitchfork(XI, frozenset({XI2})), NegNode(XI, ()))
+        d = Design(Pitchfork(None, frozenset({XI})), PosNode(XI, (1, 0), (bad, bad)))
+        assert validate_design(d) == ["root: malformed ramification"]
+
+    def test_premise_lines_come_before_the_premise(self):
+        bad = Design(Pitchfork(XI, frozenset({XI2})), NegNode(XI, ()))
+        d = Design(Pitchfork(None, frozenset({XI})), PosNode(XI, (0, 1), (
+            bad, daimon((0, 1), (0, 1, 5)))))
+        assert validate_design(d) == [
+            "root·0: premise not based on 0.0",
+            "root·0: premise context escapes the conclusion",
+            "root·1: premise not based on 0.1",
+            "root·1: premise context escapes the conclusion",
+            "root·1: addresses 0.1 and 0.1.5 are not disjoint"]
+
+
 class TestSubdesignOrder:
     def test_reflexive(self):
         for d in (daimon(XI), atomic_bomb(XI), skunk(XI),
@@ -233,6 +262,24 @@ class TestSubdesignOrder:
             m = merge_subdesigns(p1, p2)
             assert subdesign_order(p1, m) and subdesign_order(p2, m)
             assert subdesign_order(m, d)
+
+    def test_order_does_not_rest_on_merge(self, monkeypatch):
+        """The order checks merge_subdesigns in the tests above, so it is
+        its own node-by-node comparison."""
+        import groundkit.designs as designs
+
+        def no_merge(d1, d2):
+            raise AssertionError("subdesign_order called merge_subdesigns")
+        monkeypatch.setattr(designs, "merge_subdesigns", no_merge)
+        rng = random.Random(37)
+        for _ in range(30):
+            d = random_design(rng, Pitchfork(XI, frozenset()), 3)
+            assert subdesign_order(prune(rng, d), d)
+
+    def test_merge_refuses_duplicate_branch_keys(self):
+        d = Design(skunk(XI).base, NegNode(XI, ((((), daimon())),) * 2))
+        with pytest.raises(ValueError, match="duplicate branch keys"):
+            merge_subdesigns(d, d)
 
 
 class TestMisc:
