@@ -11,6 +11,11 @@ to a declared UniverseBounds.  Within those bounds membership failure is
 conclusive (a diverging counter-test exists); success is evidence
 relative to the bounds.  A test that runs out of fuel leaves a bounded set
 undecided, and computing that set raises OutOfFuel.
+
+Orthogonals are computed against the ⊑-minimal designs only: a run against
+a pruning d ⊑ d′ follows the run against d′ until it reaches a part that d
+pruned, and diverges there, so every verdict, "unknown" included, is the
+same and E^⊥ = (min E)^⊥ (Girard's monotonicity).
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from functools import cache
 
 from .designs import (
     Address, DaimonLeaf, Design, FidLeaf, NegNode, Pitchfork, PosNode,
-    Ramification, child, contains_daimon, star, subsets,
+    Ramification, child, contains_daimon, star, subdesign_order, subsets,
 )
 from .interaction import (
     DEFAULT_FUEL, VERDICT, BaseMismatch, dual_bases, join_used_parts,
@@ -199,7 +204,7 @@ def orthogonal_set(E, bounds: UniverseBounds,
                    fuel: int = DEFAULT_FUEL) -> frozenset:
     """Bounded E^⊥ for designs E on bounds.base: the counter-tests on its
     dual bases (designs, or pairs for α⊢β) orthogonal to every design of E,
-    which is tried in the order given.  ∅^⊥ is every counter-test."""
+    tried against its ⊑-minimal ones only.  ∅^⊥ is every counter-test."""
     return frozenset(_orthogonal(E, bounds, fuel))
 
 
@@ -212,7 +217,16 @@ def _orthogonal(E, bounds: UniverseBounds, fuel: int) -> tuple:
                  for p in dual_bases(bounds.base)]
     tests = universes[0] if len(universes) == 1 \
         else itertools.product(*universes)
-    return tuple(_passing(tests, E, fuel))
+    return tuple(_passing(tests, _minimal(E), fuel))
+
+
+def _minimal(E: list[Design]) -> list[Design]:
+    """The ⊑-minimal designs of E, in the order they first appear."""
+    kept: list[Design] = []
+    for d in E:
+        if not any(subdesign_order(m, d) for m in kept):
+            kept = [m for m in kept if not subdesign_order(d, m)] + [d]
+    return kept
 
 
 def biorthogonal(E, bounds: UniverseBounds,
@@ -235,8 +249,8 @@ class Behaviour:
 
 def behaviour(generators, bounds: UniverseBounds,
               fuel: int = DEFAULT_FUEL) -> Behaviour:
-    """The behaviour generated by designs on bounds.base, which its
-    counter-tests are tried on in the order given."""
+    """The behaviour generated by designs on bounds.base; its
+    counter-tests are tried on the ⊑-minimal generators only."""
     gens = list(generators)
     return Behaviour(frozenset(gens), bounds, _orthogonal(gens, bounds, fuel))
 

@@ -9,7 +9,7 @@ it says why it stops: daimon, Ω, no branch I, or nobody listening at ξ.
 `run` repeats `step`; closed and open normalization, snapshots,
 orthogonality, incarnation and the net REPL all run on it.  Fuel bounds
 the action pairs one call consumes: a run that finds a match for pair
-fuel + 1 stops there with FuelExhausted, its trace ending with that pair.
+fuel + 1 stops there with `Exhausted`, its trace ending with that pair.
 """
 
 from __future__ import annotations
@@ -203,14 +203,14 @@ class Diverged:
 
 
 @dataclass(frozen=True)
-class FuelExhausted:
+class Exhausted:
     trace: tuple[TraceRecord, ...]
 
 
-InteractionResult = Converged | Diverged | FuelExhausted
+InteractionResult = Converged | Diverged | Exhausted
 
 #: the orthogonality verdict of a closed normalization
-VERDICT = {Converged: "yes", Diverged: "no", FuelExhausted: "unknown"}
+VERDICT = {Converged: "yes", Diverged: "no", Exhausted: "unknown"}
 
 
 def _site(d: Design) -> Address:
@@ -231,7 +231,7 @@ def run_closed(designs, fuel: int = DEFAULT_FUEL) -> InteractionResult:
         trace.append(("†", _site(last), ()))
         return Converged(daimon(), tuple(trace))
     if reason == OUT_OF_FUEL:
-        return FuelExhausted(tuple(trace))
+        return Exhausted(tuple(trace))
     if reason == UNCUT:
         raise CutNetError([f"no design listens at "
                            f"{format_address(last.node.focus)}"])

@@ -139,8 +139,9 @@ def arrow(bA: Behaviour, bB: Behaviour, bounds: UniverseBounds,
                 return False
         return True
 
-    # in universe order: the orthogonal's test loop stops at the first
-    # failing design, so its cost must not follow hash order
+    # in universe order: the orthogonal keeps the ⊑-minimal designs in this
+    # order and stops at the first failing one, so its cost must not
+    # follow hash order
     defining = [d for d in enumerate_universe(bounds) if maps_domain(d)]
     return behaviour(defining, bounds, fuel)
 

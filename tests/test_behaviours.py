@@ -3,20 +3,22 @@ import random
 
 import pytest
 
-from test_designs import random_design
+from test_designs import prune, random_design
 
 from groundkit.designs import (
     DaimonLeaf, Design, FidLeaf, NegNode, Pitchfork, PosNode, atomic_bomb,
     contains_daimon, daimon, fid, negative, negative_sponge, positive, skunk,
-    validate_design,
+    subdesign_order, validate_design,
 )
 from groundkit.behaviours import (
-    NotAMember, SizeLimitExceeded, UniverseBounds, behaviour, biorthogonal,
-    classify_candidate, count_universe, enumerate_universe, full_pool,
-    incarnation_of, is_material, member_verdict, members, orthogonal_set,
+    NotAMember, OutOfFuel, SizeLimitExceeded, UniverseBounds, behaviour,
+    biorthogonal, classify_candidate, count_universe, enumerate_universe,
+    full_pool, incarnation_of, is_material, member_verdict, members,
+    orthogonal_set,
 )
 from groundkit.interaction import (
-    Converged, dual_bases, make_cutnet, normalize_closed, orthogonal,
+    DEFAULT_FUEL, VERDICT, Converged, dual_bases, make_cutnet,
+    normalize_closed, orthogonal, run_test,
 )
 
 XI = (0,)
@@ -296,15 +298,11 @@ class TestBaseAndFuelErrors:
 
 class TestVerdictShortCircuit:
     def test_member_verdict_stops_at_first_no(self, monkeypatch):
-        import groundkit.behaviours as bh
         b = behaviour_one(FULL2)
         d = positive(XI, {0: skunk((0, 0))})
         verdicts = [orthogonal(d, e) for e in b.cached_orthogonal]
         assert "yes" in verdicts and "no" in verdicts
-        calls = []
-        real = bh.run_test
-        monkeypatch.setattr(bh, "run_test",
-                            lambda *args: calls.append(args) or real(*args))
+        calls = count_run_tests(monkeypatch)
         assert member_verdict(d, b) == "no"
         assert len(calls) == verdicts.index("no") + 1
 
@@ -322,15 +320,52 @@ class TestVerdictShortCircuit:
         assert (v.tag, v.reason) == ("NotInBehaviour", "base mismatch")
 
 
-def universe_order(b):
-    """The counter-tests of b in the order their universe is enumerated
+def counter_test_universe(bounds):
+    """Every counter-test of a design on bounds.base, in universe order
     (for pairs, the product order of the two universes)."""
-    universes = [enumerate_universe(b.bounds.at(p))
-                 for p in dual_bases(b.base)]
-    tests = universes[0] if len(universes) == 1 \
-        else itertools.product(*universes)
+    universes = [enumerate_universe(bounds.at(p))
+                 for p in dual_bases(bounds.base)]
+    return universes[0] if len(universes) == 1 \
+        else tuple(itertools.product(*universes))
+
+
+def universe_order(b):
+    """The counter-tests of b in the order their universe is enumerated."""
     cached = set(b.cached_orthogonal)
-    return tuple(e for e in tests if e in cached)
+    return tuple(e for e in counter_test_universe(b.bounds) if e in cached)
+
+
+def orthogonal_against_all(E, bounds, fuel=DEFAULT_FUEL):
+    """E^⊥ in universe order with every counter-test run against every
+    design of E: the reference for the orthogonal, which tries only the
+    ⊑-minimal designs.  OutOfFuel if a counter-test is undecided."""
+    out = []
+    for e in counter_test_universe(bounds):
+        verdicts = {VERDICT[type(run_test(e, d, fuel))] for d in E}
+        if "no" in verdicts:
+            continue
+        if "unknown" in verdicts:
+            raise OutOfFuel(f"fuel-exhausted at {fuel}")
+        out.append(e)
+    return tuple(out)
+
+
+def outcome(f, *args):
+    """f(*args), or OutOfFuel if it raised that."""
+    try:
+        return f(*args)
+    except OutOfFuel:
+        return OutOfFuel
+
+
+def count_run_tests(monkeypatch):
+    """The argument tuples of every run_test call the behaviours make."""
+    import groundkit.behaviours as bh
+    calls = []
+    real = bh.run_test
+    monkeypatch.setattr(bh, "run_test",
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
 
 
 def test_counter_tests_are_in_universe_order():
@@ -341,18 +376,10 @@ def test_counter_tests_are_in_universe_order():
 
 
 class TestClassifySinglePass:
-    def count_tests(self, monkeypatch):
-        import groundkit.behaviours as bh
-        calls = []
-        real = bh.run_test
-        monkeypatch.setattr(bh, "run_test",
-                            lambda *args: calls.append(args) or real(*args))
-        return calls
-
     def test_member_runs_each_counter_test_once(self, monkeypatch):
         b = behaviour_one(FULL2)
         assert len(b.cached_orthogonal) == 80
-        calls = self.count_tests(monkeypatch)
+        calls = count_run_tests(monkeypatch)
         assert classify_candidate(atomic_bomb(XI), b).tag == "Ground"
         assert len(calls) == 80
 
@@ -360,10 +387,43 @@ class TestClassifySinglePass:
         b = behaviour_one(FULL2)
         d = positive(XI, {0: skunk((0, 0))})
         verdicts = [orthogonal(d, e) for e in b.cached_orthogonal]
-        calls = self.count_tests(monkeypatch)
+        calls = count_run_tests(monkeypatch)
         assert classify_candidate(d, b).tag == "NotInBehaviour"
         assert len(calls) == verdicts.index("no") + 1
         calls.clear()
         with pytest.raises(NotAMember):
             incarnation_of(d, b)
         assert len(calls) == verdicts.index("no") + 1
+
+
+class TestMinimalDesigns:
+    """E^⊥ = (min E)^⊥: the orthogonal tries only the ⊑-minimal designs of
+    E, with the same counter-tests, order and OutOfFuel as trying all."""
+
+    @pytest.mark.parametrize("fuel", [0, 1, 2, DEFAULT_FUEL])
+    @pytest.mark.parametrize("bounds", [FULL2, FULL2.at(NEG)],
+                             ids=["positive", "negative"])
+    def test_agrees_with_all_of_E(self, bounds, fuel):
+        rng = random.Random(fuel + (bounds.base.neg is None))
+        universe = enumerate_universe(bounds)
+        comparable = 0
+        for _ in range(6):
+            E = rng.sample(universe, rng.randint(1, 3))
+            E += [prune(rng, d) for d in E]
+            rng.shuffle(E)
+            comparable += any(d1 is not d2 and subdesign_order(d1, d2)
+                              for d1 in E for d2 in E)
+            expected = outcome(orthogonal_against_all, E, bounds, fuel)
+            got = outcome(lambda: behaviour(E, bounds, fuel)
+                          .cached_orthogonal)
+            assert got == expected
+        assert comparable
+
+    def test_a_pruning_is_tried_alone(self, monkeypatch):
+        d = positive(XI, {0: skunk((0, 0))})
+        d2 = positive(XI, {0: negative((0, 0), {(): daimon()})})
+        assert d != d2 and subdesign_order(d, d2)
+        expected = orthogonal_set([d], FULL2)
+        calls = count_run_tests(monkeypatch)
+        assert orthogonal_set([d2, d], FULL2) == expected
+        assert len(calls) == len(enumerate_universe(FULL2.at(NEG))) == 240

@@ -20,7 +20,7 @@ from groundkit.interaction import (
     render_snapshots, used_part,
 )
 from groundkit.interaction import (
-    CONVERGED, NO_BRANCH, OMEGA, UNCUT, FuelExhausted, run_closed, step,
+    CONVERGED, NO_BRANCH, OMEGA, UNCUT, Exhausted, run_closed, step,
 )
 
 XI = (0,)
@@ -272,7 +272,7 @@ class TestFuel:
         net = convergent_pair()              # two pairs, then the daimon
         assert isinstance(normalize_closed(net, 2), Converged)
         out = normalize_closed(net, 1)
-        assert isinstance(out, FuelExhausted)
+        assert isinstance(out, Exhausted)
 
     def test_orthogonal(self):
         left, right = convergent_pair().designs

@@ -1,5 +1,9 @@
 import pytest
 
+from test_behaviours import (
+    count_run_tests, orthogonal_against_all, universe_order,
+)
+
 from groundkit import terms as tm
 from groundkit.formulas import Absurd, Atom, Impl
 from groundkit.designs import (
@@ -9,7 +13,7 @@ from groundkit.designs import (
 from groundkit.behaviours import (
     UniverseBounds, behaviour, classify_candidate, member_verdict,
 )
-from groundkit.interaction import make_cutnet, orthogonal, run_test
+from groundkit.interaction import make_cutnet, orthogonal
 from groundkit.translate import (
     TranslationEnv, TranslationError, arrow, check_translation,
     free_incarnation, normalize_open, translate,
@@ -202,7 +206,6 @@ class TestArrow:
         assert out in free_incarnation(bB)
 
     def test_pair_tests_are_in_product_order(self):
-        from test_behaviours import universe_order
         env = one_env()
         ab = arrow(env.behaviour_at(P, (0, 0)), env.behaviour_at(P, (0, 1)),
                    BOUNDS)
@@ -314,17 +317,40 @@ class TestOpenFuel:
 
 class TestArrowShortCircuit:
     def test_member_verdict_stops_at_first_no(self, monkeypatch):
-        import sys
-        tr = sys.modules["groundkit.behaviours"]
         env = one_env()
         ab = arrow(env.behaviour_at(P, (0, 0)), env.behaviour_at(P, (0, 1)),
                    BOUNDS)
         d = negative((0, 0), extra=[(0, 1)])
         verdicts = [orthogonal(d, (a, b)) for a, b in ab.cached_orthogonal]
         assert "no" in verdicts and "yes" in verdicts
-        calls = []
-        monkeypatch.setattr(tr, "run_test",
-                            lambda *args: calls.append(args) or
-                            run_test(*args))
+        calls = count_run_tests(monkeypatch)
         assert member_verdict(d, ab) == "no"
         assert len(calls) == verdicts.index("no") + 1
+
+
+class TestArrowMinimalDesigns:
+    """An arrow's orthogonal, computed against the ⊑-minimal defining
+    designs, is the pair product filtered against every defining design."""
+
+    def arrows(self):
+        zero, one = zero_env(), one_env()
+        yield arrow(zero.behaviour_at(Absurd(), (0, 0)),
+                    zero.behaviour_at(Absurd(), (0, 1)), BOUNDS)
+        yield arrow(one.behaviour_at(P, (0, 0)), one.behaviour_at(P, (0, 1)),
+                    BOUNDS)
+        yield TestEmptyDefiningSet().arrow_one_zero()
+
+    def test_agrees_with_every_defining_design(self):
+        for ab in self.arrows():
+            assert ab.cached_orthogonal == orthogonal_against_all(
+                ab.generators, ab.bounds)
+
+    def test_arrow_test_count(self, monkeypatch):
+        """P → P: 36 tests for the two free incarnations and one for each
+        of the 144 pairs against the one minimal defining design."""
+        env = one_env()
+        bA, bB = env.behaviour_at(P, (0, 0)), env.behaviour_at(P, (0, 1))
+        calls = count_run_tests(monkeypatch)
+        ab = arrow(bA, bB, BOUNDS)
+        assert len(ab.generators) == 5
+        assert len(calls) <= 180
