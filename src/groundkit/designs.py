@@ -84,6 +84,12 @@ class Pitchfork:
         right = ", ".join(format_address(a) for a in sorted(self.pos))
         return f"{left} ⊢ {right}".strip()
 
+    def __repr__(self):
+        # the dataclass text, its addresses sorted: a frozenset's own order
+        # follows how it was built
+        pos = f"{{{', '.join(map(repr, sorted(self.pos)))}}}" * bool(self.pos)
+        return f"Pitchfork(neg={self.neg!r}, pos=frozenset({pos}))"
+
 
 def validate_pitchfork(p: Pitchfork) -> list[str]:
     problems = []

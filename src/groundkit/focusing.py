@@ -1,15 +1,21 @@
 """Polarized formulas, clustered rules, focused proof search, and the
 conversion between clustered derivations and games/strategies.
 
-The fragment is ⊗/⊕ with duals ⅋/& plus atoms; units carried only as
-polarity markers.  Search is two-phase: decompose the (at most one)
-negative formula exhaustively, then commit to a positive focus with
-backtracking over additive choices and context splits.
+The fragment is ⊗/⊕ with duals ⅋/&, their units 1/0 and ⊥/⊤, and
+atoms.  `CONNECTIVES` states each connective once: its polarity, dual,
+sign and shape, from which `polarity`, `dual`, `pretty` and the one
+cluster decomposition, `_alternatives`, run for both polarities.  A unit
+is a connective with no parts, so an additive unit (0, ⊤) offers no
+alternative and a multiplicative one (1, ⊥) offers one empty alternative.
+Search is two-phase: decompose the (at most one) negative formula
+exhaustively, then commit to a positive focus with backtracking over
+additive choices and context splits.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 
 
@@ -75,63 +81,45 @@ PolarizedFormula = (PosAtom | NegAtom | Tensor | Plus | Par | With
                     | One | Zero | Top | Bottom)
 
 
+Connective = namedtuple("Connective", "polarity dual sign shape")
+
+#: each polarized connective once: its polarity (pos | neg), its dual, its
+#: sign (a unit's text, a binary connective's infix, or what follows an
+#: atom's name) and its shape (atom | additive | multiplicative).  An
+#: additive (⊕, &) offers each alternative of each part, so its unit (0, ⊤)
+#: offers none; a multiplicative (⊗, ⅋) joins one alternative of each part,
+#: so its unit (1, ⊥) offers one empty alternative.
+CONNECTIVES = {
+    PosAtom: Connective("pos", NegAtom, "", "atom"),
+    NegAtom: Connective("neg", PosAtom, "⊥", "atom"),
+    Tensor: Connective("pos", Par, "⊗", "multiplicative"),
+    Par: Connective("neg", Tensor, "⅋", "multiplicative"),
+    Plus: Connective("pos", With, "⊕", "additive"),
+    With: Connective("neg", Plus, "&", "additive"),
+    One: Connective("pos", Bottom, "1", "multiplicative"),
+    Bottom: Connective("neg", One, "⊥", "multiplicative"),
+    Zero: Connective("pos", Top, "0", "additive"),
+    Top: Connective("neg", Zero, "⊤", "additive"),
+}
+
+
 def polarity(f: PolarizedFormula) -> str:
-    match f:
-        case PosAtom() | Tensor() | Plus() | One() | Zero():
-            return "pos"
-        case NegAtom() | Par() | With() | Top() | Bottom():
-            return "neg"
-    raise TypeError(f"not a polarized formula: {f!r}")
+    return CONNECTIVES[type(f)].polarity
 
 
 def dual(f: PolarizedFormula) -> PolarizedFormula:
-    match f:
-        case PosAtom(n):
-            return NegAtom(n)
-        case NegAtom(n):
-            return PosAtom(n)
-        case Tensor(a, b):
-            return Par(dual(a), dual(b))
-        case Par(a, b):
-            return Tensor(dual(a), dual(b))
-        case Plus(a, b):
-            return With(dual(a), dual(b))
-        case With(a, b):
-            return Plus(dual(a), dual(b))
-        case One():
-            return Bottom()
-        case Bottom():
-            return One()
-        case Zero():
-            return Top()
-        case Top():
-            return Zero()
-    raise TypeError(f"not a polarized formula: {f!r}")
+    c = CONNECTIVES[type(f)]
+    if c.shape == "atom":
+        return c.dual(f.name)
+    return c.dual(*map(dual, vars(f).values()))
 
 
 def pretty(f: PolarizedFormula) -> str:
-    match f:
-        case PosAtom(n):
-            return n
-        case NegAtom(n):
-            return n + "⊥"
-        case Tensor(a, b):
-            return f"({pretty(a)} ⊗ {pretty(b)})"
-        case Par(a, b):
-            return f"({pretty(a)} ⅋ {pretty(b)})"
-        case Plus(a, b):
-            return f"({pretty(a)} ⊕ {pretty(b)})"
-        case With(a, b):
-            return f"({pretty(a)} & {pretty(b)})"
-        case One():
-            return "1"
-        case Zero():
-            return "0"
-        case Top():
-            return "⊤"
-        case Bottom():
-            return "⊥"
-    raise AssertionError
+    c = CONNECTIVES[type(f)]
+    if c.shape == "atom":
+        return f.name + c.sign
+    parts = [pretty(x) for x in vars(f).values()]
+    return f"({f' {c.sign} '.join(parts)})" if parts else c.sign
 
 
 Sequent = tuple[PolarizedFormula, ...]
@@ -141,20 +129,28 @@ Sequent = tuple[PolarizedFormula, ...]
 # cluster decompositions
 
 
+def _compound(f: PolarizedFormula, pol: str) -> bool:
+    """Whether f is a connective, not an atom, of polarity pol."""
+    c = CONNECTIVES[type(f)]
+    return c.polarity == pol and c.shape != "atom"
+
+
+def _alternatives(f: PolarizedFormula, pol: str) \
+        -> list[list[PolarizedFormula]]:
+    """Leaf-lists of the cluster of polarity pol rooted at f: an atom or a
+    formula of the other polarity is a leaf."""
+    if not _compound(f, pol):
+        return [[f]]
+    parts = [_alternatives(x, pol) for x in vars(f).values()]
+    if CONNECTIVES[type(f)].shape == "additive":
+        return [leaves for alts in parts for leaves in alts]
+    return [[x for leaves in pick for x in leaves]
+            for pick in itertools.product(*parts)]
+
+
 def negative_branches(f: PolarizedFormula) -> list[list[PolarizedFormula]]:
     """Premise leaf-lists of the generalized negative rule focused on f."""
-    match f:
-        case With(a, b):
-            return negative_branches(a) + negative_branches(b)
-        case Par(a, b):
-            return [x + y for x in negative_branches(a)
-                    for y in negative_branches(b)]
-        case Top():
-            return []
-        case Bottom():
-            return [[]]
-        case _:
-            return [[f]]
+    return _alternatives(f, "neg")
 
 
 def positive_alternatives(f: PolarizedFormula) \
@@ -164,16 +160,7 @@ def positive_alternatives(f: PolarizedFormula) \
     Each alternative is a list of premise groups; each group's leaves
     must land in one premise sequent.
     """
-    match f:
-        case Plus(a, b):
-            return positive_alternatives(a) + positive_alternatives(b)
-        case Tensor(a, b):
-            return [x + y for x in positive_alternatives(a)
-                    for y in positive_alternatives(b)]
-        case One():
-            return [[]]
-        case _:
-            return [[[f]]]
+    return [[[x] for x in leaves] for leaves in _alternatives(f, "pos")]
 
 
 def cluster_leaves(groups: list[list[PolarizedFormula]]) \
@@ -195,8 +182,7 @@ class ClusteredDerivation:
 
 
 def _negatives(seq: Sequent) -> list[PolarizedFormula]:
-    return [f for f in seq if polarity(f) == "neg"
-            and not isinstance(f, NegAtom)]
+    return [f for f in seq if _compound(f, "neg")]
 
 
 def _remove_one(seq: Sequent, f: PolarizedFormula) -> Sequent:
@@ -256,12 +242,11 @@ def focused_search(seq: Sequent, daimon_mode: bool = False,
         breaking move alternation in the extracted games."""
         if _axiom_pair(premise) or _negatives(premise):
             return 0
-        return sum(1 for f in premise
-                   if polarity(f) == "pos" and not isinstance(f, PosAtom))
+        return sum(1 for f in premise if _compound(f, "pos"))
 
     fallback = None
     for focus in seq:
-        if polarity(focus) != "pos" or isinstance(focus, PosAtom):
+        if not _compound(focus, "pos"):
             continue
         ctx = _remove_one(seq, focus)
         for groups in positive_alternatives(focus):

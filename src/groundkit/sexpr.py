@@ -147,7 +147,9 @@ def _address(x):
 #: head -> (class, field kinds), the fields in the class's field order.  A
 #: kind is a leaf (a key of _LEAVES) or a sort (a key of _SORTS).  A last
 #: kind *k takes the rest of the form, a tuple in the last field.  The term
-#: rows are `terms.FIELDS`'s without the binder scopes (after `>`).
+#: rows are `terms.FIELDS`'s without the binder scopes (after `>`); a
+#: polarized row reads an atom's name or a connective's parts, by the shape
+#: `focusing.CONNECTIVES` gives it.
 _GRAMMAR = {
     "atom": (Atom, "name *individual"),
     "absurd": (Absurd, ""),
@@ -163,16 +165,11 @@ _GRAMMAR = {
         "disj-e": tm.DisjE, "impl-e": tm.ImplE, "forall-e": tm.ForallE,
         "exists-e": tm.ExistsE, "ds": tm.DS, "op": tm.UserOp,
         "meta": tm.MetaVar}.items()},
-    "atom+": (fo.PosAtom, "name"),
-    "atom-": (fo.NegAtom, "name"),
-    "tensor": (fo.Tensor, "polarized polarized"),
-    "par": (fo.Par, "polarized polarized"),
-    "plus": (fo.Plus, "polarized polarized"),
-    "with": (fo.With, "polarized polarized"),
-    "one": (fo.One, ""),
-    "zero": (fo.Zero, ""),
-    "top": (fo.Top, ""),
-    "bot": (fo.Bottom, ""),
+    **{head: (cls, "name" if fo.CONNECTIVES[cls].shape == "atom"
+              else "polarized " * len(cls.__match_args__)) for head, cls in {
+        "atom+": fo.PosAtom, "atom-": fo.NegAtom, "tensor": fo.Tensor,
+        "par": fo.Par, "plus": fo.Plus, "with": fo.With, "one": fo.One,
+        "zero": fo.Zero, "top": fo.Top, "bot": fo.Bottom}.items()},
 }
 
 #: leaf kind -> how its atom is read; str() prints every leaf

@@ -114,8 +114,12 @@ def free_incarnation(b: Behaviour, fuel: int = DEFAULT_FUEL) -> frozenset[Design
     return frozenset(out)
 
 
-def _alpha(b: Behaviour) -> Address:
-    return next(iter(b.base.pos))
+def _alpha(x: Behaviour | Design) -> Address:
+    """The address α of x's base, which must be ⊢α."""
+    if x.base.neg is None and len(x.base.pos) == 1:
+        return next(iter(x.base.pos))
+    raise TranslationError("unsupported-constructor",
+                           f"expected a base ⊢α, got {x.base}")
 
 
 def arrow(bA: Behaviour, bB: Behaviour, bounds: UniverseBounds,
@@ -174,9 +178,6 @@ class TranslationEnv:
         return behaviour(gens, self.bounds.at(Pitchfork(None, frozenset({xi}))),
                          self.fuel)
 
-    def fax_depth(self) -> int:
-        return self.bounds.max_depth
-
 
 # ---------------------------------------------------------------------------
 # translate
@@ -204,7 +205,7 @@ def translate(t: GroundTerm, env: TranslationEnv,
     match t:
         case ImplI(x, Var() as v) if v == x:
             alpha, beta = child(root, 0), child(root, 1)
-            return build_fax(alpha, beta, env.fax_depth(), env.fax_arity)
+            return build_fax(alpha, beta, env.bounds.max_depth, env.fax_arity)
         case ImplI():
             raise TranslationError(
                 "unsupported-constructor",
@@ -213,7 +214,7 @@ def translate(t: GroundTerm, env: TranslationEnv,
             df = translate(f, env, root)              # base α ⊢ β
             alpha, beta = child(root, 0), child(root, 1)
             du = translate(u, env, env.fresh_root())
-            du = delocate(du, _alpha_of(du), alpha)
+            du = delocate(du, _alpha(du), alpha)
             result = normalize_open(make_cutnet((du, df)), env.fuel)
             if result is None:
                 raise TranslationError("diverged-application",
@@ -230,14 +231,6 @@ def translate(t: GroundTerm, env: TranslationEnv,
     raise TranslationError("unsupported-constructor",
                            f"{type(t).__name__} is outside the implicational "
                            "fragment")
-
-
-def _alpha_of(d: Design) -> Address:
-    if d.base.neg is None and len(d.base.pos) == 1:
-        return next(iter(d.base.pos))
-    raise TranslationError("unsupported-constructor",
-                           "argument design must sit on a single positive "
-                           "address")
 
 
 def _check_fragment(f: Formula) -> None:
@@ -265,10 +258,8 @@ def check_translation(t: GroundTerm, d: Design, env: TranslationEnv,
             return classify_candidate(d, ab, env.fuel)
         case _:
             b = env.behaviour_at(ty, child(root, 0))
-            dd = d
             if d.base != b.base:
-                if d.base.neg is None and len(d.base.pos) == 1:
-                    dd = delocate(d, next(iter(d.base.pos)), _alpha(b))
-                else:
+                if d.base.neg is not None or len(d.base.pos) != 1:
                     return CandidateVerdict("NotInBehaviour", "base mismatch")
-            return classify_candidate(dd, b, env.fuel)
+                d = delocate(d, _alpha(d), _alpha(b))
+            return classify_candidate(d, b, env.fuel)

@@ -203,6 +203,20 @@ class TestFocus:
         assert out.strip() == "no derivation"
 
 
+    @pytest.mark.parametrize("sequent, flags, status, first", [
+        ("(seq (zero))", (), 1, "no derivation"),
+        ("(seq (zero))", ("--daimon",), 0, "daimon: |- 0"),
+        ("(seq (plus (zero) (one)))", (), 0, "pos-cluster on (0 ⊕ 1)"),
+    ])
+    def test_units(self, tmp_path, capsys, sequent, flags, status, first):
+        """0 offers no alternative and 1 one empty alternative, so ⊢ 0 has
+        no derivation and ⊢ 0 ⊕ 1 has one."""
+        seq = tmp_path / "s.seq"
+        seq.write_text(sequent)
+        got, out, _ = run(capsys, "focus", "--sequent", str(seq), *flags)
+        assert got == status
+        assert out.splitlines()[0].startswith(first)
+
 class TestRepl:
     def feed(self, monkeypatch, text):
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))

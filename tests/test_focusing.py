@@ -183,3 +183,47 @@ class TestRoundtripCorpus:
             s = derivation_to_strategy(d)
             assert validate_strategy(s) == []
             assert derivation_to_strategy(strategy_to_derivation(s, seq)) == s
+
+
+UNITS = [One(), Zero(), Top(), Bottom()]
+
+
+def random_unit_formula(rng: random.Random, depth: int):
+    """Like random_formula, with the four units among the leaves."""
+    if depth == 0 or rng.random() < 0.35:
+        return rng.choice([A, B, Ad, Bd, *UNITS])
+    op = rng.choice([Tensor, Par, Plus, With])
+    return op(random_unit_formula(rng, depth - 1),
+              random_unit_formula(rng, depth - 1))
+
+
+class TestUnits:
+    def test_zero_has_no_alternatives(self):
+        assert positive_alternatives(Zero()) == []
+        assert positive_alternatives(Plus(Zero(), A)) == \
+            positive_alternatives(A)
+        assert positive_alternatives(Tensor(Zero(), A)) == []
+
+    def test_branches_are_the_dual_alternatives(self):
+        """Each negative branch of f, dualised leaf by leaf, is the leaf
+        list of the positive alternative of f⊥ in the same place."""
+        rng = random.Random(5)
+        for _ in range(500):
+            f = random_unit_formula(rng, 3)
+            assert [[dual(x) for x in b] for b in negative_branches(f)] == \
+                [[x for g in alt for x in g]
+                 for alt in positive_alternatives(dual(f))]
+
+    def test_every_unit_tautology_is_found(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            f = random_unit_formula(rng, 2)
+            d = focused_search((f, dual(f)))
+            assert d is not None and validate_derivation(d) == []
+
+    def test_zero_alone_is_unprovable(self):
+        assert focused_search((Zero(),)) is None
+        assert focused_search((Zero(),), daimon_mode=True).rule == "daimon"
+        d = focused_search((Plus(Zero(), One()),))
+        assert d.rule == "pos-cluster" and d.children == ()
+        assert validate_derivation(d) == []

@@ -125,6 +125,22 @@ class TestGrammar:
             assert spec.split() == [word.partition(">")[0]
                                     for word in tm.FIELDS[cls].split()]
 
+    def test_polarized_rows_are_the_connective_table(self):
+        """Each polarized connective has one row in
+        `focusing.CONNECTIVES`, and the grammar reads an atom's name or a
+        connective's parts, one per field."""
+        rows = {cls: spec for cls, spec in sx._GRAMMAR.values()
+                if issubclass(cls, fo.PolarizedFormula)}
+        assert set(rows) == set(fo.CONNECTIVES)
+        for cls, c in fo.CONNECTIVES.items():
+            assert c.polarity != fo.CONNECTIVES[c.dual].polarity
+            assert fo.CONNECTIVES[c.dual].dual is cls
+            assert c.shape == fo.CONNECTIVES[c.dual].shape
+            want = ["name"] if c.shape == "atom" \
+                else ["polarized"] * len(cls.__match_args__)
+            assert rows[cls].split() == want
+            assert len(want) == len(cls.__match_args__)
+
     def test_every_row_has_a_roundtrip_case(self):
         forms = ([sx.formula_to_sexpr(f) for f in TestFormulas.CASES]
                  + [sx.term_to_sexpr(t) for t in self.TERMS + corpus(47, 60)]
@@ -167,6 +183,19 @@ class TestDesigns:
             back = sx.design_from_sexpr(sx.design_to_sexpr(d))
             assert back == d
             assert validate_design(back) == []
+
+    def test_repr_survives_a_roundtrip(self):
+        """A design read back from its text, with the original freed,
+        prints the same `repr`: bases print their addresses sorted, not in
+        the order their sets were built."""
+        rng = random.Random(7)
+        for k in range(2000):
+            base = Pitchfork(XI, frozenset()) if k % 2 \
+                else Pitchfork(None, frozenset({XI}))
+            d = random_design(rng, base, rng.randint(1, 3))
+            text, want = sx.write_sexpr(sx.design_to_sexpr(d)), repr(d)
+            del d
+            assert repr(sx.design_from_sexpr(sx.read_sexpr(text))) == want
 
     def test_cutnet_roundtrip(self):
         net = convergent_pair()

@@ -82,7 +82,7 @@ class TestTranslate:
     def test_copycat_is_fax(self):
         env = zero_env()
         d = translate(copycat(Absurd()), env, root=(0,))
-        assert d == build_fax((0, 0), (0, 1), env.fax_depth(), 0)
+        assert d == build_fax((0, 0), (0, 1), env.bounds.max_depth, 0)
 
     def test_constant_is_first_free_member(self):
         env = one_env()
