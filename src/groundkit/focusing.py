@@ -7,6 +7,9 @@ sign and shape, from which `polarity`, `dual`, `pretty` and the one
 cluster decomposition, `_alternatives`, run for both polarities.  A unit
 is a connective with no parts, so an additive unit (0, ⊤) offers no
 alternative and a multiplicative one (1, ⊥) offers one empty alternative.
+Polarized formulas are hash-consed on `sharing.Syntax`, the one base that
+interns ground terms, formulas and polarized formulas alike, and these
+walkers keep their own stacks, so a formula of any depth can be read.
 Search is two-phase: decompose the (at most one) negative formula
 exhaustively, then commit to a positive focus with backtracking over
 additive choices and context splits.
@@ -15,70 +18,61 @@ additive choices and context splits.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
+
+from .sharing import Syntax, fold
 
 
 # ---------------------------------------------------------------------------
 # polarized formulas
 
 
-@dataclass(frozen=True)
-class PosAtom:
-    name: str
+class PolarizedFormula(Syntax):
+    """A polarized formula; each subclass is a connective of CONNECTIVES,
+    its fields in `__slots__`."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NegAtom:
-    name: str
+class PosAtom(PolarizedFormula):
+    __slots__ = __match_args__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Tensor:
-    left: "PolarizedFormula"
-    right: "PolarizedFormula"
+class NegAtom(PolarizedFormula):
+    __slots__ = __match_args__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Plus:
-    left: "PolarizedFormula"
-    right: "PolarizedFormula"
+class Tensor(PolarizedFormula):
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Par:
-    left: "PolarizedFormula"
-    right: "PolarizedFormula"
+class Plus(PolarizedFormula):
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class With:
-    left: "PolarizedFormula"
-    right: "PolarizedFormula"
+class Par(PolarizedFormula):
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class One:
-    pass
+class With(PolarizedFormula):
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Zero:
-    pass
+class One(PolarizedFormula):
+    __slots__ = __match_args__ = ()
 
 
-@dataclass(frozen=True)
-class Top:
-    pass
+class Zero(PolarizedFormula):
+    __slots__ = __match_args__ = ()
 
 
-@dataclass(frozen=True)
-class Bottom:
-    pass
+class Top(PolarizedFormula):
+    __slots__ = __match_args__ = ()
 
 
-PolarizedFormula = (PosAtom | NegAtom | Tensor | Plus | Par | With
-                    | One | Zero | Top | Bottom)
+class Bottom(PolarizedFormula):
+    __slots__ = __match_args__ = ()
 
 
 Connective = namedtuple("Connective", "polarity dual sign shape")
@@ -108,18 +102,23 @@ def polarity(f: PolarizedFormula) -> str:
 
 
 def dual(f: PolarizedFormula) -> PolarizedFormula:
-    c = CONNECTIVES[type(f)]
-    if c.shape == "atom":
-        return c.dual(f.name)
-    return c.dual(*map(dual, vars(f).values()))
+    def enter(f):
+        c = CONNECTIVES[type(f)]
+        if c.shape == "atom":
+            return None, c.dual(f.name), ()
+        return (lambda parts: c.dual(*parts)), list(f._key), \
+            range(len(f._key))
+    return fold(f, enter)
 
 
 def pretty(f: PolarizedFormula) -> str:
-    c = CONNECTIVES[type(f)]
-    if c.shape == "atom":
-        return f.name + c.sign
-    parts = [pretty(x) for x in vars(f).values()]
-    return f"({f' {c.sign} '.join(parts)})" if parts else c.sign
+    def enter(f):
+        c = CONNECTIVES[type(f)]
+        if c.shape == "atom":
+            return None, f.name + c.sign, ()
+        return (lambda parts: f"({f' {c.sign} '.join(parts)})" if parts
+                else c.sign), list(f._key), range(len(f._key))
+    return fold(f, enter)
 
 
 Sequent = tuple[PolarizedFormula, ...]
@@ -139,11 +138,19 @@ def _alternatives(f: PolarizedFormula, pol: str) \
         -> list[list[PolarizedFormula]]:
     """Leaf-lists of the cluster of polarity pol rooted at f: an atom or a
     formula of the other polarity is a leaf."""
-    if not _compound(f, pol):
-        return [[f]]
-    parts = [_alternatives(x, pol) for x in vars(f).values()]
-    if CONNECTIVES[type(f)].shape == "additive":
-        return [leaves for alts in parts for leaves in alts]
+    def enter(f):
+        if not _compound(f, pol):
+            return None, [[f]], ()
+        join = _sum if CONNECTIVES[type(f)].shape == "additive" else _product
+        return join, list(f._key), range(len(f._key))
+    return fold(f, enter)
+
+
+def _sum(parts: list) -> list:
+    return [leaves for alts in parts for leaves in alts]
+
+
+def _product(parts: list) -> list:
     return [[x for leaves in pick for x in leaves]
             for pick in itertools.product(*parts)]
 
@@ -223,16 +230,13 @@ def focused_search(seq: Sequent, daimon_mode: bool = False,
         ctx = _remove_one(seq, focus)
         branches = negative_branches(focus)
         children = []
-        selections = []
         for leaves in branches:
-            premise = ctx + tuple(leaves)
-            sub = focused_search(premise, daimon_mode)
+            sub = focused_search(ctx + tuple(leaves), daimon_mode)
             if sub is None:
                 return _give_up(seq, daimon_mode)
-            selections.append(tuple(leaves))
             children.append(sub)
         return ClusteredDerivation(seq, "neg-cluster", focus,
-                                   tuple(selections), tuple(children))
+                                   tuple(map(tuple, branches)), tuple(children))
 
     if _axiom_pair(seq):
         return ClusteredDerivation(seq, "axiom")
@@ -302,8 +306,7 @@ def validate_derivation(d: ClusteredDerivation) -> list[str]:
                     problems.append(f"{path}: branch selections do not match "
                                     "the negative decomposition")
                 for i, (sel, c) in enumerate(zip(d.selections, d.children)):
-                    if sorted(map(repr, c.sequent)) != \
-                            sorted(map(repr, ctx + sel)):
+                    if Counter(c.sequent) != Counter(ctx + sel):
                         problems.append(f"{path}.{i}: premise sequent mismatch")
                     walk(c, f"{path}.{i}")
             case "pos-cluster":
@@ -312,19 +315,14 @@ def validate_derivation(d: ClusteredDerivation) -> list[str]:
                          for alt in positive_alternatives(d.focus)]:
                     problems.append(f"{path}: selections are not an "
                                     "alternative of the focus")
-                ctx = list(_remove_one(d.sequent, d.focus))
-                got = []
+                got = Counter()              # the premises less their leaves
                 for i, (sel, c) in enumerate(zip(d.selections, d.children)):
-                    rest = list(c.sequent)
-                    for f in sel:
-                        if f in rest:
-                            rest.remove(f)
-                        else:
-                            problems.append(f"{path}.{i}: premise misses a "
-                                            "selected leaf")
-                    got += rest
+                    if Counter(sel) - Counter(c.sequent):
+                        problems.append(f"{path}.{i}: premise misses a "
+                                        "selected leaf")
+                    got += Counter(c.sequent) - Counter(sel)
                     walk(c, f"{path}.{i}")
-                if sorted(map(repr, got)) != sorted(map(repr, ctx)):
+                if got != Counter(_remove_one(d.sequent, d.focus)):
                     problems.append(f"{path}: context is not split among "
                                     "the premises")
             case _:
@@ -343,10 +341,9 @@ Strategy = frozenset[Game]
 
 
 def validate_game(g: Game) -> list[str]:
-    problems = []
     if not g:
-        problems.append("a game is a non-empty sequence")
-        return problems
+        return ["a game is a non-empty sequence"]
+    problems = []
     for i in range(1, len(g)):
         if polarity(g[i][0]) == polarity(g[i - 1][0]):
             problems.append(f"moves {i-1} and {i} have equal polarity")
@@ -382,16 +379,13 @@ def derivation_to_strategy(d: ClusteredDerivation) -> Strategy:
                 for sel, c in zip(d.selections, d.children):
                     walk(c, prefix + ((d.focus, frozenset(sel)),))
             case "pos-cluster":
-                move = (d.focus, frozenset(cluster_leaves(list(map(list,
-                                                                   d.selections)))))
+                move = (d.focus, frozenset(cluster_leaves(d.selections)))
+                if not d.children:
+                    games.add(prefix + (move,))
                 for c in d.children:
                     walk(c, prefix + (move,))
     walk(d, ())
-    closed: set[Game] = set()
-    for g in games:
-        for k in range(1, len(g) + 1):
-            closed.add(g[:k])
-    return frozenset(closed)
+    return frozenset(g[:k] for g in games for k in range(1, len(g) + 1))
 
 
 class StrategyConversionError(Exception):
@@ -425,9 +419,6 @@ def strategy_to_derivation(s: Strategy, seq: Sequent) -> ClusteredDerivation:
             raise StrategyConversionError(
                 "conflicting moves: distinct focuses after one prefix")
         focus = next(iter(foci))
-        if focus not in seq:
-            raise StrategyConversionError(
-                f"move focus {pretty(focus)} is not in the sequent")
         ctx = _remove_one(seq, focus)
         if polarity(focus) == "neg":
             want = negative_branches(focus)

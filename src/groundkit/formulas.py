@@ -2,12 +2,17 @@
 
 Formulas here only serve as types for ground terms: there is no model
 theory and no proof search at this level, just well-formedness and
-closed atomic derivations.
+closed atomic derivations.  Formulas are hash-consed on `sharing.Syntax`,
+the one base that interns ground terms, formulas and polarized formulas
+alike: equal formulas are one object, which keeps its free individual
+variables, and `subst_ivar` walks with its own stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .sharing import Syntax, fold
 
 
 # ---------------------------------------------------------------------------
@@ -37,48 +42,52 @@ ITerm = IVar | IConst
 # formulas
 
 
-@dataclass(frozen=True)
-class Atom:
-    predicate: str
-    args: tuple[ITerm, ...] = ()
+class Formula(Syntax):
+    """A formula; each subclass is a connective, its fields in `__slots__`.
+    A formula keeps its free individual variables."""
+
+    __slots__ = ("_free_ivars",)
+
+    def _made(self) -> None:
+        match self:
+            case Atom(_, args):
+                ivs = frozenset(a.name for a in args if isinstance(a, IVar))
+            case Forall(v, b) | Exists(v, b):
+                ivs = b._free_ivars - {v}
+            case _:
+                ivs = frozenset().union(*(f._free_ivars for f in self._key))
+        self._free_ivars = ivs
 
 
-@dataclass(frozen=True)
-class Absurd:
-    pass
+class Atom(Formula):
+    __slots__ = __match_args__ = ("predicate", "args")
+
+    def __new__(cls, predicate: str, args: tuple[ITerm, ...] = ()):
+        return super().__new__(cls, predicate, args)
 
 
-@dataclass(frozen=True)
-class Conj:
-    left: "Formula"
-    right: "Formula"
+class Absurd(Formula):
+    __slots__ = __match_args__ = ()
 
 
-@dataclass(frozen=True)
-class Disj:
-    left: "Formula"
-    right: "Formula"
+class Conj(Formula):
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Impl:
-    left: "Formula"
-    right: "Formula"
+class Disj(Formula):
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Forall:
-    var: str
-    body: "Formula"
+class Impl(Formula):
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    body: "Formula"
+class Forall(Formula):
+    __slots__ = __match_args__ = ("var", "body")
 
 
-Formula = Atom | Absurd | Conj | Disj | Impl | Forall | Exists
+class Exists(Formula):
+    __slots__ = __match_args__ = ("var", "body")
 
 
 def neg(a: Formula) -> Formula:
@@ -87,16 +96,7 @@ def neg(a: Formula) -> Formula:
 
 
 def free_ivars(f: Formula) -> frozenset[str]:
-    match f:
-        case Atom(_, args):
-            return frozenset(t.name for t in args if isinstance(t, IVar))
-        case Absurd():
-            return frozenset()
-        case Conj(l, r) | Disj(l, r) | Impl(l, r):
-            return free_ivars(l) | free_ivars(r)
-        case Forall(v, b) | Exists(v, b):
-            return free_ivars(b) - {v}
-    raise TypeError(f"not a formula: {f!r}")
+    return f._free_ivars
 
 
 def is_closed(f: Formula) -> bool:
@@ -105,23 +105,16 @@ def is_closed(f: Formula) -> bool:
 
 def subst_ivar(f: Formula, var: str, term: ITerm) -> Formula:
     """Substitute an individual term for a free individual variable."""
-    match f:
-        case Atom(p, args):
-            return Atom(p, tuple(term if isinstance(a, IVar) and a.name == var else a
-                                 for a in args))
-        case Absurd():
-            return f
-        case Conj(l, r):
-            return Conj(subst_ivar(l, var, term), subst_ivar(r, var, term))
-        case Disj(l, r):
-            return Disj(subst_ivar(l, var, term), subst_ivar(r, var, term))
-        case Impl(l, r):
-            return Impl(subst_ivar(l, var, term), subst_ivar(r, var, term))
-        case Forall(v, b):
-            return f if v == var else Forall(v, subst_ivar(b, var, term))
-        case Exists(v, b):
-            return f if v == var else Exists(v, subst_ivar(b, var, term))
-    raise TypeError(f"not a formula: {f!r}")
+    def enter(f: Formula):
+        if var not in f._free_ivars:
+            return None, f, ()
+        if type(f) is Atom:
+            return None, Atom(f.predicate, tuple(
+                term if isinstance(a, IVar) and a.name == var else a
+                for a in f.args)), ()
+        return (lambda parts: type(f)(*parts)), list(f._key), [
+            j for j, x in enumerate(f._key) if isinstance(x, Formula)]
+    return fold(f, enter)
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +151,7 @@ def validate_rule(rule: AtomicRule) -> list[str]:
     if not isinstance(rule.conclusion, (Atom, Absurd)):
         problems.append("conclusion is not atomic")
     premise_vars = frozenset().union(
-        *(free_ivars(p) for p in rule.premises if isinstance(p, (Atom, Absurd)))
-    ) if rule.premises else frozenset()
+        *(free_ivars(p) for p in rule.premises if isinstance(p, (Atom, Absurd))))
     if isinstance(rule.conclusion, (Atom, Absurd)):
         unbound = free_ivars(rule.conclusion) - premise_vars
         for v in sorted(unbound):

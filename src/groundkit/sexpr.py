@@ -225,8 +225,7 @@ def _print(value, sort: str):
             raise ParseError(f"expected {_a(sort)}, "
                              f"got {_a(type(form[i]).__name__)}")
         _, kinds, rest = _ROWS[head]
-        fields = list(form[i]._key if isinstance(form[i], tm.GroundTerm)
-                      else vars(form[i]).values())
+        fields = list(form[i]._key)
         if rest:
             fields[-1:] = fields[-1]
         form[i] = out = [head, *fields]
@@ -426,6 +425,10 @@ def tenv_from_sexpr(x) -> TranslationEnv:
                 raise ParseError(f"unknown tenv entry {other!r}")
     if bounds is None:
         raise ParseError("tenv needs a (bounds ...) entry")
+    for f, b in atoms.items():
+        if b.bounds.at(bounds.base) != bounds:
+            raise ParseError(f"atom {write_sexpr(formula_to_sexpr(f))}: its "
+                             "behaviour's depth or pool is not the env's")
     return TranslationEnv(atoms, bounds, fax_arity, fuel)
 
 

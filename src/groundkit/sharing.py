@@ -1,11 +1,15 @@
-"""What terms and designs share: hash-consing and a bottom-up builder.
+"""What the syntaxes and designs share: hash-consing and a bottom-up builder.
 
 `Interned` is the base of the hash-consed classes (Filliâtre and Conchon,
-*Type-Safe Modular Hash-Consing*, 2006).  `fold` builds a value of a tree
-from the bottom up with its own stack, so a tree of any depth can be built.
+*Type-Safe Modular Hash-Consing*, 2006).  `Syntax` is the one base that
+interns all three syntaxes, ground terms, formulas and polarized formulas,
+by their fields.  `fold` builds a value of a tree from the bottom up with
+its own stack, so a tree of any depth can be built.
 """
 
 from __future__ import annotations
+
+from weakref import ref as weak_ref
 
 
 def gone():
@@ -31,6 +35,40 @@ class Interned:
         table, key = type(self)._interned, self._key
         if (ref := table.get(key)) is not None and ref() in (self, None):
             del table[key]
+
+
+class Syntax(Interned):
+    """A node of a syntax tree, keyed by its fields: each subclass is a
+    constructor whose `__slots__` name its fields, in order.  Equal trees
+    are one object, and the hash is `hash(fields)`, a frozen dataclass's.
+    `_made` caches what a subclass keeps beside the fields of a new node."""
+
+    __slots__ = ("_hash",)
+
+    def __new__(cls, *fields):
+        if (t := cls._interned.get(fields, gone)()) is not None:
+            return t
+        if len(fields) != len(cls.__slots__):
+            raise TypeError(f"{cls.__name__} takes {len(cls.__slots__)} "
+                            f"fields, got {len(fields)}")
+        t = object.__new__(cls)
+        t._key = fields
+        for name, value in zip(cls.__slots__, fields):
+            setattr(t, name, value)
+        t._hash = hash(fields)
+        t._made()
+        cls._interned[fields] = weak_ref(t)
+        return t
+
+    def _made(self) -> None:
+        pass
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self.__slots__, self._key)
+        return f"{type(self).__name__}({', '.join(fields)})"
 
 
 def fold(top, enter):

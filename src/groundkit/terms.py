@@ -3,27 +3,28 @@
 `FIELDS` states each constructor's field kinds and binder scopes once;
 `sexpr` and the walkers here run by it, the walkers with their own stacks.
 Terms are hash-consed (Filliâtre and Conchon, *Type-Safe Modular
-Hash-Consing*, 2006): equal terms are one object, which an intern table
-holds weakly, and a term's structural hash and free (individual) variables
-are computed once, so `==`, `hash`, `free_vars` and `term_free_ivars` cost
-O(1).  Reduction applies the conversion equations leftmost-outermost and
-stops at a primitive head (weak-head form), recording a trace; loops are
-detected by a seen-set of the terms themselves.
+Hash-Consing*, 2006) on `sharing.Syntax`, the one base that interns ground
+terms, formulas and polarized formulas alike: equal terms are one object,
+which an intern table holds weakly, and a term's structural hash and free
+(individual) variables are computed once, so `==`, `hash`, `free_vars` and
+`term_free_ivars` cost O(1).  Reduction applies the conversion equations
+leftmost-outermost and stops at a primitive head (weak-head form),
+recording a trace; loops are detected by a seen-set of the terms
+themselves.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
-from weakref import ref as weak_ref
+from functools import partial
 
 from .formulas import (
     Absurd, Atom, AtomicBase, AtomicDerivation, Conj, Disj, Exists, Forall,
     Formula, IConst, ITerm, IVar, Impl, check_atomic_derivation, free_ivars,
     subst_ivar,
 )
-from .sharing import Interned, fold, gone
+from .sharing import Syntax, fold
 
 DEFAULT_FUEL = 10_000
 
@@ -40,33 +41,14 @@ class GroundTypeError(Exception):
 # terms
 
 
-class GroundTerm(Interned):
+class GroundTerm(Syntax):
     """A ground term; each subclass is a constructor, laid out in FIELDS.
-    A term's key is its fields."""
+    A term keeps its free variables and free individual variables."""
 
-    __slots__ = ("_hash", "_free_vars", "_free_ivars")
+    __slots__ = ("_free_vars", "_free_ivars")
 
-    def __new__(cls, *fields):
-        if (t := cls._interned.get(fields, gone)()) is not None:
-            return t
-        if len(fields) != len(cls.__slots__):
-            raise TypeError(f"{cls.__name__} takes {len(cls.__slots__)} "
-                            f"fields, got {len(fields)}")
-        t = object.__new__(cls)
-        t._key = fields
-        for name, value in zip(cls.__slots__, fields):
-            setattr(t, name, value)
-        t._hash = hash(fields)
-        t._free_vars, t._free_ivars = _free(t)
-        cls._interned[fields] = weak_ref(t)
-        return t
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        fields = map("{}={!r}".format, self.__slots__, self._key)
-        return f"{type(self).__name__}({', '.join(fields)})"
+    def _made(self) -> None:
+        self._free_vars, self._free_ivars = _free(self)
 
 
 class Var(GroundTerm):
@@ -166,7 +148,6 @@ FIELDS = {
 
 _FORMULAS = frozenset({"formula", "disjunction", "existential"})
 _NONE: frozenset = frozenset()
-_formula_ivars = lru_cache(maxsize=4096)(free_ivars)
 
 
 def _make(cls, flat: list) -> GroundTerm:
@@ -215,16 +196,14 @@ def _free(t: GroundTerm) -> tuple[frozenset, frozenset]:
     """The free variables and free individual variables of a new term, from
     its fields' own."""
     if type(t) is Var:
-        return frozenset((t,)), _formula_ivars(t.type)   # a cycle, freed by gc
+        return frozenset((t,)), t.type._free_ivars   # a cycle, freed by gc
     flat, kinds, scopes = _spread(t)
     free_v = free_iv = _NONE
     for value, kind, scope in zip(flat, kinds, scopes):
         if kind == "term":
             vs, ivs = value._free_vars, value._free_ivars
-        elif kind == "binder":
+        elif kind == "binder" or kind in _FORMULAS:
             vs, ivs = _NONE, value._free_ivars
-        elif kind in _FORMULAS:
-            vs, ivs = _NONE, _formula_ivars(value)
         elif kind == "individual" and isinstance(value, IVar):
             vs, ivs = _NONE, frozenset((value.name,))
         else:
@@ -354,136 +333,130 @@ class GroundType:
 
 
 def typecheck(t: GroundTerm, env: GroundEnv | None = None) -> GroundType:
-    """Derive the unique type of a term; free variables become antecedents."""
+    """Derive the unique type of a term; free variables become antecedents.
+    Each rule runs once its term fields have types (`fold`), so of several
+    faults the one reported need not be the leftmost."""
     env = env or GroundEnv()
-    antecedents: list[Var] = []
+    antecedents: dict[Var, None] = {}        # in order of first occurrence
 
-    def note_free(v: Var):
-        if v not in antecedents:
-            antecedents.append(v)
-
-    def tc(t: GroundTerm, bound: frozenset[Var]) -> Formula:
-        match t:
-            case MetaVar():
-                raise GroundTypeError(t, "metavariable outside an equation pattern")
-            case Var():
-                if t not in bound:
-                    if any(b.name == t.name and b != t for b in bound):
-                        raise GroundTypeError(
-                            t, f"variable {t.name} shadowed at a different type")
-                    note_free(t)
-                return t.type
-            case Const(name, ty):
-                if not isinstance(ty, (Atom, Absurd)):
-                    raise GroundTypeError(t, f"constant {name} must be atomic")
-                return ty
-            case ConjI(l, r):
-                return Conj(tc(l, bound), tc(r, bound))
-            case DisjI(side, d, b):
-                if side not in (1, 2):
-                    raise GroundTypeError(t, f"bad disjunct selector {side}")
-                want = d.left if side == 1 else d.right
-                got = tc(b, bound)
-                if got != want:
-                    raise GroundTypeError(t, "disjunct mismatch",
-                                          expected=want, actual=got)
-                return d
-            case ImplI(x, b):
-                return Impl(x.type, tc(b, bound | {x}))
-            case ForallI(x, b):
-                return Forall(x, tc(b, bound))
-            case ExistsI(w, e, b):
-                want = subst_ivar(e.body, e.var, w)
-                got = tc(b, bound)
-                if got != want:
-                    raise GroundTypeError(t, "witness type mismatch",
-                                          expected=want, actual=got)
-                return e
-            case Exploder(target, b):
-                got = tc(b, bound)
-                if not isinstance(got, Absurd):
-                    raise GroundTypeError(t, "explosion applied to a non-absurd term",
-                                          expected=Absurd(), actual=got)
-                return target
-            case ConjE(side, b):
-                got = tc(b, bound)
-                if not isinstance(got, Conj):
-                    raise GroundTypeError(t, "projection from a non-conjunction",
-                                          actual=got)
-                return got.left if side == 1 else got.right
-            case DisjE(x1, x2, s, u, v):
-                got = tc(s, bound)
-                if not isinstance(got, Disj):
-                    raise GroundTypeError(t, "case split on a non-disjunction",
-                                          actual=got)
-                if x1.type != got.left or x2.type != got.right:
-                    raise GroundTypeError(t, "case binder types do not match "
-                                          "the disjuncts")
-                tu = tc(u, bound | {x1})
-                tv = tc(v, bound | {x2})
-                if tu != tv:
-                    raise GroundTypeError(t, "case arms disagree",
-                                          expected=tu, actual=tv)
-                return tu
-            case ImplE(f, a):
-                tf = tc(f, bound)
-                if not isinstance(tf, Impl):
-                    raise GroundTypeError(t, "application of a non-function",
-                                          actual=tf)
-                ta = tc(a, bound)
-                if ta != tf.left:
-                    raise GroundTypeError(t, "argument type mismatch",
-                                          expected=tf.left, actual=ta)
-                return tf.right
-            case ForallE(s, b):
-                got = tc(b, bound)
-                if not isinstance(got, Forall):
-                    raise GroundTypeError(t, "instantiation of a non-universal",
-                                          actual=got)
-                return subst_ivar(got.body, got.var, s)
-            case ExistsE(x, v, s, u):
-                got = tc(s, bound)
-                if not isinstance(got, Exists):
-                    raise GroundTypeError(t, "witness split on a non-existential",
-                                          actual=got)
-                want = subst_ivar(got.body, got.var, IVar(x))
-                if v.type != want:
-                    raise GroundTypeError(t, "witness binder type mismatch",
-                                          expected=want, actual=v.type)
-                res = tc(u, bound | {v})
-                if x in free_ivars(res):
+    def enter(item):
+        t, bound = item
+        if type(t) is Var:
+            if t not in bound:
+                if any(b.name == t.name and b != t for b in bound):
                     raise GroundTypeError(
-                        t, f"existential eigenvariable {x} escapes into the result type")
-                return res
-            case DS(d, n):
-                td = tc(d, bound)
-                if not isinstance(td, Disj):
-                    raise GroundTypeError(t, "disjunctive syllogism on a "
-                                          "non-disjunction", actual=td)
-                tn = tc(n, bound)
-                if tn != Impl(td.left, Absurd()):
-                    raise GroundTypeError(t, "second argument must negate the "
-                                          "first disjunct",
-                                          expected=Impl(td.left, Absurd()), actual=tn)
-                return td.right
-            case UserOp(name, args):
-                decl = env.ops.get(name)
-                if decl is None:
-                    raise GroundTypeError(t, f"unregistered operation {name}")
-                if len(args) != len(decl.arg_types):
-                    raise GroundTypeError(t, f"{name} expects "
-                                          f"{len(decl.arg_types)} arguments")
-                for a, want in zip(args, decl.arg_types):
-                    got = tc(a, bound)
-                    if got != want:
-                        raise GroundTypeError(t, f"argument of {name} has the "
-                                              "wrong type", expected=want, actual=got)
-                return decl.result
-        raise GroundTypeError(t, f"not a ground term: {t!r}")
+                        t, f"variable {t.name} shadowed at a different type")
+                antecedents[t] = None
+            return None, t.type, ()
+        if not isinstance(t, GroundTerm):
+            raise GroundTypeError(t, f"not a ground term: {t!r}")
+        flat, kinds, scopes = _spread(t)
+        parts = [(flat[j], bound.union(flat[i] for i in scopes[j]
+                                       if kinds[i] == "binder"))
+                 for j, kind in enumerate(kinds) if kind == "term"]
+        return partial(_type_rule, t, env), parts, range(len(parts))
 
-    succ = tc(t, frozenset())
-    free_iv = term_free_ivars(t)
-    return GroundType(tuple(v.type for v in antecedents), succ, frozenset(free_iv))
+    succ = fold((t, frozenset()), enter)
+    return GroundType(tuple(v.type for v in antecedents), succ,
+                      term_free_ivars(t))
+
+
+#: eliminator -> the connective the type of its first term field must have,
+#: and the fault when it has another
+_ELIMINATES = {
+    ConjE: (Conj, "projection from a non-conjunction"),
+    DisjE: (Disj, "case split on a non-disjunction"),
+    ImplE: (Impl, "application of a non-function"),
+    ForallE: (Forall, "instantiation of a non-universal"),
+    ExistsE: (Exists, "witness split on a non-existential"),
+    DS: (Disj, "disjunctive syllogism on a non-disjunction"),
+}
+
+
+def _type_rule(t: GroundTerm, env: GroundEnv, got: list) -> Formula:
+    """The type of t, given got, the types of its term fields in order."""
+    if (elim := _ELIMINATES.get(type(t))) and not isinstance(got[0], elim[0]):
+        raise GroundTypeError(t, elim[1], actual=got[0])
+    match t:
+        case MetaVar():
+            raise GroundTypeError(t, "metavariable outside an equation pattern")
+        case Const(name, ty):
+            if not isinstance(ty, (Atom, Absurd)):
+                raise GroundTypeError(t, f"constant {name} must be atomic")
+            return ty
+        case ConjI():
+            return Conj(*got)
+        case DisjI(side, d):
+            if side not in (1, 2):
+                raise GroundTypeError(t, f"bad disjunct selector {side}")
+            want = d.left if side == 1 else d.right
+            if got[0] != want:
+                raise GroundTypeError(t, "disjunct mismatch",
+                                      expected=want, actual=got[0])
+            return d
+        case ImplI(x):
+            return Impl(x.type, got[0])
+        case ForallI(x):
+            return Forall(x, got[0])
+        case ExistsI(w, e):
+            want = subst_ivar(e.body, e.var, w)
+            if got[0] != want:
+                raise GroundTypeError(t, "witness type mismatch",
+                                      expected=want, actual=got[0])
+            return e
+        case Exploder(target):
+            if not isinstance(got[0], Absurd):
+                raise GroundTypeError(t, "explosion applied to a non-absurd term",
+                                      expected=Absurd(), actual=got[0])
+            return target
+        case ConjE(side):
+            return got[0].left if side == 1 else got[0].right
+        case DisjE(x1, x2):
+            ts, tu, tv = got
+            if x1.type != ts.left or x2.type != ts.right:
+                raise GroundTypeError(t, "case binder types do not match "
+                                      "the disjuncts")
+            if tu != tv:
+                raise GroundTypeError(t, "case arms disagree",
+                                      expected=tu, actual=tv)
+            return tu
+        case ImplE():
+            tf, ta = got
+            if ta != tf.left:
+                raise GroundTypeError(t, "argument type mismatch",
+                                      expected=tf.left, actual=ta)
+            return tf.right
+        case ForallE(s):
+            return subst_ivar(got[0].body, got[0].var, s)
+        case ExistsE(x, v):
+            ts, res = got
+            want = subst_ivar(ts.body, ts.var, IVar(x))
+            if v.type != want:
+                raise GroundTypeError(t, "witness binder type mismatch",
+                                      expected=want, actual=v.type)
+            if x in free_ivars(res):
+                raise GroundTypeError(
+                    t, f"existential eigenvariable {x} escapes into the result type")
+            return res
+        case DS():
+            td, tn = got
+            if tn != Impl(td.left, Absurd()):
+                raise GroundTypeError(t, "second argument must negate the "
+                                      "first disjunct",
+                                      expected=Impl(td.left, Absurd()), actual=tn)
+            return td.right
+        case UserOp(name, args):
+            decl = env.ops.get(name)
+            if decl is None:
+                raise GroundTypeError(t, f"unregistered operation {name}")
+            if len(args) != len(decl.arg_types):
+                raise GroundTypeError(t, f"{name} expects "
+                                      f"{len(decl.arg_types)} arguments")
+            for ty, want in zip(got, decl.arg_types):
+                if ty != want:
+                    raise GroundTypeError(t, f"argument of {name} has the "
+                                          "wrong type", expected=want, actual=ty)
+            return decl.result
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,21 @@ class TestFocus:
         assert got == status
         assert out.splitlines()[0].startswith(first)
 
+    @pytest.mark.parametrize("sequent, game", [
+        ("(seq (one))", "  (1 | )"),
+        ("(seq (plus (zero) (one)))", "  ((0 ⊕ 1) | )"),
+    ])
+    def test_premise_less_cluster_is_a_game(self, tmp_path, capsys,
+                                            sequent, game):
+        """A positive cluster with no premise is a move of its own game."""
+        seq = tmp_path / "s.seq"
+        seq.write_text(sequent)
+        status, out, _ = run(capsys, "focus", "--sequent", str(seq),
+                             "--to-strategy")
+        assert status == 0
+        assert out.splitlines()[-2:] == ["strategy:", game]
+
+
 class TestRepl:
     def feed(self, monkeypatch, text):
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
@@ -434,8 +449,47 @@ class TestDeepInput:
         assert sum(line.startswith("step ") for line in lines) == n
         assert out.endswith("canonical:\n(const a (atom A))\n")
 
-    def test_check_too_deep_exits_2(self, tmp_path, capsys):
-        status, _, err = run(capsys, "check", self.chain(tmp_path, 1500))
+    @pytest.mark.parametrize("n", [1500, 10_000])
+    def test_check_and_ground_deep_chain(self, tmp_path, capsys, n):
+        status, out, _ = run(capsys, "check", self.chain(tmp_path, n))
+        assert (status, out) == (0, "ok: |- (atom A)\n")
+        status, out, _ = run(capsys, "ground", "--term",
+                             self.chain(tmp_path, n))
+        assert (status, out) == (1, "no: constant a names no derivation\n")
+
+    def test_check_and_ground_deeply_typed_identity(self, tmp_path, capsys):
+        ty = "(atom A)"
+        for _ in range(10_000):
+            ty = f"(impl (atom A) {ty})"
+        path = tmp_path / "identity.gt"
+        path.write_text(f"(impl-i (var x {ty}) (var x {ty}))")
+        status, out, _ = run(capsys, "check", str(path))
+        assert status == 0 and out.startswith("ok: |- (impl (impl (atom A)")
+        status, out, _ = run(capsys, "ground", "--term", str(path))
+        assert (status, out) == (0, "yes\n")
+
+    @pytest.mark.parametrize("link, f, status", [
+        ("(tensor {} (atom+ B))", "(atom+ A)", 1),
+        ("(plus (zero) {})", "(one)", 0)])
+    def test_focus_deep_chain(self, tmp_path, capsys, link, f, status):
+        """A 10⁴-deep ⊗ chain of atoms has no derivation; a 10⁴-deep
+        ⊕ chain of zeros that ends in 1 has one."""
+        for _ in range(10_000):
+            f = link.format(f)
+        path = tmp_path / "chain.seq"
+        path.write_text(f"(seq {f})")
+        got, out, _ = run(capsys, "focus", "--sequent", str(path))
+        assert got == status
+        assert out.startswith("no derivation" if status else "pos-cluster")
+
+    def test_ground_deep_pair_exits_2(self, tmp_path, capsys):
+        """Groundhood still recurses over the parts of a pair."""
+        text = "(const a (atom A))"
+        for _ in range(1500):
+            text = f"(conj-i {text} (const b (atom B)))"
+        path = tmp_path / "pair.gt"
+        path.write_text(text)
+        status, _, err = run(capsys, "ground", "--term", str(path))
         assert status == 2
         assert "nested too deeply" in err
 
@@ -455,7 +509,7 @@ class TestDeepInput:
                    for line in out.splitlines()) == 400
 
     def test_deep_chain_dump_load_dump(self, tmp_path):
-        # compares text: dataclass __eq__ recurses too deep for these terms
+        # compares the printed text with the text the chain was read from
         first, second = tmp_path / "first.gt", tmp_path / "second.gt"
         sx.dump(sx.load(self.chain(tmp_path, 900)), str(first))
         sx.dump(sx.load(str(first)), str(second))
@@ -508,6 +562,10 @@ class TestTenv:
         ("(behaviour)", "expected a (tenv ...) form"),
         ("(tenv (fax-arity 0))", "tenv needs a (bounds ...) entry"),
         ("(tenv (colour red))", "unknown tenv entry 'colour'"),
+        ("(tenv (bounds 2 (pool (I) (I 0)) (pos-base 9)) (atom (atom A) "
+         "(behaviour (bounds 1 (pool (I)) (pos-base 9)) "
+         "(generators (daimon 9)))))",
+         "atom (atom A): its behaviour's depth or pool is not the env's"),
     ])
     def test_malformed_env_exits_2(self, tmp_path, capsys, text, message):
         env = tmp_path / "bad.tenv"

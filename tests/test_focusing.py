@@ -227,3 +227,32 @@ class TestUnits:
         d = focused_search((Plus(Zero(), One()),))
         assert d.rule == "pos-cluster" and d.children == ()
         assert validate_derivation(d) == []
+
+    def test_every_unit_derivation_comes_back_from_its_strategy(self):
+        """Derivation → strategy → derivation on the unit corpus.  Left out:
+        a bare axiom, whose strategy is empty by design, and a derivation
+        with a branch-less (⊤-like) negative cluster, which no move can
+        carry."""
+        def branchless(d):
+            return d.rule == "neg-cluster" and not d.children \
+                or any(map(branchless, d.children))
+
+        rng = random.Random(5)
+        done = 0
+        for _ in range(200):
+            f = random_unit_formula(rng, 2)
+            for seq in ((f, dual(f)), (f,)):
+                d = focused_search(seq)
+                if d is None or d.rule == "axiom" or branchless(d):
+                    continue
+                back = strategy_to_derivation(derivation_to_strategy(d), seq)
+                assert validate_derivation(back) == []
+                done += 1
+        assert done == 112
+
+    def test_premise_less_cluster_round_trips(self):
+        for f in (One(), Plus(Zero(), One())):
+            d = focused_search((f,))
+            s = derivation_to_strategy(d)
+            assert s == {((f, frozenset()),)}
+            assert strategy_to_derivation(s, (f,)) == d

@@ -1,3 +1,4 @@
+import dataclasses
 import pathlib
 import random
 
@@ -18,6 +19,7 @@ from groundkit.designs import (
 from groundkit.formulas import (
     Absurd, Atom, Conj, Disj, Exists, Forall, IConst, IVar, Impl,
 )
+from groundkit.sharing import Syntax
 
 DATA = pathlib.Path(__file__).parent.parent / "demos" / "data"
 
@@ -140,6 +142,13 @@ class TestGrammar:
                 else ["polarized"] * len(cls.__match_args__)
             assert rows[cls].split() == want
             assert len(want) == len(cls.__match_args__)
+
+    def test_every_row_is_an_interned_syntax_class(self):
+        """Terms, formulas and polarized formulas share one base, so no
+        syntax class is a dataclass, whose `==` and `hash` recurse."""
+        for cls, _ in sx._GRAMMAR.values():
+            assert issubclass(cls, Syntax)
+            assert not dataclasses.is_dataclass(cls)
 
     def test_every_row_has_a_roundtrip_case(self):
         forms = ([sx.formula_to_sexpr(f) for f in TestFormulas.CASES]

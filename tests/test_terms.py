@@ -9,7 +9,8 @@ from conftest import (
     worked_term,
 )
 from termgen import corpus
-from termgen import TYPES, random_term
+from termgen import TYPES, random_term, random_type
+from typecheck_oracle import oracle_typecheck
 
 from groundkit import terms as tm
 from groundkit.formulas import (
@@ -63,6 +64,53 @@ class TestTypechecking:
         bad = tm.ExistsE("x", v, tm.Var("s", exi), v)
         with pytest.raises(tm.GroundTypeError):
             tm.typecheck(bad)
+
+
+def mutated(rng: random.Random, t: tm.GroundTerm) -> tm.GroundTerm:
+    """t with one subterm replaced by a term of a random type, a free
+    variable (named like a variable of t, at a random type) or a
+    metavariable."""
+    path, node = [], t
+    while (cs := tm.children(node)) and rng.random() < 0.7:
+        path.append((node, cs, rng.randrange(len(cs))))
+        node = cs[path[-1][2]]
+    pick = rng.choice(["term", "open", "meta"])
+    if pick == "term":
+        new = random_term(rng, random_type(rng), 2)
+    elif pick == "open":
+        names = [v.name for v in tm.free_vars(node)] + ["w"]
+        new = tm.Var(rng.choice(names), random_type(rng))
+    else:
+        new = tm.MetaVar("m")
+    for parent, cs, k in reversed(path):
+        new = tm.rebuild(parent, cs[:k] + (new,) + cs[k + 1:])
+    return new
+
+
+def type_or_none(check, t):
+    try:
+        ty = check(t)
+    except tm.GroundTypeError:
+        return None
+    return ty.antecedents, ty.succedent, ty.free_individual_vars
+
+
+class TestTypecheckOracle:
+    def test_agrees_with_the_recursive_typechecker(self):
+        """The same verdict on every term, and the same type and
+        antecedents wherever the term is typed: random terms, three in
+        four given one to three faults or free variables."""
+        rng = random.Random(11)
+        ill = 0
+        for _ in range(4000):
+            t = random_term(rng, random_type(rng), 4)
+            if rng.random() < 0.75:
+                for _ in range(rng.randint(1, 3)):
+                    t = mutated(rng, t)
+            want = type_or_none(oracle_typecheck, t)
+            assert type_or_none(tm.typecheck, t) == want
+            ill += want is None
+        assert 1000 < ill < 3000
 
 
 class TestReduction:
