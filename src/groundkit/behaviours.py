@@ -300,6 +300,15 @@ def members(b: Behaviour, fuel: int = DEFAULT_FUEL) -> frozenset[Design]:
                               b.cached_orthogonal, fuel))
 
 
+def free_incarnation(b: Behaviour,
+                     fuel: int = DEFAULT_FUEL) -> frozenset[Design]:
+    """b's †-free material members: its †-free ⊑-minimal members, since
+    members are upward-closed in ⊑ and |d| ⊑ d is a member."""
+    return frozenset(d for d in _minimal(_passing(
+        enumerate_universe(b.bounds), b.cached_orthogonal, fuel))
+        if not contains_daimon(d))
+
+
 def incarnation_of(d: Design, b: Behaviour,
                    fuel: int = DEFAULT_FUEL) -> Design:
     """The join of the parts of d used against every cached counter-test."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from itertools import count
 
 from . import focusing as fo
@@ -324,6 +325,7 @@ def _repl_net(net: CutNet, inp=None, out=None) -> int:
 # argument parsing
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="groundkit",

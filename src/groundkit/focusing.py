@@ -293,6 +293,12 @@ def validate_derivation(d: ClusteredDerivation) -> list[str]:
     problems = []
 
     def walk(d, path):
+        ctx = Counter(d.sequent) - Counter([d.focus])
+        if d.rule.endswith("-cluster"):
+            if d.focus not in d.sequent:
+                problems.append(f"{path}: focus is not in the sequent")
+            if len(d.children) != len(d.selections):
+                problems.append(f"{path}: not one premise per selection")
         match d.rule:
             case "axiom":
                 if not _axiom_pair(d.sequent):
@@ -300,13 +306,12 @@ def validate_derivation(d: ClusteredDerivation) -> list[str]:
             case "daimon":
                 pass
             case "neg-cluster":
-                ctx = _remove_one(d.sequent, d.focus)
                 want = negative_branches(d.focus)
                 if [list(s) for s in d.selections] != want:
                     problems.append(f"{path}: branch selections do not match "
                                     "the negative decomposition")
                 for i, (sel, c) in enumerate(zip(d.selections, d.children)):
-                    if Counter(c.sequent) != Counter(ctx + sel):
+                    if Counter(c.sequent) != ctx + Counter(sel):
                         problems.append(f"{path}.{i}: premise sequent mismatch")
                     walk(c, f"{path}.{i}")
             case "pos-cluster":
@@ -322,7 +327,7 @@ def validate_derivation(d: ClusteredDerivation) -> list[str]:
                                         "selected leaf")
                     got += Counter(c.sequent) - Counter(sel)
                     walk(c, f"{path}.{i}")
-                if got != Counter(_remove_one(d.sequent, d.focus)):
+                if got != ctx:
                     problems.append(f"{path}: context is not split among "
                                     "the premises")
             case _:
@@ -400,15 +405,13 @@ def strategy_to_derivation(s: Strategy, seq: Sequent) -> ClusteredDerivation:
     if problems:
         raise StrategyConversionError("; ".join(sorted(set(problems))))
 
-    def nexts(prefix: Game) -> list[Move]:
-        out = {g[len(prefix)] for g in s
-               if len(g) > len(prefix) and g[:len(prefix)] == prefix}
-        return sorted(out, key=repr)
-
     def build(seq: Sequent, prefix: Game) -> ClusteredDerivation:
-        # sibling premises of a positive cluster share the prefix, so keep
-        # only the continuations whose focus lives in this premise
-        moves = [m for m in nexts(prefix) if m[0] in seq]
+        # the moves after prefix whose focus lives in this premise (sibling
+        # premises of a positive cluster share the prefix), in no order:
+        # build wants one focus, then one positive move or every branch
+        n = len(prefix)
+        moves = {g[n] for g in s if len(g) > n and g[:n] == prefix
+                 and g[n][0] in seq}
         if not moves:
             if _axiom_pair(seq):
                 return ClusteredDerivation(seq, "axiom")
@@ -436,7 +439,7 @@ def strategy_to_derivation(s: Strategy, seq: Sequent) -> ClusteredDerivation:
         if len(moves) != 1:
             raise StrategyConversionError(
                 "conflicting positive moves after one prefix")
-        move = moves[0]
+        move, = moves
         for groups in positive_alternatives(focus):
             if frozenset(cluster_leaves(groups)) != move[1]:
                 continue

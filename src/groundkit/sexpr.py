@@ -27,7 +27,7 @@ from .formulas import (
 from .interaction import DEFAULT_FUEL, CutNet, make_cutnet
 from .sharing import fold
 from . import terms as tm
-from .translate import TranslationEnv
+from .translate import MisboundAtom, TranslationEnv
 
 
 class ParseError(Exception):
@@ -406,18 +406,13 @@ def behaviour_from_sexpr(x) -> Behaviour:
 
 
 def tenv_from_sexpr(x) -> TranslationEnv:
-    bounds = None
-    atoms = {}
-    fax_arity = 1
-    fuel = DEFAULT_FUEL
+    bounds, atoms, numbers = None, {}, {"fax-arity": 1, "fuel": DEFAULT_FUEL}
     for item in _fields(x, 0, True, head="tenv"):
         match _head(item, "tenv entry"):
             case "bounds":
                 bounds = bounds_from_sexpr(item)
-            case "fax-arity":
-                fax_arity = _number(*_fields(item, 1))
-            case "fuel":
-                fuel = _number(*_fields(item, 1))
+            case "fax-arity" | "fuel" as key:
+                numbers[key] = _number(*_fields(item, 1))
             case "atom":
                 f, b = _fields(item, 2)
                 atoms[formula_from_sexpr(f)] = behaviour_from_sexpr(b)
@@ -425,11 +420,12 @@ def tenv_from_sexpr(x) -> TranslationEnv:
                 raise ParseError(f"unknown tenv entry {other!r}")
     if bounds is None:
         raise ParseError("tenv needs a (bounds ...) entry")
-    for f, b in atoms.items():
-        if b.bounds.at(bounds.base) != bounds:
-            raise ParseError(f"atom {write_sexpr(formula_to_sexpr(f))}: its "
-                             "behaviour's depth or pool is not the env's")
-    return TranslationEnv(atoms, bounds, fax_arity, fuel)
+    try:
+        return TranslationEnv(atoms, bounds, numbers["fax-arity"],
+                              numbers["fuel"])
+    except MisboundAtom as e:
+        raise ParseError(f"atom {write_sexpr(formula_to_sexpr(e.args[0]))}: "
+                         "its behaviour's depth or pool is not the env's")
 
 
 # ---------------------------------------------------------------------------

@@ -327,10 +327,6 @@ class GroundType:
     succedent: Formula
     free_individual_vars: frozenset[str] = frozenset()
 
-    @property
-    def closed_categorical(self) -> bool:
-        return not self.antecedents and not self.free_individual_vars
-
 
 def typecheck(t: GroundTerm, env: GroundEnv | None = None) -> GroundType:
     """Derive the unique type of a term; free variables become antecedents.

@@ -32,8 +32,8 @@ from .designs import (
     negative, positive, star,
 )
 from .behaviours import (
-    Behaviour, UniverseBounds, behaviour, enumerate_universe,
-    CandidateVerdict, classify_candidate, _undecided,
+    Behaviour, CandidateVerdict, UniverseBounds, behaviour,
+    classify_candidate, enumerate_universe, free_incarnation,
 )
 from .interaction import (
     CONVERGED, DEFAULT_FUEL, OUT_OF_FUEL, UNCUT, CutNet, listeners,
@@ -101,19 +101,6 @@ def normalize_open(net: CutNet, fuel: int = DEFAULT_FUEL) -> Design | None:
 # arrow behaviours
 
 
-def free_incarnation(b: Behaviour, fuel: int = DEFAULT_FUEL) -> frozenset[Design]:
-    """The †-free material members of a behaviour, within its bounds: the
-    designs of its universe that classify_candidate calls Ground."""
-    out = []
-    for d in enumerate_universe(b.bounds):
-        tag = classify_candidate(d, b, fuel).tag
-        if tag == "Unknown":
-            raise _undecided(fuel)
-        if tag == "Ground":
-            out.append(d)
-    return frozenset(out)
-
-
 def _alpha(x: Behaviour | Design) -> Address:
     """The address α of x's base, which must be ⊢α."""
     if x.base.neg is None and len(x.base.pos) == 1:
@@ -135,23 +122,22 @@ def arrow(bA: Behaviour, bB: Behaviour, bounds: UniverseBounds,
     bounds = bounds.at(Pitchfork(_alpha(bA), frozenset({_alpha(bB)})))
     dom_free = free_incarnation(bA, fuel)
     cod_free = free_incarnation(bB, fuel)
-
-    def maps_domain(d: Design) -> bool:
-        for a in dom_free:
-            res = normalize_open(make_cutnet((a, d)), fuel)
-            if res is None or res not in cod_free:
-                return False
-        return True
-
     # in universe order: the orthogonal keeps the ⊑-minimal designs in this
     # order and stops at the first failing one, so its cost must not
-    # follow hash order
-    defining = [d for d in enumerate_universe(bounds) if maps_domain(d)]
+    # follow hash order; a diverging cut (None) maps into no member
+    defining = [d for d in enumerate_universe(bounds) if all(
+        normalize_open(make_cutnet((a, d)), fuel) in cod_free
+        for a in dom_free)]
     return behaviour(defining, bounds, fuel)
 
 
 # ---------------------------------------------------------------------------
 # translation environment
+
+
+class MisboundAtom(ValueError):
+    """The atom, its one argument, whose behaviour's depth or pool is not
+    its env's."""
 
 
 @dataclass
@@ -164,19 +150,29 @@ class TranslationEnv:
     fuel: int = DEFAULT_FUEL
     _next_root: int = field(default=0)
 
+    def __post_init__(self):
+        for f, b in self.atoms.items():
+            if b.bounds.at(self.bounds.base) != self.bounds:
+                raise MisboundAtom(f)
+
     def fresh_root(self) -> Address:
         r = (self._next_root,)
         self._next_root += 1
         return r
 
     def behaviour_at(self, f: Formula, xi: Address) -> Behaviour:
+        """f's behaviour moved from its home ⊢α to ⊢ξ: the one built at ⊢ξ,
+        as orthogonality is invariant under delocation and f is bounded like
+        the env.  Moving a common prefix keeps the universe order."""
         b = self.atoms.get(f)
         if b is None:
             raise TranslationError("unsupported-constructor",
                                    f"no behaviour registered for {f}")
-        gens = frozenset(delocate(g, _alpha(b), xi) for g in b.generators)
-        return behaviour(gens, self.bounds.at(Pitchfork(None, frozenset({xi}))),
-                         self.fuel)
+        alpha = _alpha(b)
+        return Behaviour(
+            frozenset(delocate(g, alpha, xi) for g in b.generators),
+            self.bounds.at(Pitchfork(None, frozenset({xi}))),
+            tuple(delocate(e, alpha, xi) for e in b.cached_orthogonal))
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +242,9 @@ def _check_fragment(f: Formula) -> None:
 
 
 def check_translation(t: GroundTerm, d: Design, env: TranslationEnv,
-                      root: Address | None = None) -> CandidateVerdict:
+                      root: Address = (0,)) -> CandidateVerdict:
     """Classify the design of a term in the behaviour of the term's type."""
     ty = typecheck(t, GroundEnv()).succedent
-    root = (0,) if root is None else root
     match ty:
         case Impl(a, b):
             ab = arrow(env.behaviour_at(a, child(root, 0)),
@@ -257,9 +252,7 @@ def check_translation(t: GroundTerm, d: Design, env: TranslationEnv,
                        env.fuel)
             return classify_candidate(d, ab, env.fuel)
         case _:
-            b = env.behaviour_at(ty, child(root, 0))
-            if d.base != b.base:
-                if d.base.neg is not None or len(d.base.pos) != 1:
-                    return CandidateVerdict("NotInBehaviour", "base mismatch")
-                d = delocate(d, _alpha(d), _alpha(b))
-            return classify_candidate(d, b, env.fuel)
+            # the behaviour at d's address ξ; a design on no base ⊢ξ meets
+            # classify_candidate's base mismatch whatever the address
+            xi = min(d.base.pos, default=child(root, 0))
+            return classify_candidate(d, env.behaviour_at(ty, xi), env.fuel)

@@ -13,8 +13,8 @@ from groundkit.designs import (
 from groundkit.behaviours import (
     NotAMember, OutOfFuel, SizeLimitExceeded, UniverseBounds, behaviour,
     biorthogonal, classify_candidate, count_universe, enumerate_universe,
-    full_pool, incarnation_of, is_material, member_verdict, members,
-    orthogonal_set,
+    free_incarnation, full_pool, incarnation_of, is_material, member_verdict,
+    members, orthogonal_set,
 )
 from groundkit.interaction import (
     DEFAULT_FUEL, VERDICT, Converged, dual_bases, make_cutnet,
@@ -350,6 +350,20 @@ def orthogonal_against_all(E, bounds, fuel=DEFAULT_FUEL):
     return tuple(out)
 
 
+def free_incarnation_by_classification(b, fuel=DEFAULT_FUEL):
+    """The designs of b's universe that classify Ground, one classification
+    each: the reference for free_incarnation, which keeps the †-free
+    ⊑-minimal members.  OutOfFuel if a classification is undecided."""
+    out = set()
+    for d in enumerate_universe(b.bounds):
+        tag = classify_candidate(d, b, fuel).tag
+        if tag == "Unknown":
+            raise OutOfFuel(f"fuel-exhausted at {fuel}")
+        if tag == "Ground":
+            out.add(d)
+    return frozenset(out)
+
+
 def outcome(f, *args):
     """f(*args), or OutOfFuel if it raised that."""
     try:
@@ -427,3 +441,40 @@ class TestMinimalDesigns:
         calls = count_run_tests(monkeypatch)
         assert orthogonal_set([d2, d], FULL2) == expected
         assert len(calls) == len(enumerate_universe(FULL2.at(NEG))) == 240
+
+
+class TestFreeIncarnation:
+    """The †-free material members are the †-free ⊑-minimal members: members
+    are upward-closed in ⊑, and |d| ⊑ d is a member."""
+
+    POOLS = (((), (0,)), ((), (0,), (1,)), full_pool(1))
+
+    def seeded_behaviours(self):
+        rng = random.Random(17)
+        for depth, pool, base in itertools.product((1, 2, 3), self.POOLS,
+                                                    (POS, NEG)):
+            bounds = UniverseBounds(depth, pool, base)
+            dual = bounds.at(dual_bases(base)[0])
+            if max(count_universe(bounds), count_universe(dual)) > 300:
+                continue
+            universe = enumerate_universe(bounds)
+            yield behaviour([], bounds)
+            for size in (1,) * 7 + (2,) * 7:
+                yield behaviour(rng.sample(universe, size), bounds)
+
+    def test_agrees_with_classification(self):
+        seen = {"behaviours": 0, "non-empty": 0, "negative": 0, "deep": 0}
+        for b in self.seeded_behaviours():
+            got = outcome(free_incarnation, b)
+            assert got == outcome(free_incarnation_by_classification, b)
+            seen["behaviours"] += 1
+            seen["non-empty"] += bool(got)
+            seen["negative"] += b.base.neg is not None
+            seen["deep"] += b.bounds.max_depth == 3
+        assert seen == {"behaviours": 180, "non-empty": 130, "negative": 90,
+                        "deep": 30}
+
+    def test_one_zero_top(self):
+        assert free_incarnation(behaviour_one()) == {atomic_bomb(XI)}
+        assert free_incarnation(behaviour_zero()) == frozenset()
+        assert free_incarnation(behaviour_top()) == {skunk(XI)}

@@ -553,6 +553,35 @@ class TestRandomForms:
                     assert main(["check", str(path)]) in (0, 1, 2)
 
 
+class TestParserBuiltOnce:
+    """main builds its parser once per process, and prints what a fresh
+    parser would: answers, help, usage and errors."""
+
+    ARGVS = [["check", str(DATA / "identity-apply.gt")],
+             ["reduce", "--term", str(DATA / "identity-apply.gt")],
+             ["--help"], ["reduce", "--help"], ["reduce"], ["no-such-verb"],
+             ["reduce", "--format", "nope", "--term", "x.gt"]]
+
+    def outputs(self, capsys):
+        out = []
+        for argv in self.ARGVS:
+            try:
+                status = main(list(argv))
+            except SystemExit as e:
+                status = e.code
+            out.append((status, *capsys.readouterr()))
+        return out
+
+    def test_same_bytes_as_fresh_parsers(self, monkeypatch, capsys):
+        import groundkit.cli as cli
+        assert cli.build_parser() is cli.build_parser()
+        cached = self.outputs(capsys) + self.outputs(capsys)
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = self.outputs(capsys)
+        assert cached == fresh + fresh
+        assert [status for status, _, _ in fresh] == [0, 0, 0, 0, 2, 2, 2]
+
+
 class TestTenv:
     def test_check_reads_tenv(self, capsys):
         status, out, _ = run(capsys, "check", str(DATA / "zero-env.tenv"))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -256,3 +257,71 @@ class TestUnits:
             s = derivation_to_strategy(d)
             assert s == {((f, frozenset()),)}
             assert strategy_to_derivation(s, (f,)) == d
+
+    def test_deep_chain_round_trips(self):
+        """A 10⁴-deep ⊕ chain of zeros ending in 1 comes back from its
+        strategy: reading it back never prints a formula."""
+        f = One()
+        for _ in range(10_000):
+            f = Plus(Zero(), f)
+        d = focused_search((f,))
+        assert validate_derivation(d) == []
+        assert strategy_to_derivation(derivation_to_strategy(d), (f,)) == d
+
+
+def nodes(d, path=()):
+    """Every node of a derivation with its path of child indices."""
+    yield path, d
+    for i, c in enumerate(d.children):
+        yield from nodes(c, path + (i,))
+
+
+def replace_at(d, path, node):
+    if not path:
+        return node
+    children = list(d.children)
+    children[path[0]] = replace_at(children[path[0]], path[1:], node)
+    return dataclasses.replace(d, children=tuple(children))
+
+
+def test_mutated_derivations_get_problems_not_exceptions():
+    """Each node of the unit corpus's derivations, one mutation at a time:
+    a formula dropped from its sequent (its focus too), its cluster's
+    polarity swapped, its last premise dropped.  validate_derivation
+    reports them with problem lines and raises on none.  The unreported
+    mutants drop a formula beside ⊤ at the root: still derivations."""
+    rng = random.Random(5)
+    counts = {"mutants": 0, "reported": 0, "focus missing": 0}
+    for _ in range(100):
+        f = random_unit_formula(rng, 2)
+        d = focused_search((f, dual(f)))
+        for path, node in nodes(d):
+            mutants = [dataclasses.replace(node, sequent=node.sequent[:k]
+                                           + node.sequent[k + 1:])
+                       for k in range(len(node.sequent))]
+            if node.rule.endswith("-cluster"):
+                swap = {"neg-cluster": "pos-cluster",
+                        "pos-cluster": "neg-cluster"}[node.rule]
+                mutants += [dataclasses.replace(node, rule=swap),
+                            dataclasses.replace(node,
+                                                children=node.children[:-1])]
+            for m in mutants:
+                if m == node:
+                    continue
+                problems = validate_derivation(replace_at(d, path, m))
+                counts["mutants"] += 1
+                counts["reported"] += bool(problems)
+                counts["focus missing"] += any(
+                    p.endswith("focus is not in the sequent")
+                    for p in problems)
+    assert counts == {"mutants": 1916, "reported": 1905, "focus missing": 439}
+
+
+def test_focus_outside_its_sequent_is_a_problem():
+    a = PosAtom("a")
+    d = ClusteredDerivation((a, dual(a)), "neg-cluster", Par(dual(a), dual(a)),
+                            ((dual(a), dual(a)),), (
+                                ClusteredDerivation((a, dual(a)), "axiom"),))
+    assert validate_derivation(d) == [
+        "root: focus is not in the sequent",
+        "root.0: premise sequent mismatch"]

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from test_behaviours import (
@@ -11,11 +13,12 @@ from groundkit.designs import (
     positive, skunk, validate_design,
 )
 from groundkit.behaviours import (
-    UniverseBounds, behaviour, classify_candidate, member_verdict,
+    UniverseBounds, behaviour, classify_candidate, enumerate_universe,
+    full_pool, member_verdict,
 )
 from groundkit.interaction import make_cutnet, orthogonal
 from groundkit.translate import (
-    TranslationEnv, TranslationError, arrow, check_translation,
+    MisboundAtom, TranslationEnv, TranslationError, arrow, check_translation,
     free_incarnation, normalize_open, translate,
 )
 
@@ -287,6 +290,30 @@ class TestDelocatedBehaviours:
         assert b.base == Pitchfork(None, frozenset({(5,)}))
         from groundkit.behaviours import members
         assert members(b) == {atomic_bomb((5,)), daimon((5,))}
+
+    @pytest.mark.parametrize("pool", [BOUNDS.pool, full_pool(1)])
+    def test_behaviour_at_is_the_behaviour_built_there(self, pool):
+        """Delocation moves generators and counter-tests alike, in the
+        order a behaviour built at the new address holds them."""
+        rng = random.Random(3)
+        bounds = UniverseBounds(2, pool, BOUNDS.base)
+        home = bounds.at(Pitchfork(None, frozenset({HOME})))
+        universe = enumerate_universe(home)
+        for gens in [[], *([d] for d in universe[:12]),
+                     *(rng.sample(universe, 2) for _ in range(6))]:
+            env = TranslationEnv({P: behaviour(gens, home)}, bounds)
+            for xi in [HOME, (0, 0), (9, 1), (3, 2, 7)]:
+                here = bounds.at(Pitchfork(None, frozenset({xi})))
+                assert env.behaviour_at(P, xi) == behaviour(
+                    [delocate(g, HOME, xi) for g in gens], here)
+
+    @pytest.mark.parametrize("depth, pool", [(1, BOUNDS.pool),
+                                             (2, ((),)), (3, BOUNDS.pool)])
+    def test_an_atom_bounded_unlike_its_env_is_rejected(self, depth, pool):
+        home = UniverseBounds(depth, pool, Pitchfork(None, frozenset({HOME})))
+        with pytest.raises(MisboundAtom) as e:
+            TranslationEnv({P: behaviour([daimon(HOME)], home)}, BOUNDS)
+        assert e.value.args == (P,)
 
 
 class TestOpenFuel:
