@@ -46,8 +46,8 @@ def _load(path):
         raise CliError(f"{path}: {e}")
 
 
-def _print_term(t):
-    print(sx.write_sexpr(sx.term_to_sexpr(t)))
+def _print_term(t, cache=None):
+    print(sx.syntax_text(t, "term", cache))
 
 
 def _print_design(d):
@@ -70,9 +70,8 @@ def cmd_check(args) -> int:
         except tm.GroundTypeError as e:
             print(f"type error: {e}")
             return NO
-        ants = ", ".join(sx.write_sexpr(sx.formula_to_sexpr(a))
-                         for a in ty.antecedents)
-        succ = sx.write_sexpr(sx.formula_to_sexpr(ty.succedent))
+        ants = ", ".join(sx.syntax_text(a, "formula") for a in ty.antecedents)
+        succ = sx.syntax_text(ty.succedent, "formula")
         print(f"ok: {ants} |- {succ}" if ants else f"ok: |- {succ}")
         return OK
     print("ok: parsed")
@@ -80,25 +79,25 @@ def cmd_check(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    steps = count(1)
+    steps, cache = count(1), sx.TextCache()   # each step prints from the last
 
     def show(pos, name, term):
         where = ".".join(map(str, pos)) or "root"
         print(f"step {next(steps)}: {name} at {where}")
         if args.format == "pretty":
-            _print_term(term)
+            _print_term(term, cache)
 
     match tm.normalize(_load(args.term), tm.GroundEnv(), args.fuel, show):
         case tm.Canonical(term, _):
             print("canonical:")
-            _print_term(term)
+            _print_term(term, cache)
             return OK
         case tm.Loop(cycle, _):
             print(f"loop: cycle of length {len(cycle) - 1}")
             return NO
         case tm.Stuck(term, _):
             print("stuck:")
-            _print_term(term)
+            _print_term(term, cache)
             return NO
         case _:
             print("fuel exhausted")
@@ -278,10 +277,10 @@ def _repl(state, text, trace, advance, inp=None, out=None) -> int:
 
 
 def _repl_term(t, inp=None, out=None, env=None) -> int:
-    env = env or tm.GroundEnv()
+    env, cache = env or tm.GroundEnv(), sx.TextCache()
 
     def text(term) -> str:
-        return sx.write_sexpr(sx.term_to_sexpr(term))
+        return sx.syntax_text(term, "term", cache)
 
     def advance(history):
         if tm.is_primitive_head(history[-1]):

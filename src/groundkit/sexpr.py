@@ -4,16 +4,16 @@ designs (.dsn), cut-nets (.net), behaviours (.bhv), polarized sequents
 for every format that has a printer.
 
 `_GRAMMAR` is the grammar of formulas, ground terms and polarized formulas;
-`_read` reads a form by it and `_print` prints a value by it.  They, like
-`read_sexpr` and `write_sexpr`, keep their own stacks, so nesting costs no
-Python stack.  Every reader counts fields with `_fields`, so a malformed
-form raises a `ParseError` naming its head.
+`_read` reads a form by it and `syntax_text` prints a value by it to text.
+They, like `read_sexpr` and `write_sexpr`, keep their own stacks, so nesting
+costs no Python stack.  Every reader counts fields with `_fields`, so a
+malformed form raises a `ParseError` naming its head.
 """
 from __future__ import annotations
 
 import os
 import re
-from itertools import islice
+from itertools import accumulate, islice
 
 from . import focusing as fo
 from .behaviours import Behaviour, UniverseBounds, behaviour
@@ -214,31 +214,70 @@ def _read(x, sort: str):
     return fold((x, sort), enter)
 
 
-def _print(value, sort: str):
-    """The form of the value, a `sort`."""
-    top = [value]
-    todo = [(top, 0, sort)]
+class TextCache:
+    """Where recent prints put the nodes they walked, node -> (text, start,
+    end), so that a print copies them instead of walking them.  `held` is the
+    length of the texts kept alive; past twice the latest print's, the cache
+    starts over, so it stays bounded by the current term."""
+
+    def __init__(self):
+        self.spans, self.held = {}, 0
+
+
+def syntax_text(value, sort: str, cache: TextCache | None = None) -> str:
+    """The text of the value, a `sort`, in one walk over `_ROWS`.  A node met
+    before, in the cache or in this print, is copied, not walked again."""
+    spans = {} if cache is None else cache.spans
+    parts, walked = [], {}         # walked: node -> [first part, end part]
+    todo = [(value, sort)]
     while todo:
-        form, i, sort = todo.pop()
-        head = _HEAD_OF.get(type(form[i]))
+        item = todo.pop()
+        if item.__class__ is str:
+            parts.append(item)
+            continue
+        if item.__class__ is list:  # the end of a walked node
+            parts.append(")")
+            item[1] = len(parts)
+            continue
+        node, sort = item
+        head = _HEAD_OF.get(node.__class__)
         if head not in _HEADS[sort]:
             raise ParseError(f"expected {_a(sort)}, "
-                             f"got {_a(type(form[i]).__name__)}")
+                             f"got {_a(type(node).__name__)}")
+        if (span := spans.get(node)) is not None:
+            parts.append(span[0][span[1]:span[2]])
+            continue
+        if (span := walked.get(node)) is not None:
+            parts += parts[span[0]:span[1]]
+            continue
         _, kinds, rest = _ROWS[head]
-        fields = list(form[i]._key)
+        fields = node._key
         if rest:
-            fields[-1:] = fields[-1]
-        form[i] = out = [head, *fields]
-        for j, kind in enumerate(kinds + rest * (len(fields) - len(kinds)), 1):
+            fields = fields[:-1] + fields[-1]
+            kinds = kinds + rest * len(node._key[-1])
+        walked[node] = span = [len(parts), None]
+        later, piece = [], "(" + head      # the node's items, in order
+        for kind, field in zip(kinds, fields):
             if kind in _LEAVES:
-                out[j] = str(out[j])
+                piece += " " + str(field)
             else:
-                todo.append((out, j, kind))
-    return top[0]
+                later += (piece + " ", (field, kind))
+                piece = ""
+        later += (piece, span) if piece else (span,)
+        todo += reversed(later)
+    text = "".join(parts)
+    if cache is not None and walked:
+        ends = [0, *accumulate(map(len, parts))]
+        for node, (first, end) in walked.items():
+            spans[node] = text, ends[first], ends[end]
+        cache.held += len(text)
+    if cache is not None and cache.held > 2 * len(text):
+        cache.spans, cache.held = {}, 0
+    return text
 
 
 def formula_to_sexpr(f: Formula):
-    return _print(f, "formula")
+    return read_sexpr(syntax_text(f, "formula"))
 
 
 def formula_from_sexpr(x) -> Formula:
@@ -246,7 +285,7 @@ def formula_from_sexpr(x) -> Formula:
 
 
 def term_to_sexpr(t: tm.GroundTerm):
-    return _print(t, "term")
+    return read_sexpr(syntax_text(t, "term"))
 
 
 def term_from_sexpr(x) -> tm.GroundTerm:
@@ -254,7 +293,7 @@ def term_from_sexpr(x) -> tm.GroundTerm:
 
 
 def polarized_to_sexpr(f: fo.PolarizedFormula):
-    return _print(f, "polarized")
+    return read_sexpr(syntax_text(f, "polarized"))
 
 
 def polarized_from_sexpr(x) -> fo.PolarizedFormula:
@@ -424,7 +463,7 @@ def tenv_from_sexpr(x) -> TranslationEnv:
         return TranslationEnv(atoms, bounds, numbers["fax-arity"],
                               numbers["fuel"])
     except MisboundAtom as e:
-        raise ParseError(f"atom {write_sexpr(formula_to_sexpr(e.args[0]))}: "
+        raise ParseError(f"atom {syntax_text(e.args[0], 'formula')}: "
                          "its behaviour's depth or pool is not the env's")
 
 
@@ -446,10 +485,10 @@ def sequent_from_sexpr(x):
 # file helpers
 
 
-#: extension -> (reader, printer); .tenv files are read only
+#: extension -> (reader, printer to text or a form); .tenv files are read only
 _FORMATS = {
-    ".frm": (formula_from_sexpr, formula_to_sexpr),
-    ".gt": (term_from_sexpr, term_to_sexpr),
+    ".frm": (formula_from_sexpr, lambda f: syntax_text(f, "formula")),
+    ".gt": (term_from_sexpr, lambda t: syntax_text(t, "term")),
     ".dsn": (design_from_sexpr, design_to_sexpr),
     ".net": (cutnet_from_sexpr, cutnet_to_sexpr),
     ".bhv": (behaviour_from_sexpr, behaviour_to_sexpr),
@@ -475,6 +514,7 @@ def dump(value, path: str) -> None:
     ext, (_, printer) = _format(path)
     if printer is None:
         raise ParseError(f"{ext} files are read only")
-    text = write_sexpr(printer(value)) + "\n"
+    if not isinstance(text := printer(value), str):
+        text = write_sexpr(text)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(text + "\n")

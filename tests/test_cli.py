@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import hypothesis.strategies as st
 import pytest
@@ -300,6 +301,21 @@ class TestEntryPoint:
         assert proc.stdout.startswith("ok: ")
 
 
+class TestDemos:
+    """Each demo script, run with a fixed hash seed, prints the bytes
+    committed under tests/golden/demos."""
+
+    @pytest.mark.parametrize("script", sorted(
+        p.name for p in (ROOT / "demos").glob("0[1-4]_*.sh")))
+    def test_demo_prints_its_golden_bytes(self, script):
+        proc = subprocess.run(
+            ["sh", str(ROOT / "demos" / script)], capture_output=True,
+            env=dict(os.environ, PYTHONHASHSEED="0",
+                     PYTHONPATH=str(ROOT / "src")))
+        golden = ROOT / "tests" / "golden" / "demos" / f"{script[:-3]}.txt"
+        assert proc.stdout == golden.read_bytes()
+
+
 def _sweep():
     """Every verb on every demos/data file of the right suffix."""
     names = sorted(p.name for p in DATA.iterdir())
@@ -409,6 +425,30 @@ def identity_chain_text(n):
     return text
 
 
+def projections_text(n):
+    """n first projections over an n-deep left-nested pair: the redex is the
+    innermost projection, at the bottom of the spine."""
+    text = "(const a (atom A))"
+    for _ in range(n):
+        text = f"(conj-i {text} (const b (atom B)))"
+    for _ in range(n):
+        text = f"(conj-e 1 {text})"
+    return text
+
+
+class CharSink(io.TextIOBase):
+    """An output stream that keeps only how many characters were written to
+    it and the longest single write."""
+
+    def __init__(self):
+        self.chars = self.widest = 0
+
+    def write(self, s):
+        self.chars += len(s)
+        self.widest = max(self.widest, len(s))
+        return len(s)
+
+
 class TestDeepInput:
     def chain(self, tmp_path, n):
         path = tmp_path / f"chain-{n}.gt"
@@ -432,16 +472,9 @@ class TestDeepInput:
         assert out.endswith("canonical:\n(const a (atom A))\n")
 
     def test_reduce_projections_over_a_deep_pair(self, tmp_path, capsys):
-        """1,000 first projections over a 1,000-deep left-nested pair: the
-        redex is the innermost projection, at the bottom of the spine."""
         n = 1000
-        text = "(const a (atom A))"
-        for _ in range(n):
-            text = f"(conj-i {text} (const b (atom B)))"
-        for _ in range(n):
-            text = f"(conj-e 1 {text})"
         path = tmp_path / "projections.gt"
-        path.write_text(text)
+        path.write_text(projections_text(n))
         status, out, _ = run(capsys, "reduce", "--term", str(path))
         assert status == 0
         lines = out.splitlines()
@@ -507,6 +540,37 @@ class TestDeepInput:
         assert status == 0
         assert sum(line.startswith("step ")
                    for line in out.splitlines()) == 400
+
+    @pytest.mark.parametrize("text", [identity_chain_text(300),
+                                      projections_text(200)],
+                             ids=["chain-300", "projections-200"])
+    def test_pretty_reduce_holds_a_few_steps_not_the_output(self, tmp_path,
+                                                            text):
+        """Printing each step from the previous step's text keeps at most a
+        few steps' text and nodes: what `pretty` allocates beyond
+        `trace-lines` stays under a small multiple of the longest step's
+        text, far below the whole output."""
+        path = tmp_path / "t.gt"
+        path.write_text(text)
+
+        def peak(fmt):
+            sink = CharSink()
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(sink):
+                    assert main(["reduce", "--format", fmt,
+                                 "--term", str(path)]) == 0
+                return tracemalloc.get_traced_memory()[1], sink
+            finally:
+                tracemalloc.stop()
+
+        with contextlib.redirect_stdout(CharSink()):   # what a first run
+            main(["reduce", "--term", str(path)])       # builds once
+        base, _ = peak("trace-lines")
+        pretty, sink = peak("pretty")
+        bound = 32 * sink.widest + 64 * 1024
+        assert bound < sink.chars / 2
+        assert pretty - base < bound
 
     def test_deep_chain_dump_load_dump(self, tmp_path):
         # compares the printed text with the text the chain was read from

@@ -163,10 +163,109 @@ class TestGrammar:
         assert sorted(set(sx._GRAMMAR) - heads) == []
 
     def test_printer_rejects_another_kind(self):
-        with pytest.raises(sx.ParseError, match="expected a term"):
-            sx.term_to_sexpr(daimon(XI))
-        with pytest.raises(sx.ParseError, match="expected a disjunction"):
-            sx.term_to_sexpr(tm.DisjI(1, Atom("A"), tm.Const("a", Atom("A"))))
+        """The text printer checks each node's sort, also where the cache
+        holds the node's text from a print at another sort."""
+        warm = sx.TextCache()
+        sx.syntax_text(Atom("A"), "formula", warm)
+        for print_term in (sx.term_to_sexpr,
+                           lambda t: sx.syntax_text(t, "term"),
+                           lambda t: sx.syntax_text(t, "term", warm)):
+            with pytest.raises(sx.ParseError, match="expected a term"):
+                print_term(daimon(XI))
+            with pytest.raises(sx.ParseError, match="expected a term"):
+                print_term(Atom("A"))
+            with pytest.raises(sx.ParseError, match="expected a disjunction"):
+                print_term(tm.DisjI(1, Atom("A"), tm.Const("a", Atom("A"))))
+
+
+def reference_form(value, sort: str):
+    """The form of the value, a `sort`, built node by node as a list: the
+    reference the text printer is compared against."""
+    top = [value]
+    todo = [(top, 0, sort)]
+    while todo:
+        form, i, sort = todo.pop()
+        head = sx._HEAD_OF.get(type(form[i]))
+        assert head in sx._HEADS[sort]
+        _, kinds, rest = sx._ROWS[head]
+        fields = list(form[i]._key)
+        if rest:
+            fields[-1:] = fields[-1]
+        form[i] = out = [head, *fields]
+        for j, kind in enumerate(kinds + rest * (len(fields) - len(kinds)), 1):
+            if kind in sx._LEAVES:
+                out[j] = str(out[j])
+            else:
+                todo.append((out, j, kind))
+    return top[0]
+
+
+def identity_chain(n: int) -> tm.GroundTerm:
+    """(λx.x) applied to (λx.x) applied to … a, n redexes deep."""
+    t = tm.Const("a", Atom("A"))
+    for i in range(n):
+        x = tm.Var(f"x{i}", Atom("A"))
+        t = tm.ImplE(tm.ImplI(x, x), t)
+    return t
+
+
+def eliminated(t: tm.GroundTerm) -> tm.GroundTerm:
+    """t under an elimination of its type, if it has one: t's own redexes
+    are then rewritten below the root."""
+    match tm.typecheck(t).succedent:
+        case Conj():
+            return tm.ConjE(1, t)
+        case Impl(a, _):
+            return tm.ImplE(t, tm.Const("b", a))
+    return t
+
+
+def reduction(t: tm.GroundTerm) -> list:
+    """Each step of t's reduction, as (position rewritten, term after)."""
+    steps = [((), t)]
+    tm.normalize(t, tm.GroundEnv(), 10_000,
+                 lambda pos, _, u: steps.append((pos, u)))
+    return steps
+
+
+class TestTextPrinter:
+    """`syntax_text` prints what the list reference prints, cold and with a
+    cache warmed by the value printed before, and the list forms are the
+    reference's."""
+
+    def assert_prints(self, values, sort="term"):
+        cache = sx.TextCache()
+        for v in values:
+            want = sx.write_sexpr(reference_form(v, sort))
+            assert sx.syntax_text(v, sort) == want
+            assert sx.syntax_text(v, sort, cache) == want
+            assert cache.held <= 2 * len(want)
+
+    def test_term_corpus(self):
+        self.assert_prints(corpus(47, 200))
+        for t in corpus(47, 60):
+            assert sx.term_to_sexpr(t) == reference_form(t, "term")
+
+    def test_every_step_of_seeded_reductions(self):
+        below_root = 0
+        for seed in range(5):
+            for t in corpus(seed, 40, depth=4):
+                steps = reduction(eliminated(eliminated(t)))
+                self.assert_prints([u for _, u in steps])
+                below_root += sum(pos != () for pos, _ in steps[1:])
+        assert below_root > 100
+
+    def test_identity_chains(self):
+        for n in (1, 25, 300):
+            self.assert_prints([u for _, u in reduction(identity_chain(n))])
+
+    def test_formulas_and_polarized(self):
+        self.assert_prints(TestFormulas.CASES, "formula")
+        self.assert_prints(TestGrammar.POLARIZED, "polarized")
+        for f in TestFormulas.CASES:
+            assert sx.formula_to_sexpr(f) == reference_form(f, "formula")
+        for f in TestGrammar.POLARIZED:
+            assert sx.polarized_to_sexpr(f) == reference_form(f, "polarized")
 
 
 class TestAddresses:
