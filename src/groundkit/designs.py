@@ -44,11 +44,18 @@ def format_address(a: Address) -> str:
     return ".".join(str(i) for i in a) if a else "ε"
 
 
+def natural(s: str) -> int:
+    """The number the ASCII digits s spell; any other text is a ValueError."""
+    if not (s.isascii() and s.isdigit()):
+        raise ValueError(f"not a natural number: {s!r}")
+    return int(s)
+
+
 def parse_address(s: str) -> Address:
     s = s.strip()
     if s in ("ε", "e", ""):
         return ()
-    return tuple(int(p) for p in s.split("."))
+    return tuple(natural(p) for p in s.split("."))
 
 
 def subsets(pool) -> list[Ramification]:

@@ -4,10 +4,10 @@ designs (.dsn), cut-nets (.net), behaviours (.bhv), polarized sequents
 for every format that has a printer.
 
 `_GRAMMAR` is the grammar of formulas, ground terms and polarized formulas;
-`_read` reads a form by it and `syntax_text` prints a value by it to text.
-They, like `read_sexpr` and `write_sexpr`, keep their own stacks, so nesting
-costs no Python stack.  Every reader counts fields with `_fields`, so a
-malformed form raises a `ParseError` naming its head.
+`syntax_from_text` reads text by it in one pass and `syntax_text` prints a
+value by it to text.  They, like `read_sexpr` and `write_sexpr`, keep their
+own stacks, so nesting costs no Python stack.  Every reader counts fields
+with `_fields`, so a malformed form raises a `ParseError` naming its head.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from . import focusing as fo
 from .behaviours import Behaviour, UniverseBounds, behaviour
 from .designs import (
     DaimonLeaf, Design, NegNode, Pitchfork, PosNode, daimon, fid,
-    format_address, negative, parse_address, positive, star,
+    format_address, natural, negative, parse_address, positive, star,
 )
 from .formulas import (
     Absurd, Atom, Conj, Disj, Exists, Forall, Formula, IConst, IVar, Impl,
@@ -123,22 +123,14 @@ def _fields(x, n: int, more=False, head=None) -> list:
     return x[1:]
 
 
-def _atom(x, what: str, parse=str):
-    """The atom x parsed, where a `what` is expected."""
+def _atom(x, what: str):
+    """The atom x read as a `what`, a leaf kind (a key of `_LEAVES`)."""
     if isinstance(x, str):
         try:
-            return parse(x)
+            return _LEAVES[what](x)
         except ValueError:
             pass
     raise ParseError(f"expected {_a(what)}, got {write_sexpr(x)}")
-
-
-def _number(x) -> int:
-    return _atom(x, "number", int)
-
-
-def _address(x):
-    return _atom(x, "address", parse_address)
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +164,12 @@ _GRAMMAR = {
         "zero": fo.Zero, "top": fo.Top, "bot": fo.Bottom}.items()},
 }
 
-#: leaf kind -> how its atom is read; str() prints every leaf
+#: leaf kind -> how its atom is read; str() prints those `_GRAMMAR` uses
 _LEAVES = {
     "name": str,
-    "number": int,
+    "number": natural,
     "individual": lambda s: IVar(s[1:]) if s.startswith("?") else IConst(s),
+    "address": parse_address,
 }
 
 #: sort -> the classes whose forms it admits
@@ -193,25 +186,52 @@ _HEADS = {sort: {head for head, (cls, _) in _GRAMMAR.items()
 _HEAD_OF = {cls: head for head, (cls, _) in _GRAMMAR.items()}
 
 
-def _read(x, sort: str):
-    """The value the form x denotes, as a `sort`."""
-    def enter(item):
-        x, sort = item
-        head = _head(x, sort)
-        if head not in _HEADS[sort]:
-            raise ParseError(f"({head} …) is not {_a(sort)}")
-        cls, kinds, rest = _ROWS[head]
-        fields, positions = _fields(x, len(kinds), bool(rest)), []
-        for j, kind in enumerate(kinds + rest * (len(fields) - len(kinds))):
+def syntax_from_text(text: str, sort: str):
+    """The `sort` that the text denotes, read in one pass: each form is checked
+    by `_ROWS` as it is met, its field count at its ')', where its node is
+    built or taken from this read's memo.  A lexical fault is raised first."""
+    words = re.sub(";[^\n]*", "", text).replace("(", " ( ").replace(")", " ) ")
+    tokens, memo, stack = iter(words.split()), {}, []
+    cls, kinds, rest, fields = None, (sort,), (), []       # the open form
+    try:
+        for t in tokens:
+            if t == ")" and stack:
+                if len(fields) != len(kinds):
+                    _fields(_open_form(text, stack), len(kinds), bool(rest))
+                if rest:
+                    fields[len(kinds):] = [tuple(fields[len(kinds):])]
+                if (node := memo.get(key := (cls, *fields))) is None:
+                    node = memo[key] = cls(*fields)
+                cls, kinds, rest, fields = stack.pop()
+                fields.append(node)
+                continue
+            k = len(fields)
+            kind = kinds[k] if k < len(kinds) else rest[0] if rest else None
+            if kind is None:    # a field too many, or input after the top
+                _fields(_open_form(text, stack), k)
             if kind in _LEAVES:
-                fields[j] = _atom(fields[j], kind, _LEAVES[kind])
-            else:
-                fields[j] = fields[j], kind
-                positions.insert(0, j)          # read right to left
-        n = len(kinds)
-        return (lambda fs: cls(*fs[:n], tuple(fs[n:]))) if rest else \
-            (lambda fs: cls(*fs)), fields, positions
-    return fold((x, sort), enter)
+                x = t if t != "(" else _open_form(text, stack)[k + 1]
+                fields.append(_atom(x, kind))
+                continue
+            if (h := t == "(" and next(tokens, ")")) not in _HEADS[kind]:
+                _head(_open_form(text, stack)[k + 1], kind)  # headless: raises
+                raise ParseError(f"({h} …) is not {_a(kind)}")
+            stack.append((cls, kinds, rest, fields))
+            (cls, kinds, rest), fields = _ROWS[h], []
+        if stack or not fields:
+            raise ParseError("not one form")
+    except ParseError:
+        read_sexpr(text)
+        raise
+    return fields[0]
+
+
+def _open_form(text: str, stack: list) -> list:
+    """The list form of the form `syntax_from_text` reads the fields of."""
+    form = [None, read_sexpr(text)]             # the top, in a pseudo-form
+    for *_, above in stack:
+        form = form[len(above) + 1]
+    return form
 
 
 class TextCache:
@@ -281,7 +301,7 @@ def formula_to_sexpr(f: Formula):
 
 
 def formula_from_sexpr(x) -> Formula:
-    return _read(x, "formula")
+    return syntax_from_text(write_sexpr(x), "formula")
 
 
 def term_to_sexpr(t: tm.GroundTerm):
@@ -289,7 +309,7 @@ def term_to_sexpr(t: tm.GroundTerm):
 
 
 def term_from_sexpr(x) -> tm.GroundTerm:
-    return _read(x, "term")
+    return syntax_from_text(write_sexpr(x), "term")
 
 
 def polarized_to_sexpr(f: fo.PolarizedFormula):
@@ -297,7 +317,7 @@ def polarized_to_sexpr(f: fo.PolarizedFormula):
 
 
 def polarized_from_sexpr(x) -> fo.PolarizedFormula:
-    return _read(x, "polarized")
+    return syntax_from_text(write_sexpr(x), "polarized")
 
 
 def _expect(value, cls, what: str):
@@ -316,7 +336,7 @@ def _ram_to_sexpr(ram):
 
 
 def _ram_from_sexpr(x):
-    return tuple(_number(i) for i in _fields(x, 0, True, head="I"))
+    return tuple(_atom(i, "number") for i in _fields(x, 0, True, head="I"))
 
 
 def _extra_clause(d: Design, inferred: frozenset) -> list:
@@ -328,7 +348,7 @@ def _extra_from_sexpr(rest: list):
     """The addresses of a leading (extra …) clause in the rest of a pos or
     neg form, and the forms after it."""
     if rest and isinstance(rest[0], list) and rest[0][:1] == ["extra"]:
-        return [_address(a) for a in rest[0][1:]], rest[1:]
+        return [_atom(a, "address") for a in rest[0][1:]], rest[1:]
     return [], rest
 
 
@@ -359,10 +379,10 @@ def design_from_sexpr(x) -> Design:
         match _head(x, "design"):
             case "daimon" | "fid" as head:
                 return None, (daimon if head == "daimon" else fid)(
-                    *[_address(a) for a in _fields(x, 0, True)]), ()
+                    *[_atom(a, "address") for a in _fields(x, 0, True)]), ()
             case "pos":
                 focus, ram, *rest = _fields(x, 2, True)
-                focus, ram = _address(focus), _ram_from_sexpr(ram)
+                focus, ram = _atom(focus, "address"), _ram_from_sexpr(ram)
                 extra, rest = _extra_from_sexpr(rest)
                 if len(rest) != len(ram):
                     raise ParseError("positive node child count does not "
@@ -371,7 +391,7 @@ def design_from_sexpr(x) -> Design:
                                               extra)), rest, range(len(rest))
             case "neg":
                 focus, *rest = _fields(x, 1, True)
-                focus = _address(focus)
+                focus = _atom(focus, "address")
                 extra, rest = _extra_from_sexpr(rest)
                 branches = [_fields(item, 2, head="branch") for item in rest]
                 keys = [_ram_from_sexpr(key) for key, _ in branches]
@@ -408,11 +428,11 @@ def _pitchfork_from_sexpr(x) -> Pitchfork:
     match _head(x, "base"):
         case "pos-base":
             return Pitchfork(None, frozenset(
-                _address(a) for a in _fields(x, 0, True)))
+                _atom(a, "address") for a in _fields(x, 0, True)))
         case "neg-base":
             neg, *pos = _fields(x, 1, True)
-            return Pitchfork(_address(neg),
-                             frozenset(_address(a) for a in pos))
+            return Pitchfork(_atom(neg, "address"),
+                             frozenset(_atom(a, "address") for a in pos))
         case head:
             raise ParseError(f"unknown base head {head!r}")
 
@@ -427,7 +447,8 @@ def bounds_from_sexpr(x) -> UniverseBounds:
     depth, pool, base = _fields(x, 3, head="bounds")
     pool = tuple(_ram_from_sexpr(i) for i in _fields(pool, 0, True,
                                                      head="pool"))
-    return UniverseBounds(_number(depth), pool, _pitchfork_from_sexpr(base))
+    return UniverseBounds(_atom(depth, "number"), pool,
+                          _pitchfork_from_sexpr(base))
 
 
 def behaviour_to_sexpr(b: Behaviour):
@@ -451,7 +472,7 @@ def tenv_from_sexpr(x) -> TranslationEnv:
             case "bounds":
                 bounds = bounds_from_sexpr(item)
             case "fax-arity" | "fuel" as key:
-                numbers[key] = _number(*_fields(item, 1))
+                numbers[key] = _atom(*_fields(item, 1), "number")
             case "atom":
                 f, b = _fields(item, 2)
                 atoms[formula_from_sexpr(f)] = behaviour_from_sexpr(b)
@@ -485,10 +506,10 @@ def sequent_from_sexpr(x):
 # file helpers
 
 
-#: extension -> (reader, printer to text or a form); .tenv files are read only
+#: extension -> (form reader or text sort, printer); .tenv files are read only
 _FORMATS = {
-    ".frm": (formula_from_sexpr, lambda f: syntax_text(f, "formula")),
-    ".gt": (term_from_sexpr, lambda t: syntax_text(t, "term")),
+    ".frm": ("formula", lambda f: syntax_text(f, "formula")),
+    ".gt": ("term", lambda t: syntax_text(t, "term")),
     ".dsn": (design_from_sexpr, design_to_sexpr),
     ".net": (cutnet_from_sexpr, cutnet_to_sexpr),
     ".bhv": (behaviour_from_sexpr, behaviour_to_sexpr),
@@ -507,7 +528,9 @@ def _format(path: str):
 def load(path: str):
     _, (reader, _) = _format(path)
     with open(path, encoding="utf-8") as fh:
-        return reader(read_sexpr(fh.read()))
+        text = fh.read()
+    return syntax_from_text(text, reader) if isinstance(reader, str) \
+        else reader(read_sexpr(text))
 
 
 def dump(value, path: str) -> None:

@@ -382,11 +382,23 @@ class TestExitContract:
         ("(tenv (bounds 2 (pool (I)) (pos-base 0)) (fax-arity))", ".tenv",
          "(fax-arity …) takes 1 field, got 0"),
         ("(seq (atom+ (x)))", ".seq", "expected a name, got (x)"),
+        # numbers and address parts are ASCII naturals
+        ("(pos 0 (I -1) (daimon 0.-1))", ".dsn", "expected a number, got -1"),
+        ("(daimon 0.-1)", ".dsn", "expected an address, got 0.-1"),
+        ("(daimon ١)", ".dsn", "expected an address, got ١"),
+        ("(conj-e 1_0 (const a (atom A)))", ".gt",
+         "expected a number, got 1_0"),
+        ("(conj-e +1 (const a (atom A)))", ".gt", "expected a number, got +1"),
+        ("(conj-e ١ (const a (atom A)))", ".gt", "expected a number, got ١"),
+        ("(behaviour (bounds +2 (pool (I)) (pos-base 0)) (generators))",
+         ".bhv", "expected a number, got +2"),
+        ("(tenv (bounds 2 (pool (I)) (pos-base 0)) (fuel 1_000))", ".tenv",
+         "expected a number, got 1_000"),
     ])
     def test_malformed_file_exits_2(self, tmp_path, capsys, text, suffix,
                                     message):
         path = tmp_path / f"bad{suffix}"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         status, out, err = run(capsys, "check", str(path))
         assert (status, out, err) == (2, "", f"error: {path}: {message}\n")
 

@@ -1,11 +1,16 @@
 import dataclasses
+import inspect
 import pathlib
 import random
+import re
+import sys
 
 import pytest
+from hypothesis import given, settings
 
 from conftest import convergent_pair, open_variant, worked_term
 from termgen import corpus
+from test_cli import FORMS
 from test_designs import random_design
 
 import groundkit.sexpr as sx
@@ -19,7 +24,7 @@ from groundkit.designs import (
 from groundkit.formulas import (
     Absurd, Atom, Conj, Disj, Exists, Forall, IConst, IVar, Impl,
 )
-from groundkit.sharing import Syntax
+from groundkit.sharing import Syntax, fold
 
 DATA = pathlib.Path(__file__).parent.parent / "demos" / "data"
 
@@ -273,6 +278,213 @@ class TestAddresses:
         assert format_address(()) == "ε"
         assert parse_address("ε") == ()
         assert parse_address(format_address((0, 1, 2))) == (0, 1, 2)
+
+    def test_parts_are_ascii_naturals(self):
+        assert parse_address("e") == parse_address("") == ()
+        assert parse_address("10.0.7") == (10, 0, 7)
+        for text in ("0.-1", "+1", "1_0", "١", "0.", "0..1", "1.x"):
+            with pytest.raises(ValueError):
+                parse_address(text)
+
+
+def reference_read(x, sort: str):
+    """The value the form x denotes, as a `sort`, built from the list form
+    by `sharing.fold`, each occurrence of a form entered and constructed:
+    the reference the one-pass reader is compared against.  Its checks are
+    the reader's, made on each form before its fields are entered, and the
+    fields are entered right to left."""
+    def enter(item):
+        x, sort = item
+        head = sx._head(x, sort)
+        if head not in sx._HEADS[sort]:
+            raise sx.ParseError(f"({head} …) is not {sx._a(sort)}")
+        cls, kinds, rest = sx._ROWS[head]
+        fields, positions = sx._fields(x, len(kinds), bool(rest)), []
+        for j, kind in enumerate(kinds + rest * (len(fields) - len(kinds))):
+            if kind in sx._LEAVES:
+                fields[j] = sx._atom(fields[j], kind)
+            else:
+                fields[j] = fields[j], kind
+                positions.insert(0, j)
+        n = len(kinds)
+        return (lambda fs: cls(*fs[:n], tuple(fs[n:]))) if rest else \
+            (lambda fs: cls(*fs)), fields, positions
+    return fold((x, sort), enter)
+
+
+def spaced(text: str) -> str:
+    """The text with a comment and newlines after each '(' and between
+    fields: the same s-expression."""
+    return text.replace(" ", "\n  ; next field\n  ").replace(
+        "(", "(\n ; the head:\n ")
+
+
+POLARIZED = TestGrammar.POLARIZED + [
+    fo.Par(fo.PosAtom("A"), fo.With(fo.PosAtom("B"), fo.NegAtom("C"))),
+    fo.Plus(fo.Tensor(fo.NegAtom("A"), fo.NegAtom("B")), fo.One()),
+    fo.Top(), fo.Zero(), fo.Bottom()]
+
+
+class TestOnePassReader:
+    """`syntax_from_text` gives the very node the list reference builds
+    from `read_sexpr`'s form, and prints back to its text."""
+
+    def assert_reads(self, values, sort="term"):
+        for v in values:
+            for text in (sx.syntax_text(v, sort),
+                         spaced(sx.syntax_text(v, sort))):
+                got = sx.syntax_from_text(text, sort)
+                assert got is reference_read(sx.read_sexpr(text), sort)
+                assert got is v
+                assert sx.syntax_text(got, sort) == sx.syntax_text(v, sort)
+
+    def test_term_corpus(self):
+        self.assert_reads(corpus(47, 200))
+        self.assert_reads(TestGrammar.TERMS + [worked_term(), open_variant()])
+
+    def test_identity_chains(self):
+        self.assert_reads([identity_chain(n) for n in (1, 25, 300)])
+
+    def test_formulas_and_polarized(self):
+        assert any(f.args for f in TestFormulas.CASES if isinstance(f, Atom))
+        self.assert_reads(TestFormulas.CASES, "formula")
+        self.assert_reads(POLARIZED, "polarized")
+
+    def test_spaced_text_is_one_form(self):
+        text = sx.syntax_text(TestFormulas.CASES[1], "formula")
+        assert sx.read_sexpr(spaced(text)) == sx.read_sexpr(text)
+        assert spaced(text).startswith(
+            "(\n ; the head:\n atom\n  ; next field\n  P\n")
+
+    def test_deep_implication_reads_without_recursion(self):
+        n = 10_000
+        text = "(impl (atom A) " * n + "(atom B)" + ")" * n
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 50)
+        try:
+            f = sx.syntax_from_text(text, "formula")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert f is reference_read(sx.read_sexpr(text), "formula")
+        depth = 0
+        while isinstance(f, Impl):
+            f, depth = f.right, depth + 1
+        assert (depth, f) == (n, Atom("B"))
+
+    def test_a_repeated_form_is_built_once(self, monkeypatch):
+        """Reading a 300-redex chain calls the interning constructor once
+        per distinct form, and the list reference about twice as often."""
+        chain = identity_chain(300)
+        text = sx.syntax_text(chain, "term")
+        distinct, todo = set(), [chain]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, Syntax) and node not in distinct:
+                distinct.add(node)
+                todo += [f for f in node._key if isinstance(f, Syntax)]
+        assert len(distinct) == 3 * 300 + 2
+        calls = []
+        new = Syntax.__new__
+
+        def counted(cls, *fields):
+            calls.append(cls)
+            return new(cls, *fields)
+        monkeypatch.setattr(Syntax, "__new__", counted)
+        assert sx.syntax_from_text(text, "term") is chain
+        assert len(calls) <= len(distinct) + 2
+        calls.clear()
+        assert reference_read(sx.read_sexpr(text), "term") is chain
+        assert len(calls) > 1.9 * len(distinct)
+
+
+class TestReaderErrors:
+    """One fault gives the message the list reference gives, through
+    `load`, `term_from_sexpr` and `formula_from_sexpr`; a lexical fault
+    comes first and keeps its line and column."""
+
+    CASES = [
+        ("(impl-i (atom A) (var x (atom A)))", ".gt",
+         "(atom …) is not a binder"),
+        ("(impl (var x (atom A)) (atom B))", ".frm",
+         "(var …) is not a formula"),
+        ("(nonsense (atom A))", ".frm", "(nonsense …) is not a formula"),
+        ("(impl-i (var x (atom A)))", ".gt",
+         "(impl-i …) takes 2 fields, got 1"),
+        ("(and (atom A))", ".frm", "(and …) takes 2 fields, got 1"),
+        ("(atom)", ".frm", "(atom …) takes at least 1 field, got 0"),
+        ("(var x (atom A) y)", ".gt", "(var …) takes 2 fields, got 3"),
+        ("(absurd x (y))", ".frm", "(absurd …) takes 0 fields, got 2"),
+        ("(impl-e (impl-i (var x (atom A)) (var x (atom A) (b)))"
+         " (const a (atom A)))", ".gt", "(var …) takes 2 fields, got 3"),
+        ("(impl-i\n  ; the binder\n  (var x (atom A))\n"
+         "  (var x (and (atom A))))", ".gt", "(and …) takes 2 fields, got 1"),
+        ("(var (x) (atom A))", ".gt", "expected a name, got (x)"),
+        ("(forall (x (y)) (atom P ?x))", ".frm",
+         "expected a name, got (x (y))"),
+        ("(atom P a (b))", ".frm", "expected an individual, got (b)"),
+        ("(conj-e x (const a (atom A)))", ".gt", "expected a number, got x"),
+        ("(disj-i (1) (or (atom A) (atom B)) (const a (atom A)))", ".gt",
+         "expected a number, got (1)"),
+        ("()", ".gt", "expected a term form, got ()"),
+        ("()", ".frm", "expected a formula form, got ()"),
+        ("x", ".gt", "expected a term form, got x"),
+        ("((a) b)", ".frm", "expected a formula form, got ((a) b)"),
+        ("(impl (atom A) nonsense)", ".frm",
+         "expected a formula form, got nonsense"),
+        ("(impl-i))", ".gt", "line 1, column 9: trailing input ')'"),
+        ("(impl-i) (x)", ".gt", "line 1, column 10: trailing input '('"),
+        ("(impl-i", ".gt", "line 1, column 8: unclosed '('"),
+        ("(absurd)\n(x", ".frm", "line 2, column 1: trailing input '('"),
+        ("", ".frm", "line 1, column 1: unexpected end of input"),
+        ("; nothing\n", ".gt", "line 2, column 1: unexpected end of input"),
+    ]
+
+    @pytest.mark.parametrize("text, suffix, message", CASES)
+    def test_message(self, tmp_path, text, suffix, message):
+        sort = {".gt": "term", ".frm": "formula"}[suffix]
+        from_sexpr = {".gt": sx.term_from_sexpr,
+                      ".frm": sx.formula_from_sexpr}[suffix]
+        path = tmp_path / f"bad{suffix}"
+        path.write_text(text, encoding="utf-8")
+        readers = [lambda: sx.load(str(path)),
+                   lambda: sx.syntax_from_text(text, sort),
+                   lambda: from_sexpr(sx.read_sexpr(text))]
+        if "line" not in message:
+            readers.append(
+                lambda: reference_read(sx.read_sexpr(text), sort))
+        for read in readers:
+            with pytest.raises(sx.ParseError) as e:
+                read()
+            assert str(e.value) == message
+
+    def test_every_fault_is_found_in_reading_order(self):
+        """Of two grammar faults, the one met first in the text is reported;
+        a form's field count is met at its ')'."""
+        for text, message in [
+                ("(impl (var x (atom A)) (nonsense))",
+                 "(var …) is not a formula"),
+                ("(and (atom A (b)) (nonsense))",
+                 "expected an individual, got (b)"),
+                ("(and (nonsense) (atom A) (atom B))",
+                 "(nonsense …) is not a formula"),
+                ("(and (atom A) (atom B) (nonsense))",
+                 "(and …) takes 2 fields, got 3")]:
+            with pytest.raises(sx.ParseError, match=re.escape(message)):
+                sx.syntax_from_text(text, "formula")
+
+    @settings(deadline=None)
+    @given(form=FORMS)
+    def test_faults_match_the_reference(self, form):
+        text = sx.write_sexpr(form)
+        for sort in ("term", "formula", "polarized"):
+            results = []
+            for read in (lambda: sx.syntax_from_text(text, sort),
+                         lambda: reference_read(sx.read_sexpr(text), sort)):
+                try:
+                    results.append(read())
+                except sx.ParseError:
+                    results.append(sx.ParseError)
+            assert results[0] is results[1]
 
 
 class TestDesigns:
