@@ -16,6 +16,15 @@ Orthogonals are computed against the ⊑-minimal designs only: a run against
 a pruning d ⊑ d′ follows the run against d′ until it reaches a part that d
 pruned, and diverges there, so every verdict, "unknown" included, is the
 same and E^⊥ = (min E)^⊥ (Girard's monotonicity).
+
+Runs are shared by branch.  Each net has one design on a negative
+one-address base ζ⊢, its leaf, and an interaction reads the leaf only
+through the branch that the action (ζ, I) selects.  So the rest of the net
+runs once; unless it stops uncut at ζ, its stop is every leaf's verdict.
+Otherwise the run resumes with the fuel left once per distinct branch I
+(interned designs group by identity), and a leaf with no branch I answers
+"no" without a run.  Each resumption is the run the whole net makes, so
+every verdict, fuel included, is the one a run per net gives.
 """
 
 from __future__ import annotations
@@ -29,8 +38,8 @@ from .designs import (
     Ramification, child, contains_daimon, star, subdesign_order, subsets,
 )
 from .interaction import (
-    DEFAULT_FUEL, VERDICT, BaseMismatch, dual_bases, join_used_parts,
-    run_test,
+    CONVERGED, DEFAULT_FUEL, NO_BRANCH, OMEGA, OUT_OF_FUEL, UNCUT, VERDICT,
+    BaseMismatch, dual_bases, join_used_parts, listeners, run, run_test,
 )
 
 
@@ -270,16 +279,58 @@ def _test_run(d, tests, fuel: int) -> tuple[str, list]:
     return verdict, results
 
 
+#: the orthogonality verdict of a run that stopped anywhere but uncut
+_STOP_VERDICT = {CONVERGED: "yes", OMEGA: "no", NO_BRANCH: "no",
+                 OUT_OF_FUEL: "unknown"}
+
+
+def _parts(x) -> tuple[Design, ...]:
+    return (x,) if isinstance(x, Design) else tuple(x)
+
+
 def _passing(candidates, tests, fuel: int) -> list:
-    """The candidates that pass every test; OutOfFuel if one is undecided."""
-    out = []
-    for c in candidates:
-        v = _test_run(c, tests, fuel)[0]
-        if v == "unknown":
-            raise _undecided(fuel)
-        if v == "yes":
-            out.append(c)
-    return out
+    """The candidates that pass every test, in their order; OutOfFuel if one
+    fails no test and some test on it is undecided.  Either side may hold
+    pairs; the runs share their prefixes (see the module docstring)."""
+    candidates, tests = list(candidates), list(tests)
+    if not (candidates and tests):
+        return candidates if not tests else []
+    # the leaf, on ζ⊢, is the last design of the items of one side, whose
+    # positions are grouped by the rest of their items
+    flip = bool(_parts(tests[0])[-1].base.pos)
+    fixed, varied = (tests, candidates) if flip else (candidates, tests)
+    groups: dict = {}
+    for n, x in enumerate(map(_parts, varied)):
+        groups.setdefault(x[:-1], {})[n] = x[-1]
+    status = ["yes"] * len(candidates)
+    for i, f in enumerate(fixed):
+        for rest, leaves in groups.items():
+            if not flip and status[i] == "no":
+                break
+            if flip and all(status[n] == "no" for n in leaves):
+                continue
+            net = _parts(f) + rest
+            env = listeners(net)
+            reason, last, left = run(next(d for d in net if d.base.neg is None),
+                                     env, fuel)
+            by_branch = {None: "no"}
+            for n, h in leaves.items():
+                m = n if flip else i            # the candidate at stake
+                if status[m] == "no":
+                    continue
+                if reason != UNCUT:
+                    v = _STOP_VERDICT[reason]
+                else:
+                    branch = h.node.branch_map().get(last.node.ramification)
+                    if branch not in by_branch:
+                        by_branch[branch] = _STOP_VERDICT[
+                            run(last, env | {h.base.neg: h}, left)[0]]
+                    v = by_branch[branch]
+                if v != "yes":
+                    status[m] = v
+    if "unknown" in status:
+        raise _undecided(fuel)
+    return [c for c, v in zip(candidates, status) if v == "yes"]
 
 
 def _counter_tests(d: Design, b: Behaviour) -> tuple:

@@ -28,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .designs import (
-    Address, Design, Pitchfork, build_fax, child, daimon, delocate, fid,
-    negative, positive, star,
+    Address, Design, Pitchfork, PosNode, build_fax, child, daimon, delocate,
+    fid, negative, positive, star,
 )
 from .behaviours import (
     Behaviour, CandidateVerdict, UniverseBounds, behaviour,
@@ -110,24 +110,38 @@ def _alpha(x: Behaviour | Design) -> Address:
 
 
 def arrow(bA: Behaviour, bB: Behaviour, bounds: UniverseBounds,
-          fuel: int = DEFAULT_FUEL) -> Behaviour:
+          fuel: int = DEFAULT_FUEL, dom_free=None, cod_free=None) -> Behaviour:
     """A → B on α⊢β: the designs sending every †-free incarnated A-member
     into the †-free incarnation of B, closed under bi-orthogonality within
-    bounds.
+    bounds.  `dom_free` and `cod_free`, when given, are those incarnations.
 
     Counter-tests are pairs (a, b) with a on ⊢α and b on β⊢; a design d
     on α⊢β is orthogonal to the pair when the closed net {a, d, b}
     converges.
     """
-    bounds = bounds.at(Pitchfork(_alpha(bA), frozenset({_alpha(bB)})))
-    dom_free = free_incarnation(bA, fuel)
-    cod_free = free_incarnation(bB, fuel)
+    alpha, beta = _alpha(bA), _alpha(bB)
+    bounds = bounds.at(Pitchfork(alpha, frozenset({beta})))
+    dom_free = free_incarnation(bA, fuel) if dom_free is None else dom_free
+    cod_free = free_incarnation(bB, fuel) if cod_free is None else cod_free
+    # the normal form of the net {a, d}, valid by its bases, reads d only
+    # through its branch at a's first ramification: one normalization per
+    # (a, branch), None standing for no branch, or for an a that ends at
+    # once; a diverging cut maps into no member
+    cut, out, sent = frozenset({alpha}), Pitchfork(None, frozenset({beta})), {}
+
+    def sends(a: Design, d: Design) -> bool:
+        key = (a, d.node.branch_map().get(a.node.ramification)
+               if isinstance(a.node, PosNode) else None)
+        if key not in sent:
+            sent[key] = normalize_open(CutNet((a, d), cut, a, out),
+                                       fuel) in cod_free
+        return sent[key]
+
     # in universe order: the orthogonal keeps the ⊑-minimal designs in this
     # order and stops at the first failing one, so its cost must not
-    # follow hash order; a diverging cut (None) maps into no member
-    defining = [d for d in enumerate_universe(bounds) if all(
-        normalize_open(make_cutnet((a, d)), fuel) in cod_free
-        for a in dom_free)]
+    # follow hash order
+    defining = [d for d in enumerate_universe(bounds)
+                if all(sends(a, d) for a in dom_free)]
     return behaviour(defining, bounds, fuel)
 
 
@@ -149,6 +163,7 @@ class TranslationEnv:
     fax_arity: int = 1
     fuel: int = DEFAULT_FUEL
     _next_root: int = field(default=0)
+    _free: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         for f, b in self.atoms.items():
@@ -160,19 +175,31 @@ class TranslationEnv:
         self._next_root += 1
         return r
 
-    def behaviour_at(self, f: Formula, xi: Address) -> Behaviour:
-        """f's behaviour moved from its home ⊢α to ⊢ξ: the one built at ⊢ξ,
-        as orthogonality is invariant under delocation and f is bounded like
-        the env.  Moving a common prefix keeps the universe order."""
+    def _home(self, f: Formula) -> tuple[Behaviour, Address]:
+        """f's behaviour and the address α of its home ⊢α."""
         b = self.atoms.get(f)
         if b is None:
             raise TranslationError("unsupported-constructor",
                                    f"no behaviour registered for {f}")
-        alpha = _alpha(b)
+        return b, _alpha(b)
+
+    def behaviour_at(self, f: Formula, xi: Address) -> Behaviour:
+        """f's behaviour moved from its home ⊢α to ⊢ξ: the one built at ⊢ξ,
+        as orthogonality is invariant under delocation and f is bounded like
+        the env.  Moving a common prefix keeps the universe order."""
+        b, alpha = self._home(f)
         return Behaviour(
             frozenset(delocate(g, alpha, xi) for g in b.generators),
             self.bounds.at(Pitchfork(None, frozenset({xi}))),
             tuple(delocate(e, alpha, xi) for e in b.cached_orthogonal))
+
+    def free_at(self, f: Formula, xi: Address) -> frozenset[Design]:
+        """The free incarnation of f's behaviour at ⊢ξ: computed once per env
+        at its home ⊢α and moved like `behaviour_at` moves the behaviour."""
+        b, alpha = self._home(f)
+        if f not in self._free:
+            self._free[f] = free_incarnation(b, self.fuel)
+        return frozenset(delocate(d, alpha, xi) for d in self._free[f])
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +244,7 @@ def translate(t: GroundTerm, env: TranslationEnv,
                                        "the application cut-net diverges")
             return result
         case Const():
-            b = env.behaviour_at(t.type, child(root, 0))
-            free = sorted(free_incarnation(b, env.fuel), key=repr)
+            free = sorted(env.free_at(t.type, child(root, 0)), key=repr)
             if not free:
                 raise TranslationError(
                     "unsupported-constructor",
@@ -247,9 +273,10 @@ def check_translation(t: GroundTerm, d: Design, env: TranslationEnv,
     ty = typecheck(t, GroundEnv()).succedent
     match ty:
         case Impl(a, b):
-            ab = arrow(env.behaviour_at(a, child(root, 0)),
-                       env.behaviour_at(b, child(root, 1)), env.bounds,
-                       env.fuel)
+            alpha, beta = child(root, 0), child(root, 1)
+            ab = arrow(env.behaviour_at(a, alpha), env.behaviour_at(b, beta),
+                       env.bounds, env.fuel, env.free_at(a, alpha),
+                       env.free_at(b, beta))
             return classify_candidate(d, ab, env.fuel)
         case _:
             # the behaviour at d's address ξ; a design on no base ⊢ξ meets

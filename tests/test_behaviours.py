@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 
@@ -302,7 +303,7 @@ class TestVerdictShortCircuit:
         d = positive(XI, {0: skunk((0, 0))})
         verdicts = [orthogonal(d, e) for e in b.cached_orthogonal]
         assert "yes" in verdicts and "no" in verdicts
-        calls = count_run_tests(monkeypatch)
+        calls = count_runs(monkeypatch)
         assert member_verdict(d, b) == "no"
         assert len(calls) == verdicts.index("no") + 1
 
@@ -350,6 +351,26 @@ def orthogonal_against_all(E, bounds, fuel=DEFAULT_FUEL):
     return tuple(out)
 
 
+def members_per_pair(b, fuel=DEFAULT_FUEL):
+    """b's members in universe order, each design run against the
+    counter-tests up to its first "no": the reference for members, whose
+    runs share their prefixes.  OutOfFuel if a design fails no test and a
+    test on it is undecided."""
+    out = []
+    for d in enumerate_universe(b.bounds):
+        verdicts = set()
+        for e in b.cached_orthogonal:
+            verdicts.add(VERDICT[type(run_test(d, e, fuel))])
+            if "no" in verdicts:
+                break
+        if "no" in verdicts:
+            continue
+        if "unknown" in verdicts:
+            raise OutOfFuel(f"fuel-exhausted at {fuel}")
+        out.append(d)
+    return tuple(out)
+
+
 def free_incarnation_by_classification(b, fuel=DEFAULT_FUEL):
     """The designs of b's universe that classify Ground, one classification
     each: the reference for free_incarnation, which keeps the †-free
@@ -372,13 +393,21 @@ def outcome(f, *args):
         return OutOfFuel
 
 
-def count_run_tests(monkeypatch):
-    """The argument tuples of every run_test call the behaviours make."""
-    import groundkit.behaviours as bh
+def count_runs(monkeypatch):
+    """The design in control and the listeners at the start of every
+    interaction-machine run, wherever interaction, behaviours and translate
+    look `run` up."""
+    modules = [importlib.import_module(f"groundkit.{name}")
+               for name in ("interaction", "behaviours", "translate")]
     calls = []
-    real = bh.run_test
-    monkeypatch.setattr(bh, "run_test",
-                        lambda *args: calls.append(args) or real(*args))
+    real = modules[0].run
+
+    def counted(current, env, *args, **kwargs):
+        calls.append((current, tuple(env.values())))
+        return real(current, env, *args, **kwargs)
+
+    for m in modules:
+        monkeypatch.setattr(m, "run", counted)
     return calls
 
 
@@ -393,7 +422,7 @@ class TestClassifySinglePass:
     def test_member_runs_each_counter_test_once(self, monkeypatch):
         b = behaviour_one(FULL2)
         assert len(b.cached_orthogonal) == 80
-        calls = count_run_tests(monkeypatch)
+        calls = count_runs(monkeypatch)
         assert classify_candidate(atomic_bomb(XI), b).tag == "Ground"
         assert len(calls) == 80
 
@@ -401,7 +430,7 @@ class TestClassifySinglePass:
         b = behaviour_one(FULL2)
         d = positive(XI, {0: skunk((0, 0))})
         verdicts = [orthogonal(d, e) for e in b.cached_orthogonal]
-        calls = count_run_tests(monkeypatch)
+        calls = count_runs(monkeypatch)
         assert classify_candidate(d, b).tag == "NotInBehaviour"
         assert len(calls) == verdicts.index("no") + 1
         calls.clear()
@@ -434,13 +463,67 @@ class TestMinimalDesigns:
         assert comparable
 
     def test_a_pruning_is_tried_alone(self, monkeypatch):
+        """d2 enters no run; d runs once up to its action (ξ, {0}), then
+        once for each of the three branches {0} among the 240 negative
+        designs (the fourth class lacks a branch {0} and needs no run)."""
         d = positive(XI, {0: skunk((0, 0))})
         d2 = positive(XI, {0: negative((0, 0), {(): daimon()})})
         assert d != d2 and subdesign_order(d, d2)
         expected = orthogonal_set([d], FULL2)
-        calls = count_run_tests(monkeypatch)
+        calls = count_runs(monkeypatch)
         assert orthogonal_set([d2, d], FULL2) == expected
-        assert len(calls) == len(enumerate_universe(FULL2.at(NEG))) == 240
+        assert all(d2 is not x and d2 not in env for x, env in calls)
+        assert len({e.node.branch_map().get((0,))
+                    for e in enumerate_universe(FULL2.at(NEG))}) == 4
+        assert len(calls) == 4
+
+
+class TestSharedPrefixes:
+    """Verdicts decided once per distinct branch are those of one run per
+    (design, counter-test): the same sets in the same order, and OutOfFuel
+    exactly when a run per pair meets an undecided test."""
+
+    BOUNDS = UniverseBounds(2, ((), (0,), (0, 1)), POS)
+
+    @pytest.mark.parametrize("fuel", [0, 1, 2, DEFAULT_FUEL])
+    @pytest.mark.parametrize("bounds", [BOUNDS, BOUNDS.at(NEG)],
+                             ids=["positive", "negative"])
+    def test_orthogonal_and_members(self, bounds, fuel):
+        rng = random.Random(fuel * 2 + (bounds.base.neg is None))
+        universe = enumerate_universe(bounds)
+        decided = 0
+        for _ in range(8):
+            E = rng.sample(universe, rng.randint(1, 3))
+            got = outcome(lambda: behaviour(E, bounds, fuel).cached_orthogonal)
+            assert got == outcome(orthogonal_against_all, E, bounds, fuel)
+            decided += got is not OutOfFuel
+            b = behaviour(E, bounds)
+            assert outcome(members, b, fuel) == outcome(
+                lambda: frozenset(members_per_pair(b, fuel)))
+        assert decided or fuel < 2
+
+    def test_free_incarnation_at_low_fuel(self):
+        seen = set()
+        for fuel in (0, 1, 2):
+            for b in itertools.islice(
+                    TestFreeIncarnation().seeded_behaviours(), 0, None, 5):
+                got = outcome(free_incarnation, b, fuel)
+                assert got == outcome(free_incarnation_by_classification, b,
+                                      fuel)
+                seen.add(got is OutOfFuel)
+        assert seen == {True, False}
+
+    def test_a_design_lacking_the_branch_enters_no_run(self, monkeypatch):
+        """The bomb acts with (ξ, ∅): a negative design without a branch ∅
+        answers "no" without a run."""
+        lacking = [e for e in enumerate_universe(FULL2.at(NEG))
+                   if () not in e.node.branch_map()]
+        assert len(lacking) == 80
+        calls = count_runs(monkeypatch)
+        orth = behaviour([atomic_bomb(XI)], FULL2).cached_orthogonal
+        assert not any(e in env for _, env in calls for e in lacking)
+        assert len(calls) == 3
+        assert orth == orthogonal_against_all([atomic_bomb(XI)], FULL2)
 
 
 class TestFreeIncarnation:

@@ -10,6 +10,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from test_behaviours import count_runs
+
 import groundkit.sexpr as sx
 from groundkit.behaviours import UniverseBounds
 from groundkit.cli import main
@@ -173,6 +175,17 @@ class TestTranslate:
         assert status == 0
         assert "classification: PseudoGround(not-material)" in out
         assert sx.load(str(out_path)) == build_fax((0, 0), (0, 1), 2, 0)
+
+    def test_copycat_machine_runs(self, monkeypatch, capsys):
+        """Regression gate: the machine runs that translating and
+        classifying the demo copycat take may only go down.  One run per
+        (design, counter-test) took 214; shared prefixes take 37."""
+        calls = count_runs(monkeypatch)
+        status, _, _ = run(capsys, "translate",
+                           "--term", str(DATA / "copycat.gt"),
+                           "--env", str(DATA / "zero-env.tenv"))
+        assert status == 0
+        assert len(calls) <= 37
 
     def test_nonlinear_rejected(self, tmp_path, capsys):
         bad = tmp_path / "t.gt"

@@ -1,9 +1,11 @@
+import importlib
 import random
 
 import pytest
 
 from test_behaviours import (
-    count_run_tests, orthogonal_against_all, universe_order,
+    count_runs, members_per_pair, orthogonal_against_all, outcome,
+    universe_order,
 )
 
 from groundkit import terms as tm
@@ -13,10 +15,10 @@ from groundkit.designs import (
     positive, skunk, validate_design,
 )
 from groundkit.behaviours import (
-    UniverseBounds, behaviour, classify_candidate, enumerate_universe,
-    full_pool, member_verdict,
+    OutOfFuel, UniverseBounds, behaviour, classify_candidate,
+    enumerate_universe, full_pool, member_verdict, members,
 )
-from groundkit.interaction import make_cutnet, orthogonal
+from groundkit.interaction import DEFAULT_FUEL, make_cutnet, orthogonal
 from groundkit.translate import (
     MisboundAtom, TranslationEnv, TranslationError, arrow, check_translation,
     free_incarnation, normalize_open, translate,
@@ -307,6 +309,30 @@ class TestDelocatedBehaviours:
                 assert env.behaviour_at(P, xi) == behaviour(
                     [delocate(g, HOME, xi) for g in gens], here)
 
+    @pytest.mark.parametrize("pool", [BOUNDS.pool, ((), (0,), (1,))])
+    def test_free_at_is_the_free_incarnation_there(self, pool):
+        bounds = UniverseBounds(2, pool, BOUNDS.base)
+        home = bounds.at(Pitchfork(None, frozenset({HOME})))
+        for gens in [[], *([d] for d in enumerate_universe(home)[:20])]:
+            env = TranslationEnv({P: behaviour(gens, home)}, bounds)
+            # (0, 0) twice: before and after the env holds P's free set
+            for xi in [(0, 0), HOME, (3, 2, 7), (0, 0)]:
+                assert env.free_at(P, xi) == free_incarnation(
+                    env.behaviour_at(P, xi))
+
+    def test_free_incarnation_once_per_env(self, monkeypatch):
+        """P → P and the constant of P share one free incarnation of P."""
+        calls = []
+        real = free_incarnation
+        monkeypatch.setattr(importlib.import_module("groundkit.translate"),
+                            "free_incarnation",
+                            lambda *args: calls.append(args) or real(*args))
+        env = one_env()
+        for t in (copycat(P), tm.Const("c", P)):
+            d = translate(t, env, root=(0,))
+            check_translation(t, d, env, root=(0,))
+        assert calls == [(env.atoms[P], env.fuel)]
+
     @pytest.mark.parametrize("depth, pool", [(1, BOUNDS.pool),
                                              (2, ((),)), (3, BOUNDS.pool)])
     def test_an_atom_bounded_unlike_its_env_is_rejected(self, depth, pool):
@@ -350,7 +376,7 @@ class TestArrowShortCircuit:
         d = negative((0, 0), extra=[(0, 1)])
         verdicts = [orthogonal(d, (a, b)) for a, b in ab.cached_orthogonal]
         assert "no" in verdicts and "yes" in verdicts
-        calls = count_run_tests(monkeypatch)
+        calls = count_runs(monkeypatch)
         assert member_verdict(d, ab) == "no"
         assert len(calls) == verdicts.index("no") + 1
 
@@ -373,11 +399,93 @@ class TestArrowMinimalDesigns:
                 ab.generators, ab.bounds)
 
     def test_arrow_test_count(self, monkeypatch):
-        """P → P: 36 tests for the two free incarnations and one for each
-        of the 144 pairs against the one minimal defining design."""
+        """P → P: 13 machine runs for each free incarnation (12 candidates)
+        and 18 for the defining set's normal forms and the orthogonal of its
+        one minimal design, whose 144 pairs a run per pair would take."""
         env = one_env()
         bA, bB = env.behaviour_at(P, (0, 0)), env.behaviour_at(P, (0, 1))
-        calls = count_run_tests(monkeypatch)
+        calls = count_runs(monkeypatch)
         ab = arrow(bA, bB, BOUNDS)
         assert len(ab.generators) == 5
-        assert len(calls) <= 180
+        assert len(calls) == 44
+
+
+class TestArrowSharedPrefixes:
+    """Pair tests share their runs by their ⊢α half, and the verdicts are
+    those of one run per (design, pair): the same tuples in product order,
+    the same members, and OutOfFuel exactly when a run per pair meets an
+    undecided test."""
+
+    ALPHA, BETA = (0, 0), (0, 1)
+
+    @pytest.mark.parametrize("fuel", [0, 1, 2, DEFAULT_FUEL])
+    def test_orthogonal_and_members(self, fuel):
+        rng = random.Random(fuel)
+        decided = 0
+        for ab in TestArrowMinimalDesigns().arrows():
+            universe = enumerate_universe(ab.bounds)
+            for E in [list(ab.generators),
+                      *(rng.sample(universe, rng.randint(1, 3))
+                        for _ in range(4))]:
+                got = outcome(
+                    lambda: behaviour(E, ab.bounds, fuel).cached_orthogonal)
+                assert got == outcome(orthogonal_against_all, E, ab.bounds,
+                                      fuel)
+                decided += got is not OutOfFuel
+            assert outcome(members, ab, fuel) == outcome(
+                lambda: frozenset(members_per_pair(ab, fuel)))
+        assert decided
+
+    def test_a_prefix_out_of_fuel_and_a_missing_branch(self, monkeypatch):
+        """d answers the bomb at α with the bomb at β.  At fuel 0 the run
+        of {bomb, d} stops out of fuel before β, which decides every pair
+        led by the bomb with no run of its own: one run per design on ⊢α.
+        With fuel enough the bomb's run resumes once per branch ∅ of a
+        design on β⊢ (†, Ω), and one without that branch enters no run."""
+        bounds = BOUNDS.at(Pitchfork(self.ALPHA, frozenset({self.BETA})))
+        d = negative(self.ALPHA, {(): atomic_bomb(self.BETA)})
+        calls = count_runs(monkeypatch)
+        assert outcome(lambda: behaviour([d], bounds, 0)) is OutOfFuel
+        assert len(calls) == len(enumerate_universe(
+            bounds.at(Pitchfork(None, frozenset({self.ALPHA}))))) == 12
+        assert not any(e.base.neg == self.BETA for _, env in calls
+                       for e in env)
+        assert outcome(orthogonal_against_all, [d], bounds, 0) is OutOfFuel
+        calls.clear()
+        orth = behaviour([d], bounds).cached_orthogonal
+        lacking = [b for b in enumerate_universe(
+            bounds.at(Pitchfork(self.BETA, frozenset())))
+            if () not in b.node.branch_map()]
+        assert len(lacking) == 4
+        assert not any(b in env for _, env in calls for b in lacking)
+        assert len(calls) == 12 + 2
+        assert orth == orthogonal_against_all([d], bounds)
+
+    def test_defining_set_agrees_with_validated_nets(self, monkeypatch):
+        """The defining set, normalized once per (a, branch) and started
+        from (a, d) directly, is the one each validated net {a, d} gives."""
+        alpha, beta = self.ALPHA, self.BETA
+        cases = []
+        for pool in (BOUNDS.pool, ((), (0,), (1,))):
+            bounds = UniverseBounds(2, pool, BOUNDS.base)
+            home = bounds.at(Pitchfork(None, frozenset({HOME})))
+            for gA, gB in [(atomic_bomb(HOME), atomic_bomb(HOME)),
+                           (atomic_bomb(HOME), daimon(HOME)),
+                           (positive_with_zero_branch(), atomic_bomb(HOME))]:
+                env = TranslationEnv({P: behaviour([gA], home),
+                                      Absurd(): behaviour([gB], home)}, bounds)
+                cases.append((env.behaviour_at(P, alpha),
+                              env.behaviour_at(Absurd(), beta), bounds))
+        expected = []
+        for bA, bB, bounds in cases:
+            dom, cod = free_incarnation(bA), free_incarnation(bB)
+            expected.append(frozenset(
+                d for d in enumerate_universe(
+                    bounds.at(Pitchfork(alpha, frozenset({beta}))))
+                if all(normalize_open(make_cutnet((a, d))) in cod
+                       for a in dom)))
+        monkeypatch.setattr(importlib.import_module("groundkit.translate"),
+                            "make_cutnet", None)
+        assert [arrow(bA, bB, bounds).generators
+                for bA, bB, bounds in cases] == expected
+        assert any(expected) and not all(expected)
