@@ -110,19 +110,21 @@ def _alpha(x: Behaviour | Design) -> Address:
 
 
 def arrow(bA: Behaviour, bB: Behaviour, bounds: UniverseBounds,
-          fuel: int = DEFAULT_FUEL, dom_free=None, cod_free=None) -> Behaviour:
+          fuel: int = DEFAULT_FUEL) -> Behaviour:
     """A → B on α⊢β: the designs sending every †-free incarnated A-member
-    into the †-free incarnation of B, closed under bi-orthogonality within
-    bounds.  `dom_free` and `cod_free`, when given, are those incarnations.
+    into the †-free incarnation of B, closed under bi-orthogonality in bounds.
 
     Counter-tests are pairs (a, b) with a on ⊢α and b on β⊢; a design d
     on α⊢β is orthogonal to the pair when the closed net {a, d, b}
     converges.
     """
-    alpha, beta = _alpha(bA), _alpha(bB)
+    return _arrow(_alpha(bA), _alpha(bB), free_incarnation(bA, fuel),
+                  free_incarnation(bB, fuel), bounds, fuel)
+
+
+def _arrow(alpha, beta, dom_free, cod_free, bounds, fuel) -> Behaviour:
+    """The arrow on α⊢β from the †-free incarnations of its two sides."""
     bounds = bounds.at(Pitchfork(alpha, frozenset({beta})))
-    dom_free = free_incarnation(bA, fuel) if dom_free is None else dom_free
-    cod_free = free_incarnation(bB, fuel) if cod_free is None else cod_free
     # the normal form of the net {a, d}, valid by its bases, reads d only
     # through its branch at a's first ramification: one normalization per
     # (a, branch), None standing for no branch, or for an a that ends at
@@ -213,6 +215,9 @@ def translate(t: GroundTerm, env: TranslationEnv,
     Supported shapes: →Iξ(ξ) (copycat), closed applications →E(t, u),
     and constants interpreted by the first †-free incarnated member of
     their atomic behaviour.
+
+    A copycat's fax, of depth 2d + 1 at env depth d, lies outside the
+    arrow's α⊢β universe, so its NotInBehaviour is relative to the bounds.
     """
     ty = typecheck(t, GroundEnv())
     if ty.antecedents:
@@ -274,12 +279,13 @@ def check_translation(t: GroundTerm, d: Design, env: TranslationEnv,
     match ty:
         case Impl(a, b):
             alpha, beta = child(root, 0), child(root, 1)
-            ab = arrow(env.behaviour_at(a, alpha), env.behaviour_at(b, beta),
-                       env.bounds, env.fuel, env.free_at(a, alpha),
-                       env.free_at(b, beta))
+            ab = _arrow(alpha, beta, env.free_at(a, alpha),
+                        env.free_at(b, beta), env.bounds, env.fuel)
             return classify_candidate(d, ab, env.fuel)
         case _:
-            # the behaviour at d's address ξ; a design on no base ⊢ξ meets
-            # classify_candidate's base mismatch whatever the address
-            xi = min(d.base.pos, default=child(root, 0))
-            return classify_candidate(d, env.behaviour_at(ty, xi), env.fuel)
+            # d moved to the atom's home ⊢α, as delocation keeps
+            # orthogonality; on no base ⊢ξ it meets a base mismatch there
+            b, alpha = env._home(ty)
+            if d.base.neg is None and len(d.base.pos) == 1:
+                d = delocate(d, min(d.base.pos), alpha)
+            return classify_candidate(d, b, env.fuel)

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import os
 import pathlib
@@ -186,6 +187,25 @@ class TestTranslate:
                            "--env", str(DATA / "zero-env.tenv"))
         assert status == 0
         assert len(calls) <= 37
+
+    def test_copycat_universe_builds(self, monkeypatch, capsys):
+        """Regression gate: translating and classifying the demo copycat
+        enumerates at most 5 universes: the atom's orthogonal (9⊢), its
+        free incarnation (⊢9), the arrow's defining set (α⊢β) and the
+        arrow's two counter-test sides (⊢α, β⊢)."""
+        builds = []
+        real = importlib.import_module("groundkit.behaviours") \
+            .enumerate_universe
+        for name in ("behaviours", "translate"):
+            monkeypatch.setattr(importlib.import_module(f"groundkit.{name}"),
+                                "enumerate_universe",
+                                lambda bounds: builds.append(bounds)
+                                or real(bounds))
+        status, _, _ = run(capsys, "translate",
+                           "--term", str(DATA / "copycat.gt"),
+                           "--env", str(DATA / "zero-env.tenv"))
+        assert status == 0
+        assert len(builds) <= 5
 
     def test_nonlinear_rejected(self, tmp_path, capsys):
         bad = tmp_path / "t.gt"

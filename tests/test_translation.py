@@ -25,6 +25,7 @@ from groundkit.translate import (
 )
 
 P = Atom("P")
+Q = Atom("Q")
 BOUNDS = UniverseBounds(2, ((), (0,)), Pitchfork(None, frozenset({(9,)})))
 HOME = (9,)
 
@@ -283,6 +284,59 @@ class TestCheckTranslation:
         d = translate(t, env, root=(0,))
         v = check_translation(t, d, env, root=(0,))
         assert (v.tag, v.reason) == ("PseudoGround", "not-material")
+
+
+class TestCheckTranslationOracle:
+    """check_translation agrees with classifying against the behaviours
+    that `behaviour_at` moves to the design's address."""
+
+    ENVS = [(2, ((), (0,), (1,)), 0), (2, ((), (0,), (1,)), 1),
+            (3, ((), (0,)), 0)]
+
+    @staticmethod
+    def env(depth, pool, arity):
+        bounds = UniverseBounds(depth, pool, BOUNDS.base)
+        home = bounds.at(Pitchfork(None, frozenset({HOME})))
+        # the bench's 1 and 0, and a Q whose members are of every kind
+        q = positive(HOME, {0: negative((9, 0))})
+        return TranslationEnv({P: behaviour([atomic_bomb(HOME)], home),
+                               Absurd(): behaviour([daimon(HOME)], home),
+                               Q: behaviour([q], home)},
+                              bounds, fax_arity=arity)
+
+    @pytest.mark.parametrize("shape", ENVS)
+    def test_atoms(self, shape):
+        env = self.env(*shape)
+        for xi in [HOME, (0, 0), (9, 1), (3, 2, 7), (0,)]:
+            here = env.bounds.at(Pitchfork(None, frozenset({xi})))
+            for ty in (P, Q, Absurd()):
+                old = env.behaviour_at(ty, xi)
+                for d in enumerate_universe(here):
+                    assert check_translation(tm.Const("c", ty), d, env) == \
+                        classify_candidate(d, old, env.fuel)
+
+    @pytest.mark.parametrize("shape", ENVS)
+    def test_copycats(self, shape):
+        env = self.env(*shape)
+        alpha, beta = (0, 0), (0, 1)
+        rng = random.Random(5)
+        for ty in (P, Q, Absurd()):
+            t = copycat(ty)
+            old = arrow(env.behaviour_at(ty, alpha),
+                        env.behaviour_at(ty, beta), env.bounds, env.fuel)
+            universe = enumerate_universe(old.bounds)
+            for d in [translate(t, env, root=(0,)), *rng.sample(universe, 10)]:
+                assert check_translation(t, d, env) == \
+                    classify_candidate(d, old, env.fuel)
+
+    @pytest.mark.parametrize("d", [fid((0, 0), (0, 1)), daimon(),
+                                   negative((0, 0)), daimon((0, 0), HOME)])
+    def test_designs_on_no_base_of_one_address(self, d):
+        """Moving ⊢0.0, 9 home to ⊢9 would merge its two addresses."""
+        env = self.env(*self.ENVS[0])
+        for ty in (P, Q, Absurd()):
+            v = check_translation(tm.Const("c", ty), d, env)
+            assert (v.tag, v.reason) == ("NotInBehaviour", "base mismatch")
 
 
 class TestDelocatedBehaviours:
