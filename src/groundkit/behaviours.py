@@ -87,16 +87,9 @@ def enumerate_universe(bounds: UniverseBounds) -> tuple[Design, ...]:
     Discipline: negative branches inherit the full context; positive
     rules distribute each context address to one child or drop it.
     """
-    if count_universe(bounds) > bounds.cap:
+    if count_universe(bounds) > bounds.cap:     # exact: the universe only
         raise SizeLimitExceeded(f"universe exceeds cap {bounds.cap}")
     pool = bounds.pool
-    budget = [bounds.cap]
-
-    def spend(n: int):
-        budget[0] -= n
-        if budget[0] < 0:
-            raise SizeLimitExceeded(f"universe exceeds cap {bounds.cap}")
-
     memo_pos: dict = {}
     memo_neg: dict = {}
 
@@ -106,7 +99,6 @@ def enumerate_universe(bounds: UniverseBounds) -> tuple[Design, ...]:
             return memo_pos[key]
         base = Pitchfork(None, base_pos)
         out = [Design(base, DaimonLeaf()), Design(base, FidLeaf())]
-        spend(2)
         if depth >= 1:
             for focus in sorted(base_pos):
                 ctx = sorted(base_pos - {focus})
@@ -125,7 +117,6 @@ def enumerate_universe(bounds: UniverseBounds) -> tuple[Design, ...]:
                         if any(not o for o in options):
                             continue
                         for kids in itertools.product(*options):
-                            spend(1)
                             out.append(Design(
                                 base, PosNode(focus, ram, tuple(kids))))
         memo_pos[key] = out
@@ -145,7 +136,6 @@ def enumerate_universe(bounds: UniverseBounds) -> tuple[Design, ...]:
                 for keys in itertools.combinations(pool, n):
                     for branch_designs in itertools.product(
                             *(per_branch[I] for I in keys)):
-                        spend(1)
                         out.append(Design(base, NegNode(
                             focus, tuple(zip(keys, branch_designs)))))
         memo_neg[key] = out

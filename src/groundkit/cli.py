@@ -8,6 +8,7 @@ Exit status: 0 for affirmative results (ok / yes / Ground / Converged),
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
 from itertools import count
@@ -21,11 +22,10 @@ from .behaviours import (
 from .designs import format_address, validate_design
 from .interaction import (
     CONVERGED, OMEGA, Converged, CutNet, CutNetError, DEFAULT_FUEL, Diverged,
-    listeners, normalize_closed, orthogonal, render_design, render_snapshots,
-    render_state, step,
+    listeners, normalize_closed, orthogonal, render_design, render_state,
+    snapshots, step,
 )
-from .translate import TranslationEnv, TranslationError, check_translation, \
-    translate
+from .translate import TranslationError, check_translation, translate
 
 
 OK, NO, ERR = 0, 1, 2
@@ -37,7 +37,11 @@ class CliError(Exception):
         super().__init__(message)
 
 
-def _load(path):
+def _load(path, ext=None):
+    """The value of the file at path, which must be a file of extension
+    `ext` when one is given."""
+    if ext is not None and os.path.splitext(path)[1] != ext:
+        raise CliError(f"{path}: expected a {ext} file")
     try:
         return sx.load(path)
     except FileNotFoundError:
@@ -87,7 +91,8 @@ def cmd_reduce(args) -> int:
         if args.format == "pretty":
             _print_term(term, cache)
 
-    match tm.normalize(_load(args.term), tm.GroundEnv(), args.fuel, show):
+    match tm.normalize(_load(args.term, ".gt"), tm.GroundEnv(), args.fuel,
+                       show):
         case tm.Canonical(term, _):
             print("canonical:")
             _print_term(term, cache)
@@ -105,7 +110,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_ground(args) -> int:
-    t = _load(args.term)
+    t = _load(args.term, ".gt")
     try:
         v = tm.denotes_ground(t, tm.GroundEnv(), args.fuel)
     except tm.GroundTypeError as e:
@@ -116,7 +121,7 @@ def cmd_ground(args) -> int:
 
 
 def cmd_design_validate(args) -> int:
-    d = _load(args.design)
+    d = _load(args.design, ".dsn")
     problems = validate_design(d)
     if problems:
         for p in problems:
@@ -127,11 +132,12 @@ def cmd_design_validate(args) -> int:
 
 
 def cmd_interact(args) -> int:
-    net = _load(args.net)
-    out = normalize_closed(net, args.fuel)
+    net = _load(args.net, ".net")
     if args.render == "snapshots":
-        sys.stdout.write(render_snapshots(net, args.fuel))
+        out, text = snapshots(net, args.fuel)
+        sys.stdout.write(text)
     else:
+        out = normalize_closed(net, args.fuel)
         for pol, xi, ram in out.trace:
             print(f"{pol} {_action(xi, ram)}")
         match out:
@@ -145,14 +151,14 @@ def cmd_interact(args) -> int:
 
 
 def cmd_orth(args) -> int:
-    d1, d2 = _load(args.designs[0]), _load(args.designs[1])
+    d1, d2 = _load(args.designs[0], ".dsn"), _load(args.designs[1], ".dsn")
     v = orthogonal(d1, d2, args.fuel)
     print(v)
     return {"yes": OK, "no": NO}.get(v, ERR)
 
 
 def cmd_behaviour(args) -> int:
-    b = _load(args.behaviour)
+    b = _load(args.behaviour, ".bhv")
     if args.show == "orthogonal":
         designs = sorted(b.cached_orthogonal, key=repr)
     else:
@@ -165,7 +171,7 @@ def cmd_behaviour(args) -> int:
 
 
 def cmd_incarnate(args) -> int:
-    d, b = _load(args.design), _load(args.behaviour)
+    d, b = _load(args.design, ".dsn"), _load(args.behaviour, ".bhv")
     try:
         inc = incarnation_of(d, b, args.fuel)
     except NotAMember as e:
@@ -176,7 +182,7 @@ def cmd_incarnate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    d, b = _load(args.design), _load(args.behaviour)
+    d, b = _load(args.design, ".dsn"), _load(args.behaviour, ".bhv")
     v = classify_candidate(d, b, args.fuel)
     print(v)
     if v.tag == "Ground":
@@ -187,10 +193,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    t = _load(args.term)
-    env = _load(args.env)
-    if not isinstance(env, TranslationEnv):
-        raise CliError(f"{args.env}: expected a .tenv file")
+    t, env = _load(args.term, ".gt"), _load(args.env, ".tenv")
     try:
         d = translate(t, env, root=(0,))
     except TranslationError as e:
@@ -205,7 +208,7 @@ def cmd_translate(args) -> int:
 
 
 def cmd_focus(args) -> int:
-    seq = _load(args.sequent)
+    seq = _load(args.sequent, ".seq")
     d = fo.focused_search(seq, daimon_mode=args.daimon)
     if d is None:
         print("no derivation")
@@ -238,9 +241,9 @@ def _print_derivation(d: fo.ClusteredDerivation, indent=0):
 
 def cmd_repl(args) -> int:
     if args.term:
-        return _repl_term(_load(args.term))
+        return _repl_term(_load(args.term, ".gt"))
     if args.net:
-        return _repl_net(_load(args.net))
+        return _repl_net(_load(args.net, ".net"))
     raise CliError("repl needs --term or --net")
 
 

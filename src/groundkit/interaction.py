@@ -217,16 +217,17 @@ def _site(d: Design) -> Address:
     return min(sorted(d.base.pos)) if d.base.pos else ()
 
 
-def run_closed(designs, fuel: int = DEFAULT_FUEL) -> InteractionResult:
+def run_closed(designs, fuel: int = DEFAULT_FUEL,
+               observe=None) -> InteractionResult:
     """Normalize the designs of a closed cut-net, from its one positive
-    design."""
+    design; `observe` sees every state, as in `run`."""
     for principal in designs:
         if principal.base.neg is None:
             break
     else:
         raise CutNetError(["a closed cut-net has a positive design"])
     trace: list[TraceRecord] = []
-    reason, last, _ = run(principal, listeners(designs), fuel, trace)
+    reason, last, _ = run(principal, listeners(designs), fuel, trace, observe)
     if reason == CONVERGED:
         trace.append(("†", _site(last), ()))
         return Converged(daimon(), tuple(trace))
@@ -239,11 +240,12 @@ def run_closed(designs, fuel: int = DEFAULT_FUEL) -> InteractionResult:
     return Diverged(at, reason, tuple(trace))
 
 
-def normalize_closed(net: CutNet, fuel: int = DEFAULT_FUEL) -> InteractionResult:
-    """Normalize a closed cut-net."""
+def normalize_closed(net: CutNet, fuel: int = DEFAULT_FUEL,
+                     observe=None) -> InteractionResult:
+    """Normalize a closed cut-net; `observe` sees every state."""
     if not net.closed:
         raise CutNetError(["normalization is defined on closed cut-nets only"])
-    return run_closed(net.designs, fuel)
+    return run_closed(net.designs, fuel, observe)
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +380,12 @@ def render_state(current: Design, env: dict[Address, Design],
 
 def render_snapshots(net: CutNet, fuel: int = DEFAULT_FUEL) -> str:
     """Replay a closed normalization, one snapshot of the net per step."""
-    if not net.closed:
-        raise CutNetError(["snapshots are defined on closed cut-nets only"])
+    return snapshots(net, fuel)[1]
+
+
+def snapshots(net: CutNet, fuel: int = DEFAULT_FUEL) -> tuple:
+    """Normalize a closed cut-net: its result, and the text of a snapshot of
+    the net per step."""
     out: list[str] = []
     steps = count()
 
@@ -390,10 +396,9 @@ def render_snapshots(net: CutNet, fuel: int = DEFAULT_FUEL) -> str:
         out.append(f"== step {next(steps)} ==")
         out.extend(render_state(current, env, mark))
 
-    reason, last, _ = run(net.principal, listeners(net.designs), fuel,
-                          observe=snapshot)
-    out.append("== result ==")
-    out.append({CONVERGED: "† ⊢", OMEGA: "diverges (Ω)",
-                OUT_OF_FUEL: "fuel exhausted"}.get(reason)
-               or f"diverges at {format_address(last.node.focus)}")
-    return "\n".join(out) + "\n"
+    result = normalize_closed(net, fuel, snapshot)
+    out += ["== result ==", "† ⊢" if isinstance(result, Converged)
+            else "fuel exhausted" if isinstance(result, Exhausted)
+            else "diverges (Ω)" if result.reason == OMEGA
+            else f"diverges at {format_address(result.at)}"]
+    return result, "\n".join(out) + "\n"

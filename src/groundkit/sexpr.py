@@ -3,11 +3,11 @@ designs (.dsn), cut-nets (.net), behaviours (.bhv), polarized sequents
 (.seq) and translation environments (.tenv, read only).  parse ∘ print = id
 for every format that has a printer.
 
-`_GRAMMAR` is the grammar of formulas, ground terms and polarized formulas;
-`syntax_from_text` reads text by it in one pass and `syntax_text` prints a
-value by it to text.  They, like `read_sexpr` and `write_sexpr`, keep their
-own stacks, so nesting costs no Python stack.  Every reader counts fields
-with `_fields`, so a malformed form raises a `ParseError` naming its head.
+`_TABLE` is the grammar of every format, by sort: `_GRAMMAR`'s rows and
+`_FILE_GRAMMAR`'s.  `syntax_from_text` reads any format by it in one pass,
+on the split tokenizer of `read_sexpr`, and `syntax_text` prints syntax by
+it; like `write_sexpr`, they keep their own stacks, so nesting costs no
+Python stack.  A malformed form raises a `ParseError` naming its head.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from .designs import (
 from .formulas import (
     Absurd, Atom, Conj, Disj, Exists, Forall, Formula, IConst, IVar, Impl,
 )
-from .interaction import DEFAULT_FUEL, CutNet, make_cutnet
+from .interaction import CutNet, make_cutnet
 from .sharing import fold
 from . import terms as tm
 from .translate import MisboundAtom, TranslationEnv
@@ -41,44 +41,40 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 # reader / writer for raw s-expressions
 
-#: a parenthesis or an atom (group 1), or a comment (group 1 empty)
-_TOKEN = re.compile(r"([()]|[^\s();]+)|;[^\n]*")
+
+def _spaced(text: str) -> str:
+    """The text with comments cut (no token moves) and parens spaced out."""
+    return re.sub(";[^\n]*", "", text).replace("(", " ( ").replace(")", " ) ")
 
 
 def _error(text: str, message: str, k=None) -> ParseError:
     """An error at the k-th token of the text, or else at its end (at the
     comment that ends it, if one does)."""
-    if k is not None:
-        i = next(islice(_TOKEN.finditer(text), k, None)).start()
-    elif (i := text.find(";", text.rfind("\n") + 1)) < 0:
-        i = len(text)
-    line_start = text.rfind("\n", 0, i) + 1
-    return ParseError(message, text.count("\n", 0, i) + 1, i - line_start + 1)
+    spaced = _spaced(text)
+    at = len(spaced) if k is None else \
+        next(islice(re.finditer(r"\S+", spaced), k, None)).start()
+    line = spaced[spaced.rfind("\n", 0, at) + 1:at]   # before it, on its line
+    col = len(line) - 2 * (line.count("(") + line.count(")")) \
+        - spaced.startswith(("(", ")"), at)     # and the space it gained
+    return ParseError(message, spaced.count("\n", 0, at) + 1, col + 1)
 
 
 def read_sexpr(text: str):
     """Parse one s-expression (atoms are strings, lists are lists)."""
-    tokens = _TOKEN.findall(text)
-    top: list = []
-    form, stack = top, []
-    for k, t in enumerate(tokens):
+    stack: list = [[]]              # stack[0] holds the top once it is read
+    for k, t in enumerate(_spaced(text).split()):
+        if stack[0] or t == ")" and len(stack) == 1:
+            raise _error(text, f"trailing input {t!r}" if stack[0]
+                         else "unexpected ')'", k)
         if t == "(":
-            stack.append(form)
-            form.append(form := [])
-        elif t == ")":
-            if not stack:
-                raise _error(text, "unexpected ')'", k)
-            form = stack.pop()
-        elif t:
-            form.append(t)
-        if top and not stack:
-            for j in range(k + 1, len(tokens)):
-                if tokens[j]:
-                    raise _error(text, f"trailing input {tokens[j]!r}", j)
-            return top[0]
-    if stack:
-        raise _error(text, "unclosed '('")
-    raise _error(text, "unexpected end of input")
+            stack.append([])
+            continue
+        form = stack.pop() if t == ")" else t
+        stack[-1].append(form)
+    if len(stack) > 1 or not stack[0]:
+        raise _error(text, "unclosed '('" if len(stack) > 1
+                     else "unexpected end of input")
+    return stack[0][0]
 
 
 def write_sexpr(x) -> str:
@@ -111,11 +107,9 @@ def _head(x, what: str) -> str:
     raise ParseError(f"expected {_a(what)} form, got {write_sexpr(x)}")
 
 
-def _fields(x, n: int, more=False, head=None) -> list:
+def _fields(x, n: int, more=False) -> list:
     """The fields of the form x, which takes n of them (n or more if
-    `more`); with `head`, x must be a (head …) form."""
-    if head is not None and not (isinstance(x, list) and x and x[0] == head):
-        raise ParseError(f"expected a ({head} ...) form")
+    `more`)."""
     got = len(x) - 1
     if got != n and not (more and got > n):
         raise ParseError(f"({x[0]} …) takes {'at least ' * more}{n} "
@@ -177,10 +171,15 @@ _SORTS = {"formula": Formula, "disjunction": Disj, "existential": Exists,
           "term": tm.GroundTerm, "binder": tm.Var,
           "polarized": fo.PolarizedFormula}
 
+
+def _row(build, spec: str) -> tuple:
+    """(build, fixed field kinds, rest kind or ()) of a row's spec."""
+    return (build, tuple(k for k in spec.split() if k[0] != "*"),
+            tuple(k[1:] for k in spec.split() if k[0] == "*"))
+
+
 #: head -> (class, fixed field kinds, rest kind or ())
-_ROWS = {head: (cls, tuple(k for k in spec.split() if k[0] != "*"),
-                tuple(k[1:] for k in spec.split() if k[0] == "*"))
-         for head, (cls, spec) in _GRAMMAR.items()}
+_ROWS = {head: _row(cls, spec) for head, (cls, spec) in _GRAMMAR.items()}
 _HEADS = {sort: {head for head, (cls, _) in _GRAMMAR.items()
                  if issubclass(cls, admits)} for sort, admits in _SORTS.items()}
 _HEAD_OF = {cls: head for head, (cls, _) in _GRAMMAR.items()}
@@ -188,50 +187,66 @@ _HEAD_OF = {cls: head for head, (cls, _) in _GRAMMAR.items()}
 
 def syntax_from_text(text: str, sort: str):
     """The `sort` that the text denotes, read in one pass: each form is checked
-    by `_ROWS` as it is met, its field count at its ')', where its node is
-    built or taken from this read's memo.  A lexical fault is raised first."""
-    words = re.sub(";[^\n]*", "", text).replace("(", " ( ").replace(")", " ) ")
-    tokens, memo, stack = iter(words.split()), {}, []
-    cls, kinds, rest, fields = None, (sort,), (), []       # the open form
-    try:
-        for t in tokens:
-            if t == ")" and stack:
-                if len(fields) != len(kinds):
-                    _fields(_open_form(text, stack), len(kinds), bool(rest))
-                if rest:
-                    fields[len(kinds):] = [tuple(fields[len(kinds):])]
-                if (node := memo.get(key := (cls, *fields))) is None:
-                    node = memo[key] = cls(*fields)
-                cls, kinds, rest, fields = stack.pop()
-                fields.append(node)
-                continue
-            k = len(fields)
-            kind = kinds[k] if k < len(kinds) else rest[0] if rest else None
-            if kind is None:    # a field too many, or input after the top
-                _fields(_open_form(text, stack), k)
-            if kind in _LEAVES:
-                x = t if t != "(" else _open_form(text, stack)[k + 1]
-                fields.append(_atom(x, kind))
-                continue
-            if (h := t == "(" and next(tokens, ")")) not in _HEADS[kind]:
-                _head(_open_form(text, stack)[k + 1], kind)  # headless: raises
-                raise ParseError(f"({h} …) is not {_a(kind)}")
-            stack.append((cls, kinds, rest, fields))
-            (cls, kinds, rest), fields = _ROWS[h], []
-        if stack or not fields:
-            raise ParseError("not one form")
-    except ParseError:
+    by the sort's rows in `_TABLE` as it is met, its field count at its ')',
+    where its value is built or taken from this read's memo.  `read_sexpr`
+    raises a lexical fault first, before any other or a file's builders."""
+    if sort not in _SORTS:
         read_sexpr(text)
-        raise
+    tokens, memo, stack = iter(_spaced(text).split()), {}, []
+    build, kinds, rest, fields = None, (sort,), (), []     # the open form
+    for t in tokens:
+        if t == ")" and stack:
+            if len(fields) < len(kinds):
+                raise _fault(text, stack, kinds, rest, len(fields))
+            if rest:
+                fields[len(kinds):] = [tuple(fields[len(kinds):])]
+            if (node := memo.get(key := (build, *fields))) is None:
+                node = memo[key] = build(*fields)
+            build, kinds, rest, fields = stack.pop()
+            fields.append(node)
+            continue
+        k = len(fields)
+        kind = kinds[k] if k < len(kinds) else rest[0] if rest else None
+        if t != "(" and kind in _LEAVES:
+            try:
+                fields.append(_LEAVES[kind](t))
+                continue
+            except ValueError:
+                pass
+        elif t == "(" and kind in _TABLE:
+            if (row := _TABLE[kind].get(h := next(tokens, ")"))) is not None:
+                stack.append((build, kinds, rest, fields))
+                (build, kinds, rest), fields = row, []
+                continue
+            if h not in ("(", ")"):     # a head the sort lacks, met first
+                read_sexpr(text)
+                raise _wrong([h], kind)
+        raise _fault(text, stack, kinds, rest, k)
+    if stack or not fields:             # unclosed, or empty
+        read_sexpr(text)
     return fields[0]
 
 
-def _open_form(text: str, stack: list) -> list:
-    """The list form of the form `syntax_from_text` reads the fields of."""
-    form = [None, read_sexpr(text)]             # the top, in a pseudo-form
+def _fault(text: str, stack: list, kinds: tuple, rest: tuple,
+           k: int) -> ParseError:
+    """The fault `syntax_from_text` met at field k of its open form, of a row
+    of these kinds, as the list reference finds it: a lexical fault, the
+    field count, then field k (a row's leaves come before its parts)."""
+    x = [None, read_sexpr(text)]                # the top, in a pseudo-form
     for *_, above in stack:
-        form = form[len(above) + 1]
-    return form
+        x = x[len(above) + 1]
+    _fields(x, len(kinds), bool(rest))
+    if (kind := (kinds + rest * (k + 1))[k]) in _LEAVES:
+        _atom(x[k + 1], kind)
+    return _wrong(x[k + 1], kind)
+
+
+def _wrong(x, sort: str) -> ParseError:
+    """The fault of the part x, where a `sort` is expected (a+b reads as a)."""
+    sort = sort.partition("+")[0]
+    if sort not in _WRONG:
+        return ParseError(f"expected a ({sort} ...) form")
+    return ParseError(_WRONG[sort].format(_head(x, sort.replace("-", " "))))
 
 
 class TextCache:
@@ -328,28 +343,89 @@ def _expect(value, cls, what: str):
 
 
 # ---------------------------------------------------------------------------
-# designs
+# designs, cut-nets, behaviours, sequents and translation environments
+
+
+def _rule(focus, *fields) -> Design:
+    """A pos rule, its fields a ramification and premises, or a neg rule, its
+    field its branches; an (extra …) clause, a frozenset, may lead them."""
+    *ram, parts = fields
+    lead = bool(parts) and isinstance(parts[0], frozenset)
+    extra, parts = parts[0] if lead else (), parts[lead:]
+    if any(isinstance(part, frozenset) for part in parts):
+        raise ParseError("unknown design head 'extra'" if ram
+                         else "expected a (branch ...) form")
+    if not ram:
+        return negative(focus, dict(parts), extra)
+    if len(parts) != len(ram[0]):
+        raise ParseError("positive node child count does not match the "
+                         "ramification")
+    return positive(focus, dict(zip(ram[0], parts)), extra)
+
+
+def _tenv(entries) -> TranslationEnv:
+    """The env of the entries, (key, value) pairs: an atom's key is its
+    formula, any other's a field of the env."""
+    fields = {key: value for key, value in entries if isinstance(key, str)}
+    if "bounds" not in fields:
+        raise ParseError("tenv needs a (bounds ...) entry")
+    try:
+        return TranslationEnv({f: b for f, b in entries if f not in fields},
+                              **fields)
+    except MisboundAtom as e:
+        raise ParseError(f"atom {syntax_text(e.args[0], 'formula')}: "
+                         "its behaviour's depth or pool is not the env's")
+
+
+#: file sort -> head -> (builder, field kinds), read as `_GRAMMAR`'s rows; at
+#: the form's ')' the builder checks what the kinds cannot and builds it.
+_FILE_GRAMMAR = {
+    "design": {"daimon": (lambda pos: daimon(*pos), "*address"),
+               "fid": (lambda pos: fid(*pos), "*address"),
+               "pos": (_rule, "address I *design+extra"),
+               "neg": (_rule, "address *branch+extra")},
+    "extra": {"extra": (frozenset, "*address")},
+    "branch": {"branch": (lambda key, d: (key, d), "I design")},
+    "I": {"I": (tuple, "*number")},
+    "net": {"net": (make_cutnet, "*design")},
+    "base": {"pos-base": (lambda pos: Pitchfork(None, pos), "*address"),
+             "neg-base": (Pitchfork, "address *address")},
+    "bounds": {"bounds": (UniverseBounds, "number pool base")},
+    "pool": {"pool": (tuple, "*I")},
+    "behaviour": {"behaviour": (lambda bounds, gens: behaviour(gens, bounds),
+                                "bounds generators")},
+    "generators": {"generators": (tuple, "*design")},
+    "seq": {"seq": (tuple, "*polarized")},
+    "tenv": {"tenv": (_tenv, "*tenv-entry")},
+    "tenv-entry": {"bounds": (lambda *f: ("bounds", UniverseBounds(*f)),
+                              "number pool base"),
+                   "fax-arity": (lambda n: ("fax_arity", n), "number"),
+                   "fuel": (lambda n: ("fuel", n), "number"),
+                   "atom": (lambda f, b: (f, b), "formula behaviour")},
+}
+
+#: sort -> head -> row, `syntax_from_text`'s table; a+b admits a's and b's
+_TABLE = {**{sort: {head: _ROWS[head] for head in heads}
+             for sort, heads in _HEADS.items()},
+          **{sort: {head: _row(*row) for head, row in rows.items()}
+             for sort, rows in _FILE_GRAMMAR.items()}}
+_TABLE.update({f"{a}+extra": {**_TABLE[a], **_TABLE["extra"]}
+               for a in ("design", "branch")})
+
+#: sort -> how a part whose head {} it lacks reads; a file sort not here has
+#: one head, and a part with no head reads as in `_head`
+_WRONG = {**{sort: "({} …) is not " + _a(sort) for sort in _SORTS},
+          **{s: f"unknown {s} head {{!r}}" for s in ("design", "base")},
+          "tenv-entry": "unknown tenv entry {!r}"}
 
 
 def _ram_to_sexpr(ram):
     return ["I", *[str(i) for i in ram]]
 
 
-def _ram_from_sexpr(x):
-    return tuple(_atom(i, "number") for i in _fields(x, 0, True, head="I"))
-
-
 def _extra_clause(d: Design, inferred: frozenset) -> list:
     extra = sorted(d.base.pos - inferred)
     return [["extra", *[format_address(a) for a in extra]]] if extra else []
-
-
-def _extra_from_sexpr(rest: list):
-    """The addresses of a leading (extra …) clause in the rest of a pos or
-    neg form, and the forms after it."""
-    if rest and isinstance(rest[0], list) and rest[0][:1] == ["extra"]:
-        return [_atom(a, "address") for a in rest[0][1:]], rest[1:]
-    return [], rest
 
 
 def design_to_sexpr(d: Design):
@@ -375,36 +451,7 @@ def design_to_sexpr(d: Design):
 
 
 def design_from_sexpr(x) -> Design:
-    def enter(x):
-        match _head(x, "design"):
-            case "daimon" | "fid" as head:
-                return None, (daimon if head == "daimon" else fid)(
-                    *[_atom(a, "address") for a in _fields(x, 0, True)]), ()
-            case "pos":
-                focus, ram, *rest = _fields(x, 2, True)
-                focus, ram = _atom(focus, "address"), _ram_from_sexpr(ram)
-                extra, rest = _extra_from_sexpr(rest)
-                if len(rest) != len(ram):
-                    raise ParseError("positive node child count does not "
-                                     "match the ramification")
-                return (lambda kids: positive(focus, dict(zip(ram, kids)),
-                                              extra)), rest, range(len(rest))
-            case "neg":
-                focus, *rest = _fields(x, 1, True)
-                focus = _atom(focus, "address")
-                extra, rest = _extra_from_sexpr(rest)
-                branches = [_fields(item, 2, head="branch") for item in rest]
-                keys = [_ram_from_sexpr(key) for key, _ in branches]
-                return (lambda bs: negative(focus, dict(zip(keys, bs)),
-                                            extra)), \
-                    [b for _, b in branches], range(len(branches))
-            case head:
-                raise ParseError(f"unknown design head {head!r}")
-    return fold(x, enter)
-
-
-# ---------------------------------------------------------------------------
-# cut-nets and behaviours
+    return syntax_from_text(write_sexpr(x), "design")
 
 
 def cutnet_to_sexpr(net: CutNet):
@@ -413,8 +460,7 @@ def cutnet_to_sexpr(net: CutNet):
 
 
 def cutnet_from_sexpr(x) -> CutNet:
-    return make_cutnet(design_from_sexpr(d)
-                       for d in _fields(x, 0, True, head="net"))
+    return syntax_from_text(write_sexpr(x), "net")
 
 
 def _pitchfork_to_sexpr(p: Pitchfork):
@@ -424,19 +470,6 @@ def _pitchfork_to_sexpr(p: Pitchfork):
             *[format_address(a) for a in sorted(p.pos)]]
 
 
-def _pitchfork_from_sexpr(x) -> Pitchfork:
-    match _head(x, "base"):
-        case "pos-base":
-            return Pitchfork(None, frozenset(
-                _atom(a, "address") for a in _fields(x, 0, True)))
-        case "neg-base":
-            neg, *pos = _fields(x, 1, True)
-            return Pitchfork(_atom(neg, "address"),
-                             frozenset(_atom(a, "address") for a in pos))
-        case head:
-            raise ParseError(f"unknown base head {head!r}")
-
-
 def bounds_to_sexpr(b: UniverseBounds):
     return ["bounds", str(b.max_depth),
             ["pool", *[_ram_to_sexpr(I) for I in b.pool]],
@@ -444,11 +477,7 @@ def bounds_to_sexpr(b: UniverseBounds):
 
 
 def bounds_from_sexpr(x) -> UniverseBounds:
-    depth, pool, base = _fields(x, 3, head="bounds")
-    pool = tuple(_ram_from_sexpr(i) for i in _fields(pool, 0, True,
-                                                     head="pool"))
-    return UniverseBounds(_atom(depth, "number"), pool,
-                          _pitchfork_from_sexpr(base))
+    return syntax_from_text(write_sexpr(x), "bounds")
 
 
 def behaviour_to_sexpr(b: Behaviour):
@@ -458,38 +487,11 @@ def behaviour_to_sexpr(b: Behaviour):
 
 
 def behaviour_from_sexpr(x) -> Behaviour:
-    bounds, gens = _fields(x, 2, head="behaviour")
-    bounds = bounds_from_sexpr(bounds)
-    gens = [design_from_sexpr(g)
-            for g in _fields(gens, 0, True, head="generators")]
-    return behaviour(gens, bounds)
+    return syntax_from_text(write_sexpr(x), "behaviour")
 
 
 def tenv_from_sexpr(x) -> TranslationEnv:
-    bounds, atoms, numbers = None, {}, {"fax-arity": 1, "fuel": DEFAULT_FUEL}
-    for item in _fields(x, 0, True, head="tenv"):
-        match _head(item, "tenv entry"):
-            case "bounds":
-                bounds = bounds_from_sexpr(item)
-            case "fax-arity" | "fuel" as key:
-                numbers[key] = _atom(*_fields(item, 1), "number")
-            case "atom":
-                f, b = _fields(item, 2)
-                atoms[formula_from_sexpr(f)] = behaviour_from_sexpr(b)
-            case other:
-                raise ParseError(f"unknown tenv entry {other!r}")
-    if bounds is None:
-        raise ParseError("tenv needs a (bounds ...) entry")
-    try:
-        return TranslationEnv(atoms, bounds, numbers["fax-arity"],
-                              numbers["fuel"])
-    except MisboundAtom as e:
-        raise ParseError(f"atom {syntax_text(e.args[0], 'formula')}: "
-                         "its behaviour's depth or pool is not the env's")
-
-
-# ---------------------------------------------------------------------------
-# sequents
+    return syntax_from_text(write_sexpr(x), "tenv")
 
 
 def sequent_to_sexpr(seq):
@@ -498,23 +500,22 @@ def sequent_to_sexpr(seq):
 
 
 def sequent_from_sexpr(x):
-    return tuple(polarized_from_sexpr(f)
-                 for f in _fields(x, 0, True, head="seq"))
+    return syntax_from_text(write_sexpr(x), "seq")
 
 
 # ---------------------------------------------------------------------------
 # file helpers
 
 
-#: extension -> (form reader or text sort, printer); .tenv files are read only
+#: extension -> (the sort its text is, printer); .tenv files are read only
 _FORMATS = {
     ".frm": ("formula", lambda f: syntax_text(f, "formula")),
     ".gt": ("term", lambda t: syntax_text(t, "term")),
-    ".dsn": (design_from_sexpr, design_to_sexpr),
-    ".net": (cutnet_from_sexpr, cutnet_to_sexpr),
-    ".bhv": (behaviour_from_sexpr, behaviour_to_sexpr),
-    ".seq": (sequent_from_sexpr, sequent_to_sexpr),
-    ".tenv": (tenv_from_sexpr, None),
+    ".dsn": ("design", design_to_sexpr),
+    ".net": ("net", cutnet_to_sexpr),
+    ".bhv": ("behaviour", behaviour_to_sexpr),
+    ".seq": ("seq", sequent_to_sexpr),
+    ".tenv": ("tenv", None),
 }
 
 
@@ -526,11 +527,9 @@ def _format(path: str):
 
 
 def load(path: str):
-    _, (reader, _) = _format(path)
+    _, (sort, _) = _format(path)
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    return syntax_from_text(text, reader) if isinstance(reader, str) \
-        else reader(read_sexpr(text))
+        return syntax_from_text(fh.read(), sort)
 
 
 def dump(value, path: str) -> None:

@@ -561,3 +561,19 @@ class TestFreeIncarnation:
         assert free_incarnation(behaviour_one()) == {atomic_bomb(XI)}
         assert free_incarnation(behaviour_zero()) == frozenset()
         assert free_incarnation(behaviour_top()) == {skunk(XI)}
+
+
+@pytest.mark.parametrize("bounds", [
+    SMALL, SMALL.at(NEG), TINY, FULL2.at(NEG),
+    UniverseBounds(2, ((), (0,), (0, 1)), POS),
+    UniverseBounds(3, ((), (0,)), Pitchfork(XI, frozenset({(1,)}))),
+])
+def test_a_cap_equal_to_the_count_is_enough(bounds):
+    """Only the universe counts against the cap, not the sub-designs built
+    on the way; one design fewer is refused."""
+    n = count_universe(bounds)
+    assert len(enumerate_universe(UniverseBounds(
+        bounds.max_depth, bounds.pool, bounds.base, cap=n))) == n
+    with pytest.raises(SizeLimitExceeded):
+        enumerate_universe(UniverseBounds(bounds.max_depth, bounds.pool,
+                                          bounds.base, cap=n - 1))

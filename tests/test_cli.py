@@ -830,3 +830,65 @@ class TestDeepDesigns:
         assert status == 1 and not err
         assert out.endswith("== result ==\ndiverges at 0\n")
         assert len(out.splitlines()) == 2 * self.PAIRS + 7
+
+
+#: a demo file of each extension a verb's option expects
+RIGHT = {".gt": "copycat.gt", ".dsn": "bomb.dsn", ".bhv": "one.bhv",
+         ".net": "convergent-pair.net", ".tenv": "zero-env.tenv",
+         ".seq": "par-with-plus.seq"}
+VERB_FILES = [
+    ["reduce", "--term", ".gt"], ["ground", "--term", ".gt"],
+    ["design-validate", "--design", ".dsn"], ["interact", "--net", ".net"],
+    ["orth", ".dsn", ".dsn"], ["behaviour", "--behaviour", ".bhv"],
+    ["incarnate", "--design", ".dsn", "--behaviour", ".bhv"],
+    ["classify", "--design", ".dsn", "--behaviour", ".bhv"],
+    ["translate", "--term", ".gt", "--env", ".tenv"],
+    ["focus", "--sequent", ".seq"], ["repl", "--term", ".gt"],
+    ["repl", "--net", ".net"]]
+
+
+@pytest.mark.parametrize("argv, k", [
+    (argv, k) for argv in VERB_FILES
+    for k, word in enumerate(argv) if word in RIGHT],
+    ids=lambda x: " ".join(x) if isinstance(x, list) else str(x))
+def test_a_file_of_another_extension_exits_2(capsys, argv, k):
+    """Every verb checks the extension of each file it reads."""
+    ext = argv[k]
+    wrong = str(DATA / ("bomb.dsn" if ext == ".gt" else "copycat.gt"))
+    argv = [str(DATA / RIGHT[w]) if w in RIGHT else w for w in argv]
+    argv[k] = wrong
+    assert run(capsys, *argv) == (2, "", f"error: {wrong}: expected a "
+                                         f"{ext} file\n")
+
+
+class TestInteractRunsOnce:
+    """`interact --render snapshots` takes its status from the one run that
+    draws the snapshots."""
+
+    def test_snapshots(self, monkeypatch, capsys):
+        runs = count_runs(monkeypatch)
+        status, out, _ = run(capsys, "interact", "--net",
+                             str(DATA / "convergent-pair.net"),
+                             "--render", "snapshots")
+        golden = ROOT / "tests" / "golden" / "convergent_pair_snapshots.txt"
+        assert (status, out) == (0, golden.read_text())
+        assert len(runs) == 1
+
+    @pytest.mark.parametrize("fuel, status, end", [
+        ("1", 2, "fuel exhausted"), ("100", 0, "† ⊢")])
+    def test_fuel(self, monkeypatch, capsys, fuel, status, end):
+        runs = count_runs(monkeypatch)
+        got, out, _ = run(capsys, "interact", "--net",
+                          str(DATA / "convergent-pair.net"),
+                          "--render", "snapshots", "--fuel", fuel)
+        assert (got, out.splitlines()[-1], len(runs)) == (status, end, 1)
+
+    def test_uncut_focus_prints_nothing(self, tmp_path, monkeypatch, capsys):
+        # the left design focuses 0 again once its listener is consumed
+        net = tmp_path / "uncut.net"
+        net.write_text("(net (pos 0 (I 1) (neg 0.1 (branch (I 1) (pos 0 (I))"
+                       "))) (neg 0 (branch (I 1) (pos 0.1 (I 1) (neg 0.1.1)))))")
+        runs = count_runs(monkeypatch)
+        assert run(capsys, "interact", "--net", str(net), "--render",
+                   "snapshots") == (2, "", "error: no design listens at 0\n")
+        assert len(runs) == 1
