@@ -1,13 +1,14 @@
 """S-expression text formats for formulas (.frm), ground terms (.gt),
 designs (.dsn), cut-nets (.net), behaviours (.bhv), polarized sequents
 (.seq) and translation environments (.tenv, read only).  parse ∘ print = id
-for every format that has a printer.
+for every format but .tenv.
 
 `_TABLE` is the grammar of every format, by sort: `_GRAMMAR`'s rows and
 `_FILE_GRAMMAR`'s.  `syntax_from_text` reads any format by it in one pass,
-on the split tokenizer of `read_sexpr`, and `syntax_text` prints syntax by
-it; like `write_sexpr`, they keep their own stacks, so nesting costs no
-Python stack.  A malformed form raises a `ParseError` naming its head.
+on the split tokenizer of `read_sexpr`, and `syntax_text` prints any by it,
+a file's values through `_parts`, the inverse of their builders; like
+`write_sexpr`, they keep their own stacks, so nesting costs no Python stack.
+A malformed form raises a `ParseError` naming its head.
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ from .formulas import (
     Absurd, Atom, Conj, Disj, Exists, Forall, Formula, IConst, IVar, Impl,
 )
 from .interaction import CutNet, make_cutnet
-from .sharing import fold
 from . import terms as tm
 from .translate import MisboundAtom, TranslationEnv
 
@@ -242,15 +242,20 @@ def _fault(text: str, stack: list, kinds: tuple, rest: tuple,
 
 
 def _wrong(x, sort: str) -> ParseError:
-    """The fault of the part x, where a `sort` is expected (a+b reads as a)."""
+    """The fault of the part x, where a `sort` is expected (a+b reads as a;
+    a design of one polarity reads as a design, but for the other's heads)."""
     sort = sort.partition("+")[0]
+    if sort in ("positive", "negative"):
+        if _head(x, "design") in _TABLE["design"]:
+            return ParseError(f"({x[0]} …) is not {_a(sort)} design")
+        sort = "design"
     if sort not in _WRONG:
         return ParseError(f"expected a ({sort} ...) form")
     return ParseError(_WRONG[sort].format(_head(x, sort.replace("-", " "))))
 
 
 class TextCache:
-    """Where recent prints put the nodes they walked, node -> (text, start,
+    """Where recent prints put the nodes they walked, key -> (text, start,
     end), so that a print copies them instead of walking them.  `held` is the
     length of the texts kept alive; past twice the latest print's, the cache
     starts over, so it stays bounded by the current term."""
@@ -260,10 +265,12 @@ class TextCache:
 
 
 def syntax_text(value, sort: str, cache: TextCache | None = None) -> str:
-    """The text of the value, a `sort`, in one walk over `_ROWS`.  A node met
-    before, in the cache or in this print, is copied, not walked again."""
+    """The text of the value, a `sort`, in one walk over `_TABLE`.  A node
+    met before, in the cache or in this print, is copied, not walked again:
+    an interned node is known by itself, any other value by (value, sort),
+    since equal tuples print by the sort they are met as."""
     spans = {} if cache is None else cache.spans
-    parts, walked = [], {}         # walked: node -> [first part, end part]
+    parts, walked = [], {}         # walked: key -> [first part, end part]
     todo = [(value, sort)]
     while todo:
         item = todo.pop()
@@ -275,22 +282,22 @@ def syntax_text(value, sort: str, cache: TextCache | None = None) -> str:
             item[1] = len(parts)
             continue
         node, sort = item
-        head = _HEAD_OF.get(node.__class__)
-        if head not in _HEADS[sort]:
-            raise ParseError(f"expected {_a(sort)}, "
-                             f"got {_a(type(node).__name__)}")
-        if (span := spans.get(node)) is not None:
+        if (head := _HEAD_OF.get(node.__class__)) in (table := _TABLE[sort]):
+            key, fields = node, node._key
+        else:       # a file's value, or one `_parts` refuses
+            head, fields = _parts(node, sort)
+            key = node if node.__class__ is Design else (node, sort)
+        if (span := spans.get(key)) is not None:
             parts.append(span[0][span[1]:span[2]])
             continue
-        if (span := walked.get(node)) is not None:
+        if (span := walked.get(key)) is not None:
             parts += parts[span[0]:span[1]]
             continue
-        _, kinds, rest = _ROWS[head]
-        fields = node._key
+        _, kinds, rest = table[head]
         if rest:
+            kinds = kinds + rest * len(fields[-1])
             fields = fields[:-1] + fields[-1]
-            kinds = kinds + rest * len(node._key[-1])
-        walked[node] = span = [len(parts), None]
+        walked[key] = span = [len(parts), None]
         later, piece = [], "(" + head      # the node's items, in order
         for kind, field in zip(kinds, fields):
             if kind in _LEAVES:
@@ -303,8 +310,8 @@ def syntax_text(value, sort: str, cache: TextCache | None = None) -> str:
     text = "".join(parts)
     if cache is not None and walked:
         ends = [0, *accumulate(map(len, parts))]
-        for node, (first, end) in walked.items():
-            spans[node] = text, ends[first], ends[end]
+        for key, (first, end) in walked.items():
+            spans[key] = text, ends[first], ends[end]
         cache.held += len(text)
     if cache is not None and cache.held > 2 * len(text):
         cache.spans, cache.held = {}, 0
@@ -333,13 +340,6 @@ def polarized_to_sexpr(f: fo.PolarizedFormula):
 
 def polarized_from_sexpr(x) -> fo.PolarizedFormula:
     return syntax_from_text(write_sexpr(x), "polarized")
-
-
-def _expect(value, cls, what: str):
-    if not isinstance(value, cls):
-        raise ParseError(f"expected {_a(what)}, "
-                         f"got {_a(type(value).__name__)}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +380,12 @@ def _tenv(entries) -> TranslationEnv:
 #: file sort -> head -> (builder, field kinds), read as `_GRAMMAR`'s rows; at
 #: the form's ')' the builder checks what the kinds cannot and builds it.
 _FILE_GRAMMAR = {
-    "design": {"daimon": (lambda pos: daimon(*pos), "*address"),
-               "fid": (lambda pos: fid(*pos), "*address"),
-               "pos": (_rule, "address I *design+extra"),
-               "neg": (_rule, "address *branch+extra")},
+    "positive": {"daimon": (lambda pos: daimon(*pos), "*address"),
+                 "fid": (lambda pos: fid(*pos), "*address"),
+                 "pos": (_rule, "address I *negative+extra")},
+    "negative": {"neg": (_rule, "address *branch+extra")},
     "extra": {"extra": (frozenset, "*address")},
-    "branch": {"branch": (lambda key, d: (key, d), "I design")},
+    "branch": {"branch": (lambda key, d: (key, d), "I positive")},
     "I": {"I": (tuple, "*number")},
     "net": {"net": (make_cutnet, "*design")},
     "base": {"pos-base": (lambda pos: Pitchfork(None, pos), "*address"),
@@ -404,13 +404,65 @@ _FILE_GRAMMAR = {
                    "atom": (lambda f, b: (f, b), "formula behaviour")},
 }
 
+
+def _texts(addresses) -> tuple:
+    return tuple(map(format_address, sorted(addresses)))
+
+
+def _parts(value, sort: str) -> tuple:
+    """(head, fields) of a value of a file sort, the inverse of its row's
+    builder: the fields in the row's order, a rest as a tuple and addresses
+    as their text.  A tuple is the list of a row whose only field is a rest,
+    or else a branch."""
+    head = None
+    match value:
+        case Design(base, PosNode(focus, ram, kids)):
+            extra = base.pos - {focus}.union(*(d.base.pos for d in kids))
+            head, fields = "pos", (format_address(focus), ram,
+                                   (extra,) * bool(extra) + kids)
+        case Design(base, NegNode(focus, branches)):
+            extra = base.pos.difference(
+                *(d.base.pos - star(focus, key) for key, d in branches))
+            head, fields = "neg", (format_address(focus),
+                                   (extra,) * bool(extra) + branches)
+        case Design(base, node):
+            head = "daimon" if node.__class__ is DaimonLeaf else "fid"
+            fields = (_texts(base.pos),)
+        case frozenset():
+            head, fields = "extra", (_texts(value),)
+        case CutNet():
+            head, fields = "net", (value.designs,)
+        case Pitchfork(None, pos):
+            head, fields = "pos-base", (_texts(pos),)
+        case Pitchfork(neg, pos):
+            head, fields = "neg-base", (format_address(neg), _texts(pos))
+        case UniverseBounds(depth, pool, base):
+            head, fields = "bounds", (depth, pool, base)
+        case Behaviour(gens, bounds):
+            head, fields = "behaviour", (bounds, tuple(sorted(gens, key=repr)))
+        case tuple() if sort in ("I", "pool", "generators", "seq"):
+            head, fields = sort, (value,)
+        case (_, _):
+            head, fields = "branch", value
+    if head not in _TABLE[sort]:
+        what = sort.partition("+")[0]
+        raise ParseError(f"expected {_a(_NAMES.get(what, what))}, "
+                         f"got {_a(type(value).__name__)}")
+    return head, fields
+
+
 #: sort -> head -> row, `syntax_from_text`'s table; a+b admits a's and b's
 _TABLE = {**{sort: {head: _ROWS[head] for head in heads}
              for sort, heads in _HEADS.items()},
           **{sort: {head: _row(*row) for head, row in rows.items()}
              for sort, rows in _FILE_GRAMMAR.items()}}
+_TABLE["design"] = {**_TABLE["positive"], **_TABLE["negative"]}
 _TABLE.update({f"{a}+extra": {**_TABLE[a], **_TABLE["extra"]}
-               for a in ("design", "branch")})
+               for a in ("negative", "branch")})
+
+#: sort -> what a value of it is called, where not the sort's name
+_NAMES = {"net": "cut-net", "seq": "sequent", "positive": "positive design",
+          "negative": "negative design"}
 
 #: sort -> how a part whose head {} it lacks reads; a file sort not here has
 #: one head, and a part with no head reads as in `_head`
@@ -419,35 +471,8 @@ _WRONG = {**{sort: "({} …) is not " + _a(sort) for sort in _SORTS},
           "tenv-entry": "unknown tenv entry {!r}"}
 
 
-def _ram_to_sexpr(ram):
-    return ["I", *[str(i) for i in ram]]
-
-
-def _extra_clause(d: Design, inferred: frozenset) -> list:
-    extra = sorted(d.base.pos - inferred)
-    return [["extra", *[format_address(a) for a in extra]]] if extra else []
-
-
 def design_to_sexpr(d: Design):
-    def enter(d: Design):
-        match d.node:
-            case PosNode(focus, ram, kids):
-                inferred = frozenset({focus}).union(*(c.base.pos for c in kids))
-                return (lambda forms: [
-                    "pos", format_address(focus), _ram_to_sexpr(ram),
-                    *_extra_clause(d, inferred), *forms]), \
-                    list(kids), range(len(kids))
-            case NegNode(focus, branches):
-                inferred = frozenset().union(
-                    *(b.base.pos - star(focus, key) for key, b in branches))
-                return (lambda forms: [
-                    "neg", format_address(focus), *_extra_clause(d, inferred),
-                    *[["branch", _ram_to_sexpr(key), form]
-                      for (key, _), form in zip(branches, forms)]]), \
-                    [b for _, b in branches], range(len(branches))
-        head = "daimon" if isinstance(d.node, DaimonLeaf) else "fid"
-        return None, [head, *map(format_address, sorted(d.base.pos))], ()
-    return fold(_expect(d, Design, "design"), enter)
+    return read_sexpr(syntax_text(d, "design"))
 
 
 def design_from_sexpr(x) -> Design:
@@ -455,25 +480,11 @@ def design_from_sexpr(x) -> Design:
 
 
 def cutnet_to_sexpr(net: CutNet):
-    return ["net", *[design_to_sexpr(d)
-                     for d in _expect(net, CutNet, "cut-net").designs]]
+    return read_sexpr(syntax_text(net, "net"))
 
 
 def cutnet_from_sexpr(x) -> CutNet:
     return syntax_from_text(write_sexpr(x), "net")
-
-
-def _pitchfork_to_sexpr(p: Pitchfork):
-    if p.neg is None:
-        return ["pos-base", *[format_address(a) for a in sorted(p.pos)]]
-    return ["neg-base", format_address(p.neg),
-            *[format_address(a) for a in sorted(p.pos)]]
-
-
-def bounds_to_sexpr(b: UniverseBounds):
-    return ["bounds", str(b.max_depth),
-            ["pool", *[_ram_to_sexpr(I) for I in b.pool]],
-            _pitchfork_to_sexpr(b.base)]
 
 
 def bounds_from_sexpr(x) -> UniverseBounds:
@@ -481,9 +492,7 @@ def bounds_from_sexpr(x) -> UniverseBounds:
 
 
 def behaviour_to_sexpr(b: Behaviour):
-    gens = sorted(_expect(b, Behaviour, "behaviour").generators, key=repr)
-    return ["behaviour", bounds_to_sexpr(b.bounds),
-            ["generators", *[design_to_sexpr(g) for g in gens]]]
+    return read_sexpr(syntax_text(b, "behaviour"))
 
 
 def behaviour_from_sexpr(x) -> Behaviour:
@@ -495,8 +504,7 @@ def tenv_from_sexpr(x) -> TranslationEnv:
 
 
 def sequent_to_sexpr(seq):
-    return ["seq", *[polarized_to_sexpr(f)
-                     for f in _expect(seq, tuple, "sequent")]]
+    return read_sexpr(syntax_text(seq, "seq"))
 
 
 def sequent_from_sexpr(x):
@@ -507,36 +515,27 @@ def sequent_from_sexpr(x):
 # file helpers
 
 
-#: extension -> (the sort its text is, printer); .tenv files are read only
-_FORMATS = {
-    ".frm": ("formula", lambda f: syntax_text(f, "formula")),
-    ".gt": ("term", lambda t: syntax_text(t, "term")),
-    ".dsn": ("design", design_to_sexpr),
-    ".net": ("net", cutnet_to_sexpr),
-    ".bhv": ("behaviour", behaviour_to_sexpr),
-    ".seq": ("seq", sequent_to_sexpr),
-    ".tenv": ("tenv", None),
-}
+#: extension -> the sort its text is; .tenv files are read only
+_FORMATS = {".frm": "formula", ".gt": "term", ".dsn": "design", ".net": "net",
+            ".bhv": "behaviour", ".seq": "seq", ".tenv": "tenv"}
 
 
 def _format(path: str):
     ext = os.path.splitext(path)[1]
     if ext not in _FORMATS:
         raise ParseError(f"unknown file extension {ext!r}")
-    return ext, _FORMATS[ext]
+    return _FORMATS[ext]
 
 
 def load(path: str):
-    _, (sort, _) = _format(path)
+    sort = _format(path)
     with open(path, encoding="utf-8") as fh:
         return syntax_from_text(fh.read(), sort)
 
 
 def dump(value, path: str) -> None:
-    ext, (_, printer) = _format(path)
-    if printer is None:
-        raise ParseError(f"{ext} files are read only")
-    if not isinstance(text := printer(value), str):
-        text = write_sexpr(text)
+    if (sort := _format(path)) == "tenv":
+        raise ParseError(".tenv files are read only")
+    text = syntax_text(value, sort)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")

@@ -1,25 +1,30 @@
-"""List-walking reference for reading the file formats.
+"""List-walking reference for reading and printing the file formats.
 
 Reads a `.dsn`, `.net`, `.bhv`, `.seq` or `.tenv` s-expression the
 two-step way: a regex tokenizer and `oracle_read_sexpr` give the whole list
 first, then one walker per format checks and builds each form top-down,
 before its parts; formulas and polarized formulas go through
-`test_sexpr.reference_read`.  Used only to cross-check
-`sexpr.syntax_from_text`, which builds each form at its ')', and
-`sexpr.read_sexpr`, which splits the text on spaces.
+`test_sexpr.reference_read`.  Prints a design, cut-net, bounds, behaviour
+or sequent as a list built by hand for each format, for `write_sexpr`.
+Used only to cross-check `sexpr.syntax_from_text`, which builds each form
+at its ')', `sexpr.read_sexpr`, which splits the text on spaces, and
+`sexpr.syntax_text`, which prints every format by the grammar table.
 """
 
 import re
 from itertools import islice
 
 from groundkit.behaviours import behaviour, UniverseBounds
-from groundkit.designs import Pitchfork, daimon, fid, negative, positive
+from groundkit.designs import (
+    DaimonLeaf, NegNode, Pitchfork, PosNode, daimon, fid, format_address,
+    negative, positive, star,
+)
 from groundkit.interaction import DEFAULT_FUEL, make_cutnet
 from groundkit.sexpr import ParseError, _atom, _head, syntax_text
 from groundkit.sharing import fold
 from groundkit.translate import MisboundAtom, TranslationEnv
 
-from test_sexpr import reference_read
+from test_sexpr import reference_form, reference_read
 
 
 #: a parenthesis or an atom (group 1), or a comment (group 1 empty)
@@ -86,9 +91,20 @@ def _extra_from_sexpr(rest: list):
     return [], rest
 
 
+#: design head -> the polarity of its design
+_POLARITY = {"daimon": "positive", "fid": "positive", "pos": "positive",
+             "neg": "negative"}
+
+
 def design_from_sexpr(x):
-    def enter(x):
-        match _head(x, "design"):
+    """The design of x; a pos rule's premises must be negative designs, and
+    a branch's design a positive one."""
+    def enter(item):
+        x, sort = item
+        head = _head(x, "design")
+        if sort != "design" and _POLARITY.get(head, sort) != sort:
+            raise ParseError(f"({head} …) is not a {sort} design")
+        match head:
             case "daimon" | "fid" as head:
                 return None, (daimon if head == "daimon" else fid)(
                     *[_atom(a, "address") for a in _fields(x, 0, True)]), ()
@@ -100,7 +116,8 @@ def design_from_sexpr(x):
                     raise ParseError("positive node child count does not "
                                      "match the ramification")
                 return (lambda kids: positive(focus, dict(zip(ram, kids)),
-                                              extra)), rest, range(len(rest))
+                                              extra)), \
+                    [(k, "negative") for k in rest], range(len(rest))
             case "neg":
                 focus, *rest = _fields(x, 1, True)
                 focus = _atom(focus, "address")
@@ -109,10 +126,11 @@ def design_from_sexpr(x):
                 keys = [_ram_from_sexpr(key) for key, _ in branches]
                 return (lambda bs: negative(focus, dict(zip(keys, bs)),
                                             extra)), \
-                    [b for _, b in branches], range(len(branches))
+                    [(b, "positive") for _, b in branches], \
+                    range(len(branches))
             case head:
                 raise ParseError(f"unknown design head {head!r}")
-    return fold(x, enter)
+    return fold((x, "design"), enter)
 
 
 def cutnet_from_sexpr(x):
@@ -193,3 +211,75 @@ def oracle_read(text: str, ext: str):
     """The value of a file of the extension holding the text: the whole
     list is read first, so a lexical fault comes before any other."""
     return READERS[ext](oracle_read_sexpr(text))
+
+
+# ---------------------------------------------------------------------------
+# the list printers, one per format
+
+
+def _ram_to_sexpr(ram):
+    return ["I", *[str(i) for i in ram]]
+
+
+def _extra_clause(d, inferred: frozenset) -> list:
+    extra = sorted(d.base.pos - inferred)
+    return [["extra", *[format_address(a) for a in extra]]] if extra else []
+
+
+def design_to_sexpr(d):
+    def enter(d):
+        match d.node:
+            case PosNode(focus, ram, kids):
+                inferred = frozenset({focus}).union(*(c.base.pos for c in kids))
+                return (lambda forms: [
+                    "pos", format_address(focus), _ram_to_sexpr(ram),
+                    *_extra_clause(d, inferred), *forms]), \
+                    list(kids), range(len(kids))
+            case NegNode(focus, branches):
+                inferred = frozenset().union(
+                    *(b.base.pos - star(focus, key) for key, b in branches))
+                return (lambda forms: [
+                    "neg", format_address(focus), *_extra_clause(d, inferred),
+                    *[["branch", _ram_to_sexpr(key), form]
+                      for (key, _), form in zip(branches, forms)]]), \
+                    [b for _, b in branches], range(len(branches))
+        head = "daimon" if isinstance(d.node, DaimonLeaf) else "fid"
+        return None, [head, *map(format_address, sorted(d.base.pos))], ()
+    return fold(d, enter)
+
+
+def cutnet_to_sexpr(net):
+    return ["net", *[design_to_sexpr(d) for d in net.designs]]
+
+
+def _pitchfork_to_sexpr(p: Pitchfork):
+    if p.neg is None:
+        return ["pos-base", *[format_address(a) for a in sorted(p.pos)]]
+    return ["neg-base", format_address(p.neg),
+            *[format_address(a) for a in sorted(p.pos)]]
+
+
+def bounds_to_sexpr(b: UniverseBounds):
+    return ["bounds", str(b.max_depth),
+            ["pool", *[_ram_to_sexpr(I) for I in b.pool]],
+            _pitchfork_to_sexpr(b.base)]
+
+
+def behaviour_to_sexpr(b):
+    gens = sorted(b.generators, key=repr)
+    return ["behaviour", bounds_to_sexpr(b.bounds),
+            ["generators", *[design_to_sexpr(g) for g in gens]]]
+
+
+def sequent_to_sexpr(seq):
+    return ["seq", *[reference_form(f, "polarized") for f in seq]]
+
+
+#: printed sort -> the list printer of its values
+PRINTERS = {
+    "design": design_to_sexpr,
+    "net": cutnet_to_sexpr,
+    "bounds": bounds_to_sexpr,
+    "behaviour": behaviour_to_sexpr,
+    "seq": sequent_to_sexpr,
+}

@@ -349,6 +349,27 @@ class TestDemos:
         assert proc.stdout == golden.read_bytes()
 
 
+def test_printed_bytes_match_the_golden(tmp_path, capsys):
+    """`dump` of every demos/data file but the read-only .tenv, then the
+    `translate --out` of copycat.gt under zero-env.tenv, each after a line
+    naming it, byte for byte.  identity-apply.gt is not translated under
+    zero-env.tenv, so it writes no --out file."""
+    printed = []
+    for path in sorted(DATA.iterdir()):
+        if path.suffix != ".tenv":
+            out = tmp_path / f"x{path.suffix}"
+            sx.dump(sx.load(str(path)), str(out))
+            printed.append(f"== dump {path.name}\n" + out.read_text())
+    for name in ("copycat.gt", "identity-apply.gt"):
+        out = tmp_path / f"{name}.dsn"
+        run(capsys, "translate", "--term", str(DATA / name),
+            "--env", str(DATA / "zero-env.tenv"), "--out", str(out))
+        if out.exists():
+            printed.append(f"== translate {name}\n" + out.read_text())
+    golden = ROOT / "tests" / "golden" / "printed.txt"
+    assert "".join(printed) == golden.read_text(encoding="utf-8")
+
+
 def _sweep():
     """Every verb on every demos/data file of the right suffix."""
     names = sorted(p.name for p in DATA.iterdir())
@@ -859,6 +880,33 @@ def test_a_file_of_another_extension_exits_2(capsys, argv, k):
     argv[k] = wrong
     assert run(capsys, *argv) == (2, "", f"error: {wrong}: expected a "
                                          f"{ext} file\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["interact", "--net", "fid.net"], "(fid …) is not a negative design"),
+    (["repl", "--net", "fid.net"], "(fid …) is not a negative design"),
+    (["check", "fid.net"], "(fid …) is not a negative design"),
+    (["orth", "daimon.dsn", "neg.dsn"],
+     "(daimon …) is not a negative design"),
+    (["check", "daimon.dsn"], "(daimon …) is not a negative design"),
+    (["check", "neg-branch.dsn"], "(neg …) is not a positive design")],
+    ids=" ".join)
+def test_a_premise_of_the_wrong_polarity_exits_2(tmp_path, capsys, argv,
+                                                 message):
+    """A pos rule's premises are neg forms, and a branch's design is a
+    daimon, fid or pos form: any other is a parse error, as a premise
+    count that does not match the ramification is."""
+    files = {
+        "fid.net": "(net (pos 0 (I 1) (neg 0.1 (branch (I 1) (pos 0.1.1 "
+                   "(I))))) (neg 0 (branch (I 1) (pos 0.1 (I 1) (fid)))))",
+        "daimon.dsn": "(pos 0 (I 1) (daimon))",
+        "neg.dsn": "(neg 0 (branch (I 1) (pos 0.1 (I))))",
+        "neg-branch.dsn": "(neg 0 (branch (I 1) (neg 0.1)))"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    bad = next(a for a in argv if a.endswith((".net", ".dsn")))
+    assert run(capsys, *argv) == (2, "", f"error: {bad}: {message}\n")
 
 
 class TestInteractRunsOnce:

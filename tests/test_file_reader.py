@@ -59,7 +59,7 @@ def outcome(read):
 
 
 def both(text: str, ext: str) -> tuple:
-    sort = sx._FORMATS[ext][0]
+    sort = sx._FORMATS[ext]
     return (outcome(lambda: sx.syntax_from_text(text, sort)),
             outcome(lambda: oracle_read(text, ext)))
 
