@@ -111,11 +111,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_ground(args) -> int:
     t = _load(args.term, ".gt")
-    try:
-        v = tm.denotes_ground(t, tm.GroundEnv(), args.fuel)
-    except tm.GroundTypeError as e:
-        print(f"error: {e}")
-        return ERR
+    v = tm.denotes_ground(t, tm.GroundEnv(), args.fuel)
     print(f"{v.tag}" + (f": {v.reason}" if v.reason else ""))
     return {"yes": OK, "no": NO}.get(v.tag, ERR)
 
@@ -194,11 +190,7 @@ def cmd_classify(args) -> int:
 
 def cmd_translate(args) -> int:
     t, env = _load(args.term, ".gt"), _load(args.env, ".tenv")
-    try:
-        d = translate(t, env, root=(0,))
-    except TranslationError as e:
-        print(f"error: {e}")
-        return ERR
+    d = translate(t, env, root=(0,))
     _print_design(d)
     if args.out:
         sx.dump(d, args.out)

@@ -97,7 +97,7 @@ def write_sexpr(x) -> str:
 
 
 def _a(what: str) -> str:
-    return ("an " if what[0] in "aeiou" else "a ") + what
+    return ("an " if what[0] in "aeiouAEIOU" else "a ") + what
 
 
 def _head(x, what: str) -> str:

@@ -40,7 +40,7 @@ from .interaction import (
     make_cutnet, run,
 )
 from .formulas import Absurd, Atom, Formula, Impl
-from .terms import GroundEnv, GroundTerm, ImplE, ImplI, Const, Var, \
+from .terms import GroundEnv, GroundTerm, ImplE, ImplI, Const, \
     is_linear, typecheck
 
 
@@ -158,24 +158,18 @@ class MisboundAtom(ValueError):
 
 @dataclass
 class TranslationEnv:
-    """Interpretation of atomic types plus a fresh-address allocator."""
+    """Interpretation of atomic types."""
 
     atoms: dict[Formula, Behaviour]
     bounds: UniverseBounds
     fax_arity: int = 1
     fuel: int = DEFAULT_FUEL
-    _next_root: int = field(default=0)
     _free: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         for f, b in self.atoms.items():
             if b.bounds.at(self.bounds.base) != self.bounds:
                 raise MisboundAtom(f)
-
-    def fresh_root(self) -> Address:
-        r = (self._next_root,)
-        self._next_root += 1
-        return r
 
     def _home(self, f: Formula) -> tuple[Behaviour, Address]:
         """f's behaviour and the address α of its home ⊢α."""
@@ -209,12 +203,14 @@ class TranslationEnv:
 
 
 def translate(t: GroundTerm, env: TranslationEnv,
-              root: Address | None = None) -> Design:
+              root: Address = (0,)) -> Design:
     """Map a closed linear implicational term to a design.
 
     Supported shapes: →Iξ(ξ) (copycat), closed applications →E(t, u),
     and constants interpreted by the first †-free incarnated member of
-    their atomic behaviour.
+    their atomic behaviour.  A chain f₁ (f₂ (… u)) is walked from the
+    inside out at the one root: u's design, moved to ⊢root.0, is cut
+    against each fᵢ's design on root.0 ⊢ root.1, one fax for every copycat.
 
     A copycat's fax, of depth 2d + 1 at env depth d, lies outside the
     arrow's α⊢β universe, so its NotInBehaviour is relative to the bounds.
@@ -228,48 +224,50 @@ def translate(t: GroundTerm, env: TranslationEnv,
                                "every implication binder must bind exactly "
                                "one occurrence")
     _check_fragment(ty.succedent)
-    root = env.fresh_root() if root is None else root
-
-    match t:
-        case ImplI(x, Var() as v) if v == x:
-            alpha, beta = child(root, 0), child(root, 1)
-            return build_fax(alpha, beta, env.bounds.max_depth, env.fax_arity)
-        case ImplI():
+    alpha, beta = child(root, 0), child(root, 1)
+    cuts = []           # fᵢ's design, or None for the fax, f₁ … fₙ in turn
+    while isinstance(t, ImplE):
+        # a function that is not a copycat is refused as it translates alone
+        cuts.append(None if _copycat(t.function)
+                    else translate(t.function, env, root))
+        t = t.argument
+    d = fax = build_fax(alpha, beta, env.bounds.max_depth, env.fax_arity) \
+        if _copycat(t) or None in cuts else None
+    if isinstance(t, Const):
+        free = sorted(env.free_at(t.type, alpha), key=repr)
+        if not free:
             raise TranslationError(
                 "unsupported-constructor",
-                "only the copycat body ξ is supported under a binder")
-        case ImplE(f, u):
-            df = translate(f, env, root)              # base α ⊢ β
-            alpha, beta = child(root, 0), child(root, 1)
-            du = translate(u, env, env.fresh_root())
-            du = delocate(du, _alpha(du), alpha)
-            result = normalize_open(make_cutnet((du, df)), env.fuel)
-            if result is None:
-                raise TranslationError("diverged-application",
-                                       "the application cut-net diverges")
-            return result
-        case Const():
-            free = sorted(env.free_at(t.type, child(root, 0)), key=repr)
-            if not free:
-                raise TranslationError(
-                    "unsupported-constructor",
-                    f"the behaviour for {t.type} has no †-free material member")
-            return free[0]
-    raise TranslationError("unsupported-constructor",
-                           f"{type(t).__name__} is outside the implicational "
-                           "fragment")
+                f"the behaviour for {t.type} has no †-free material member")
+        d = free[0]
+    elif not _copycat(t):
+        raise TranslationError(
+            "unsupported-constructor",
+            "only the copycat body ξ is supported under a binder"
+            if isinstance(t, ImplI) else
+            f"{type(t).__name__} is outside the implicational fragment")
+    for df in reversed(cuts):
+        d = normalize_open(make_cutnet((delocate(d, _alpha(d), alpha),
+                                        fax if df is None else df)), env.fuel)
+        if d is None:
+            raise TranslationError("diverged-application",
+                                   "the application cut-net diverges")
+    return d
+
+
+def _copycat(t: GroundTerm) -> bool:
+    return isinstance(t, ImplI) and t.body == t.var
 
 
 def _check_fragment(f: Formula) -> None:
-    match f:
-        case Atom() | Absurd():
-            return
-        case Impl(a, b):
-            _check_fragment(a)
-            _check_fragment(b)
-            return
-    raise TranslationError("unsupported-constructor",
-                           f"type {f} is outside the implicational fragment")
+    todo = [f]
+    while todo:
+        match todo.pop():
+            case Impl(a, b):
+                todo += (b, a)
+            case g if not isinstance(g, Atom | Absurd):
+                raise TranslationError("unsupported-constructor", f"type {g} "
+                                       "is outside the implicational fragment")
 
 
 def check_translation(t: GroundTerm, d: Design, env: TranslationEnv,

@@ -82,6 +82,11 @@ class TestGround:
         assert status == 0
         assert out.startswith("yes")
 
+    def test_an_open_term_is_an_error_on_stderr(self, tmp_path, capsys):
+        assert run(capsys, "ground", "--term",
+                   write(tmp_path, "open.gt", "(var x (atom A))")) == (
+            2, "", "error: groundhood is defined for closed terms only\n")
+
 
 class TestDesignValidate:
     def test_valid(self, capsys):
@@ -206,6 +211,28 @@ class TestTranslate:
                            "--env", str(DATA / "zero-env.tenv"))
         assert status == 0
         assert len(builds) <= 5
+
+    def test_a_chain_builds_one_fax(self, tmp_path, monkeypatch, capsys):
+        """Translating the benchmark's apply-3, three copycats applied in
+        turn to a constant, builds one fax for all three."""
+        builds = []
+        translate = importlib.import_module("groundkit.translate")
+        real = translate.build_fax
+        monkeypatch.setattr(translate, "build_fax",
+                            lambda *args: builds.append(args) or real(*args))
+        status, out, _ = run(capsys, "translate",
+                             "--term", write(tmp_path, "apply-3.gt",
+                                             identity_chain_text(3)),
+                             "--env", write(tmp_path, "one.tenv", ONE_ENV))
+        assert (status, out.splitlines()[-1]) == (0, "classification: Ground")
+        assert len(builds) == 1
+
+    def test_a_refusal_goes_to_stderr(self, capsys):
+        assert run(capsys, "translate",
+                   "--term", str(DATA / "identity-apply.gt"),
+                   "--env", str(DATA / "zero-env.tenv")) == (
+            2, "", "error: unsupported-constructor: only the copycat body ξ "
+            "is supported under a binder\n")
 
     def test_nonlinear_rejected(self, tmp_path, capsys):
         bad = tmp_path / "t.gt"
@@ -481,6 +508,20 @@ class TestExitContract:
         assert not out.exists()
 
 
+#: a .tenv of the benchmark's shape: A is the behaviour 1, generated by
+#: the bomb, and ⊥ is 0
+BOUNDS_TEXT = "(bounds 2 (pool (I) (I 0) (I 1)) (pos-base 9))"
+ONE_ENV = (f"(tenv {BOUNDS_TEXT} (fax-arity 0) (atom (atom A) (behaviour "
+           f"{BOUNDS_TEXT} (generators (pos 9 (I))))) (atom (absurd) "
+           f"(behaviour {BOUNDS_TEXT} (generators (daimon 9)))))")
+
+
+def write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
 def identity_chain_text(n):
     """(λx.x) applied to (λx.x) applied to … a, n redexes deep, built
     without the recursive printer."""
@@ -555,6 +596,12 @@ class TestDeepInput:
         status, out, _ = run(capsys, "ground", "--term",
                              self.chain(tmp_path, n))
         assert (status, out) == (1, "no: constant a names no derivation\n")
+
+    def test_translate_ten_thousand_applications(self, tmp_path, capsys):
+        status, out, _ = run(capsys, "translate",
+                             "--term", self.chain(tmp_path, 10_000),
+                             "--env", write(tmp_path, "one.tenv", ONE_ENV))
+        assert (status, out.splitlines()[-1]) == (0, "classification: Ground")
 
     def test_check_and_ground_deeply_typed_identity(self, tmp_path, capsys):
         ty = "(atom A)"

@@ -16,7 +16,7 @@ from groundkit import focusing as fo
 from groundkit import terms as tm
 from groundkit.behaviours import UniverseBounds, behaviour
 from groundkit.designs import Pitchfork, daimon, positive
-from groundkit.formulas import Atom, Impl
+from groundkit.formulas import Atom, Exists, IVar, Impl
 from groundkit.interaction import make_cutnet
 
 XI = (0,)
@@ -96,7 +96,11 @@ class TestAgainstTheListPrinters:
         (positive(XI, {1: daimon((0, 1))}), "design",
          "expected a negative design, got a Design"),
         (fo.Tensor(fo.One(), fo.One()), "term",
-         "expected a term, got a Tensor")])
+         "expected a term, got a Tensor"),
+        (Atom("A"), "design", "expected a design, got an Atom"),
+        (Impl(Atom("A"), Atom("B")), "net", "expected a cut-net, got an Impl"),
+        (Exists("x", Atom("A", (IVar("x"),))), "behaviour",
+         "expected a behaviour, got an Exists")])
     def test_a_value_of_another_sort_is_refused(self, value, sort, message):
         with pytest.raises(sx.ParseError, match=f"^{message}$"):
             sx.syntax_text(value, sort)
