@@ -38,8 +38,8 @@ from .designs import (
     Ramification, child, contains_daimon, star, subdesign_order, subsets,
 )
 from .interaction import (
-    CONVERGED, DEFAULT_FUEL, NO_BRANCH, OMEGA, OUT_OF_FUEL, UNCUT, VERDICT,
-    BaseMismatch, dual_bases, join_used_parts, listeners, run, run_test,
+    DEFAULT_FUEL, UNCUT, VERDICT, BaseMismatch, _parts, dual_bases,
+    join_used_parts, listeners, run, run_closed,
 )
 
 
@@ -67,6 +67,9 @@ class UniverseBounds:
                            tuple(sorted(tuple(sorted(I)) for I in self.pool)))
         if self.max_depth < 1:
             raise ValueError("depth must be at least 1")
+        if any(len(set(I)) != len(I) for I in self.pool) \
+                or len(set(self.pool)) != len(self.pool):
+            raise ValueError("the pool repeats an index or a ramification")
 
     def at(self, base: Pitchfork) -> "UniverseBounds":
         return UniverseBounds(self.max_depth, self.pool, base, self.cap)
@@ -258,24 +261,15 @@ def _test_run(d, tests, fuel: int) -> tuple[str, list]:
     """The tests run on d up to the first 'no' (either side may be a pair):
     'no' at a 'no', else 'unknown' if a test ran out of fuel, else 'yes',
     and the results of the tests run."""
-    verdict, results = "yes", []
+    verdict, results, d = "yes", [], _parts(d)
     for e in tests:
-        results.append(result := run_test(d, e, fuel))
-        v = VERDICT[type(result)]
+        results.append(result := run_closed(d + _parts(e), fuel))
+        v = VERDICT[result.reason]
         if v == "no":
             return v, results
         if v == "unknown":
             verdict = v
     return verdict, results
-
-
-#: the orthogonality verdict of a run that stopped anywhere but uncut
-_STOP_VERDICT = {CONVERGED: "yes", OMEGA: "no", NO_BRANCH: "no",
-                 OUT_OF_FUEL: "unknown"}
-
-
-def _parts(x) -> tuple[Design, ...]:
-    return (x,) if isinstance(x, Design) else tuple(x)
 
 
 def _passing(candidates, tests, fuel: int) -> list:
@@ -309,11 +303,11 @@ def _passing(candidates, tests, fuel: int) -> list:
                 if status[m] == "no":
                     continue
                 if reason != UNCUT:
-                    v = _STOP_VERDICT[reason]
+                    v = VERDICT[reason]
                 else:
                     branch = h.node.branch_map().get(last.node.ramification)
                     if branch not in by_branch:
-                        by_branch[branch] = _STOP_VERDICT[
+                        by_branch[branch] = VERDICT[
                             run(last, env | {h.base.neg: h}, left)[0]]
                     v = by_branch[branch]
                 if v != "yes":

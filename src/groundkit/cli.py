@@ -19,7 +19,7 @@ from . import terms as tm
 from .behaviours import (
     NotAMember, classify_candidate, incarnation_of, members,
 )
-from .designs import format_address, validate_design
+from .designs import format_address, natural, validate_design
 from .interaction import (
     CONVERGED, OMEGA, Converged, CutNet, CutNetError, DEFAULT_FUEL, Diverged,
     listeners, normalize_closed, orthogonal, render_design, render_state,
@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="verb", required=True)
 
     def fuel(sp):
-        sp.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+        sp.add_argument("--fuel", type=natural, default=DEFAULT_FUEL)
 
     sp = sub.add_parser("check", help="parse a file; typecheck ground terms")
     sp.add_argument("input")

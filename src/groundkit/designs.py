@@ -98,15 +98,23 @@ class Pitchfork:
         return f"Pitchfork(neg={self.neg!r}, pos=frozenset({pos}))"
 
 
-def validate_pitchfork(p: Pitchfork) -> list[str]:
-    problems = []
-    addrs = sorted(p.all_addresses())
+def prefix_pairs(addrs: list[Address]):
+    """Each pair (a, b) of sorted distinct addresses where a is a proper
+    prefix of b, in order.  a's extensions come right after a, so the
+    sweep from a stops at the first address that does not extend it."""
     for i, a in enumerate(addrs):
-        for b in addrs[i + 1:]:
-            if not disjoint(a, b):
-                problems.append(f"addresses {format_address(a)} and "
-                                f"{format_address(b)} are not disjoint")
-    return problems
+        for j in range(i + 1, len(addrs)):
+            if addrs[j][:len(a)] != a:
+                break
+            yield a, addrs[j]
+
+
+def validate_pitchfork(p: Pitchfork) -> list[str]:
+    problems = [f"address {format_address(p.neg)} is on both sides"] \
+        if p.neg in p.pos else []
+    return problems + [f"addresses {format_address(a)} and "
+                       f"{format_address(b)} are not disjoint"
+                       for a, b in prefix_pairs(sorted(p.all_addresses()))]
 
 
 def positive_base(*pos: Address) -> Pitchfork:

@@ -19,7 +19,8 @@ from itertools import count
 
 from .designs import (
     Address, DaimonLeaf, Design, FidLeaf, NegNode, Pitchfork, PosNode,
-    Ramification, child, daimon, disjoint, format_address, subtrees,
+    Ramification, child, daimon, disjoint, format_address, prefix_pairs,
+    subtrees,
 )
 from .sharing import fold
 
@@ -48,75 +49,60 @@ class CutNet:
 
 
 def make_cutnet(designs) -> CutNet:
-    """Validate the three cut-net conditions and compute cuts/principal."""
+    """Validate the three cut-net conditions and compute cuts/principal, in
+    one walk over the designs' bases."""
     designs = tuple(designs)
-    problems = []
     if not designs:
         raise CutNetError(["a cut-net must be non-empty"])
 
-    occurrences: dict[Address, list[str]] = {}
-    for d in designs:
-        if d.base.neg is not None:
-            occurrences.setdefault(d.base.neg, []).append("-")
+    # each base address -> the polarity and design index of its occurrences
+    occurrences: dict[Address, list[tuple[str, int]]] = {}
+    principal = None                 # the positive design, if there is one
+    for k, d in enumerate(designs):
+        if d.base.neg is None:
+            principal = d
+        else:
+            occurrences.setdefault(d.base.neg, []).append(("-", k))
         for a in d.base.pos:
-            occurrences.setdefault(a, []).append("+")
+            occurrences.setdefault(a, []).append(("+", k))
 
-    addrs = sorted(occurrences)
-    for i, a in enumerate(addrs):
-        for b in addrs[i + 1:]:
-            if a != b and not disjoint(a, b):
-                problems.append(
-                    f"condition (1): base addresses {format_address(a)} and "
-                    f"{format_address(b)} neither disjoint nor equal")
-    cuts = set()
+    problems = [f"condition (1): base addresses {format_address(a)} and "
+                f"{format_address(b)} neither disjoint nor equal"
+                for a, b in prefix_pairs(sorted(occurrences))]
+    cuts = {}
+    neg, pos = None, set()
     for a, occ in occurrences.items():
         if len(occ) > 2:
             problems.append(f"condition (2): address {format_address(a)} "
                             f"occurs in {len(occ)} bases")
-        elif len(occ) == 2:
-            if occ[0] == occ[1]:
-                problems.append(f"condition (2): address {format_address(a)} "
-                                "occurs twice with the same polarity")
-            else:
-                cuts.add(a)
+        elif len(occ) == 1:
+            if occ[0][0] == "+":
+                pos.add(a)
+            else:                    # the uncut negative address
+                neg, principal = a, designs[occ[0][1]]
+        elif occ[0][0] == occ[1][0]:
+            problems.append(f"condition (2): address {format_address(a)} "
+                            "occurs twice with the same polarity")
+        else:
+            cuts[a] = occ
     if problems:
         raise CutNetError(problems)
 
-    # condition (3): the graph (vertices = designs, edges = cuts) is a tree
+    # condition (3): the graph (vertices = designs, edges = cuts) is a tree,
+    # so n - 1 cuts each join two components
     if len(cuts) != len(designs) - 1:
-        problems.append("condition (3): the cut graph is not a tree "
-                        f"({len(cuts)} cuts over {len(designs)} designs)")
-    else:
-        index = {}
-        for k, d in enumerate(designs):
-            for a in d.base.all_addresses():
-                index.setdefault(a, []).append(k)
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            k = frontier.pop()
-            for a in designs[k].base.all_addresses():
-                if a in cuts:
-                    for j in index[a]:
-                        if j not in seen:
-                            seen.add(j)
-                            frontier.append(j)
-        if len(seen) != len(designs):
-            problems.append("condition (3): the cut graph is not connected")
-    if problems:
-        raise CutNetError(problems)
-
-    principals = [d for d in designs
-                  if d.base.neg is None or d.base.neg not in cuts]
-    assert len(principals) == 1, "a valid cut-net has a unique principal design"
-    principal = principals[0]
-
-    neg = None
-    pos = set()
-    for d in designs:
-        if d.base.neg is not None and d.base.neg not in cuts:
-            neg = d.base.neg
-        pos |= {a for a in d.base.pos if a not in cuts}
+        raise CutNetError(["condition (3): the cut graph is not a tree "
+                           f"({len(cuts)} cuts over {len(designs)} designs)"])
+    root = list(range(len(designs)))
+    for (_, i), (_, j) in cuts.values():
+        while root[i] != i:
+            i = root[i]
+        while root[j] != j:
+            j = root[j]
+        if i == j:
+            raise CutNetError(["condition (3): the cut graph is not "
+                               "connected"])
+        root[i] = j
     return CutNet(designs, frozenset(cuts), principal,
                   Pitchfork(neg, frozenset(pos)))
 
@@ -193,6 +179,7 @@ def run(current: Design, env: dict[Address, Design], fuel: int,
 class Converged:
     result: Design
     trace: tuple[TraceRecord, ...]
+    reason = CONVERGED
 
 
 @dataclass(frozen=True)
@@ -205,12 +192,14 @@ class Diverged:
 @dataclass(frozen=True)
 class Exhausted:
     trace: tuple[TraceRecord, ...]
+    reason = OUT_OF_FUEL
 
 
 InteractionResult = Converged | Diverged | Exhausted
 
-#: the orthogonality verdict of a closed normalization
-VERDICT = {Converged: "yes", Diverged: "no", Exhausted: "unknown"}
+#: the orthogonality verdict of a run, by the reason it stopped (not uncut)
+VERDICT = {CONVERGED: "yes", OMEGA: "no", NO_BRANCH: "no",
+           OUT_OF_FUEL: "unknown"}
 
 
 def _site(d: Design) -> Address:
@@ -271,13 +260,9 @@ def dual_bases(p: Pitchfork) -> tuple[Pitchfork, ...]:
     raise BaseMismatch(f"base {p} has no dual bases")
 
 
-def run_test(d, test, fuel: int = DEFAULT_FUEL) -> InteractionResult:
-    """Normalize a design against a counter-test on its dual bases, either
-    side one design or a tuple of designs (a pair test).  Nothing checks
-    the bases; a caller checks them once for all the tests it runs."""
-    return run_closed(((d,) if isinstance(d, Design) else tuple(d))
-                      + ((test,) if isinstance(test, Design) else tuple(test)),
-                      fuel)
+def _parts(x) -> tuple[Design, ...]:
+    """The designs of one side of a test: one design, or a pair."""
+    return (x,) if isinstance(x, Design) else tuple(x)
 
 
 def orthogonal(d: Design, test, fuel: int = DEFAULT_FUEL) -> str:
@@ -286,12 +271,12 @@ def orthogonal(d: Design, test, fuel: int = DEFAULT_FUEL) -> str:
 
     Dual bases make the designs a closed cut-net, so no other check runs.
     """
-    tests = (test,) if isinstance(test, Design) else tuple(test)
+    tests = _parts(test)
     if tuple(e.base for e in tests) != dual_bases(d.base):
         raise BaseMismatch(f"bases {d.base} and "
                            f"{', '.join(str(e.base) for e in tests)} "
                            "are not dual")
-    return VERDICT[type(run_test(d, test, fuel))]
+    return VERDICT[run_closed((d,) + tests, fuel).reason]
 
 
 # ---------------------------------------------------------------------------

@@ -360,6 +360,8 @@ def _rule(focus, *fields) -> Design:
     if len(parts) != len(ram[0]):
         raise ParseError("positive node child count does not match the "
                          "ramification")
+    if len(set(ram[0])) != len(ram[0]):
+        raise ParseError("positive node ramification repeats an index")
     return positive(focus, dict(zip(ram[0], parts)), extra)
 
 

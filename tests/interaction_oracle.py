@@ -1,11 +1,93 @@
-"""Brute-force reference for closed-net normalization.
+"""Brute-force references for cut-nets and closed-net normalization.
 
-Rebuilds the whole multiset of designs at every step instead of keeping
-an environment of listeners; used only to cross-check the engine.
+`oracle_make_cutnet` checks each cut-net condition on its own walk over the
+designs; `oracle_normalize` rebuilds the whole multiset of designs at every
+step instead of keeping an environment of listeners.  Both are used only to
+cross-check the engine.
 """
 
-from groundkit.designs import DaimonLeaf, Design, FidLeaf, NegNode, PosNode, \
-    child
+from groundkit.designs import (
+    Address, DaimonLeaf, Design, FidLeaf, NegNode, Pitchfork, PosNode, child,
+    disjoint, format_address,
+)
+from groundkit.interaction import CutNet, CutNetError
+
+
+def oracle_make_cutnet(designs) -> CutNet:
+    """Validate the three cut-net conditions and compute cuts/principal:
+    a pairwise test for condition (1), a search over the cut graph for
+    condition (3), and a walk over the designs for each of the results."""
+    designs = tuple(designs)
+    problems = []
+    if not designs:
+        raise CutNetError(["a cut-net must be non-empty"])
+
+    occurrences: dict[Address, list[str]] = {}
+    for d in designs:
+        if d.base.neg is not None:
+            occurrences.setdefault(d.base.neg, []).append("-")
+        for a in d.base.pos:
+            occurrences.setdefault(a, []).append("+")
+
+    addrs = sorted(occurrences)
+    for i, a in enumerate(addrs):
+        for b in addrs[i + 1:]:
+            if a != b and not disjoint(a, b):
+                problems.append(
+                    f"condition (1): base addresses {format_address(a)} and "
+                    f"{format_address(b)} neither disjoint nor equal")
+    cuts = set()
+    for a, occ in occurrences.items():
+        if len(occ) > 2:
+            problems.append(f"condition (2): address {format_address(a)} "
+                            f"occurs in {len(occ)} bases")
+        elif len(occ) == 2:
+            if occ[0] == occ[1]:
+                problems.append(f"condition (2): address {format_address(a)} "
+                                "occurs twice with the same polarity")
+            else:
+                cuts.add(a)
+    if problems:
+        raise CutNetError(problems)
+
+    # condition (3): the graph (vertices = designs, edges = cuts) is a tree
+    if len(cuts) != len(designs) - 1:
+        problems.append("condition (3): the cut graph is not a tree "
+                        f"({len(cuts)} cuts over {len(designs)} designs)")
+    else:
+        index = {}
+        for k, d in enumerate(designs):
+            for a in d.base.all_addresses():
+                index.setdefault(a, []).append(k)
+        seen = {0}
+        frontier = [0]
+        while frontier:
+            k = frontier.pop()
+            for a in designs[k].base.all_addresses():
+                if a in cuts:
+                    for j in index[a]:
+                        if j not in seen:
+                            seen.add(j)
+                            frontier.append(j)
+        if len(seen) != len(designs):
+            problems.append("condition (3): the cut graph is not connected")
+    if problems:
+        raise CutNetError(problems)
+
+    principals = [d for d in designs
+                  if d.base.neg is None or d.base.neg not in cuts]
+    assert len(principals) == 1, "a valid cut-net has a unique principal design"
+    principal = principals[0]
+
+    neg = None
+    pos = set()
+    for d in designs:
+        if d.base.neg is not None and d.base.neg not in cuts:
+            neg = d.base.neg
+        pos |= {a for a in d.base.pos if a not in cuts}
+    return CutNet(designs, frozenset(cuts), principal,
+                  Pitchfork(neg, frozenset(pos)))
+
 
 
 def oracle_normalize(designs, fuel: int = 100_000):

@@ -115,6 +115,9 @@ def design_from_sexpr(x):
                 if len(rest) != len(ram):
                     raise ParseError("positive node child count does not "
                                      "match the ramification")
+                if len(set(ram)) != len(ram):
+                    raise ParseError("positive node ramification repeats "
+                                     "an index")
                 return (lambda kids: positive(focus, dict(zip(ram, kids)),
                                               extra)), \
                     [(k, "negative") for k in rest], range(len(rest))

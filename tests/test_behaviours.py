@@ -18,8 +18,8 @@ from groundkit.behaviours import (
     members, orthogonal_set,
 )
 from groundkit.interaction import (
-    DEFAULT_FUEL, VERDICT, Converged, dual_bases, make_cutnet,
-    normalize_closed, orthogonal, run_test,
+    DEFAULT_FUEL, VERDICT, Converged, _parts, dual_bases, make_cutnet,
+    normalize_closed, orthogonal, run_closed,
 )
 
 XI = (0,)
@@ -314,7 +314,7 @@ class TestVerdictShortCircuit:
         def broken(*args):
             raise RuntimeError("internal error")
 
-        monkeypatch.setattr(bh, "run_test", broken)
+        monkeypatch.setattr(bh, "run_closed", broken)
         with pytest.raises(RuntimeError):
             classify_candidate(atomic_bomb(XI), b)
         v = classify_candidate(skunk(XI), b)
@@ -342,7 +342,8 @@ def orthogonal_against_all(E, bounds, fuel=DEFAULT_FUEL):
     ⊑-minimal designs.  OutOfFuel if a counter-test is undecided."""
     out = []
     for e in counter_test_universe(bounds):
-        verdicts = {VERDICT[type(run_test(e, d, fuel))] for d in E}
+        verdicts = {VERDICT[run_closed(_parts(e) + (d,), fuel).reason]
+                    for d in E}
         if "no" in verdicts:
             continue
         if "unknown" in verdicts:
@@ -360,7 +361,7 @@ def members_per_pair(b, fuel=DEFAULT_FUEL):
     for d in enumerate_universe(b.bounds):
         verdicts = set()
         for e in b.cached_orthogonal:
-            verdicts.add(VERDICT[type(run_test(d, e, fuel))])
+            verdicts.add(VERDICT[run_closed((d,) + _parts(e), fuel).reason])
             if "no" in verdicts:
                 break
         if "no" in verdicts:

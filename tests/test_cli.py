@@ -103,6 +103,19 @@ class TestDesignValidate:
         assert status == 2
         assert "ramification" in err
 
+    @pytest.mark.parametrize("text, violation", [
+        # a design on 0 ⊢ 0
+        ("(neg 0 (extra 0))", "root: address 0 is on both sides"),
+        # a branch key repeating an index is read, and reported here
+        ("(neg 0 (branch (I 0 0) (daimon 0.0)))",
+         "root·{0,0}: malformed ramification key"),
+    ])
+    def test_violation_exits_1(self, tmp_path, capsys, text, violation):
+        bad = tmp_path / "bad.dsn"
+        bad.write_text(text, encoding="utf-8")
+        assert run(capsys, "design-validate", "--design", str(bad)) == \
+            (1, f"violation: {violation}\n", "")
+
 
 class TestInteract:
     def test_snapshots_match_golden(self, capsys):
@@ -475,6 +488,9 @@ class TestExitContract:
          ".bhv", "expected a number, got +2"),
         ("(tenv (bounds 2 (pool (I)) (pos-base 0)) (fuel 1_000))", ".tenv",
          "expected a number, got 1_000"),
+        # a premise per index, so no index repeats
+        ("(pos 0 (I 0 0) (neg 0.0) (neg 0.0))", ".dsn",
+         "positive node ramification repeats an index"),
     ])
     def test_malformed_file_exits_2(self, tmp_path, capsys, text, suffix,
                                     message):
@@ -482,6 +498,15 @@ class TestExitContract:
         path.write_text(text, encoding="utf-8")
         status, out, err = run(capsys, "check", str(path))
         assert (status, out, err) == (2, "", f"error: {path}: {message}\n")
+
+    @pytest.mark.parametrize("pool", [
+        "(pool (I 0) (I 0))", "(pool (I 0 0))", "(pool (I 0 1) (I 1 0))"])
+    def test_repeats_in_a_pool_exit_2(self, tmp_path, capsys, pool):
+        path = tmp_path / "bad.bhv"
+        path.write_text(f"(behaviour (bounds 1 {pool} (pos-base 0)) "
+                        "(generators))", encoding="utf-8")
+        assert run(capsys, "check", str(path)) == (
+            2, "", "error: the pool repeats an index or a ramification\n")
 
     def test_universe_over_cap_exits_2(self, tmp_path, capsys, monkeypatch):
         # a cap of 1000 in place of 10**6, so the enumeration gives up at once
@@ -829,6 +854,22 @@ class TestFuelExhaustion:
                              str(DATA / "one.bhv"), "--fuel", "0")
         assert status == 2
         assert "fuel-exhausted" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["reduce", "--term", "identity-apply.gt"],
+        ["ground", "--term", "identity-apply.gt"],
+        ["interact", "--net", "convergent-pair.net"],
+        ["orth", "daimon.dsn", "skunk.dsn"],
+        ["behaviour", "--behaviour", "one.bhv"],
+        ["incarnate", "--design", "bomb.dsn", "--behaviour", "one.bhv"],
+        ["classify", "--design", "bomb.dsn", "--behaviour", "one.bhv"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_fuel_is_a_usage_error(self, capsys, argv):
+        argv = [str(DATA / a) if (DATA / a).is_file() else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--fuel", "-1"])
+        assert exc.value.code == 2
+        assert "--fuel: invalid natural value: '-1'" in capsys.readouterr().err
 
     def test_net_repl_back_restores_listeners(self):
         from conftest import convergent_pair

@@ -47,6 +47,17 @@ class TestPitchforks:
     def test_overlapping_addresses(self):
         assert validate_pitchfork(Pitchfork((0,), frozenset({(0, 1)})))
 
+    def test_address_on_both_sides(self):
+        assert validate_pitchfork(Pitchfork(XI, frozenset({XI, (1,)}))) == [
+            "address 0 is on both sides"]
+
+    def test_every_prefix_pair_in_order(self):
+        p = Pitchfork((0,), frozenset({(0, 1), (0, 1, 2), (0, 2), (1,)}))
+        assert validate_pitchfork(p) == [
+            f"addresses {a} and {b} are not disjoint"
+            for a, b in [("0", "0.1"), ("0", "0.1.2"), ("0", "0.2"),
+                         ("0.1", "0.1.2")]]
+
     def test_polarity(self):
         assert Pitchfork(None, frozenset({XI})).polarity == "pos"
         assert Pitchfork(XI, frozenset()).polarity == "neg"

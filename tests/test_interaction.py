@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import convergent_pair
-from interaction_oracle import oracle_normalize
+from interaction_oracle import oracle_make_cutnet, oracle_normalize
 from test_designs import random_design
 
 from groundkit.designs import (
-    Design, FidLeaf, NegNode, Pitchfork, PosNode, atomic_bomb, daimon, fid,
-    merge_subdesigns, negative, negative_sponge, positive, skunk,
+    DaimonLeaf, Design, FidLeaf, NegNode, Pitchfork, PosNode, atomic_bomb,
+    daimon, fid, merge_subdesigns, negative, negative_sponge, positive, skunk,
     subdesign_order, subtrees, validate_design,
 )
 from groundkit.interaction import (
@@ -59,6 +59,44 @@ class TestMakeCutnet:
         with pytest.raises(CutNetError) as e:
             make_cutnet((daimon(XI), daimon((1,))))
         assert any("condition (3)" in p for p in e.value.problems)
+
+    @pytest.mark.parametrize("bases, problem", [
+        # a cycle of two cuts between two designs, and a third design apart
+        ([((2,), [(0,)]), ((0,), [(2,)]), (None, [(3,)])], "not connected"),
+        # the self-cut 0 ⊢ 0, alone and beside another design
+        ([(XI, [XI])], "not a tree (1 cuts over 1 designs)"),
+        ([(XI, [XI]), (None, [(1,)])], "not connected"),
+    ])
+    def test_cut_graph_not_a_tree(self, bases, problem):
+        designs = [Design(Pitchfork(neg, frozenset(pos)), FidLeaf())
+                   for neg, pos in bases]
+        with pytest.raises(CutNetError) as e:
+            make_cutnet(designs)
+        assert e.value.problems == [f"condition (3): the cut graph is "
+                                    f"{problem}"]
+
+    #: nonempty addresses, closed under nonempty prefixes, so bases overlap
+    #: in every way and still make valid nets of up to four designs
+    POOL = [(0,), (1,), (2,), (3,), (0, 0), (0, 1), (1, 0), (0, 0, 0)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_the_reference(self, seed):
+        """Cut-nets, or the exact problems, of the one-walk make_cutnet and
+        of the reference, on 0-4 designs with bases drawn from POOL."""
+        rng = random.Random(seed)
+        for _ in range(2000):
+            designs = [Design(Pitchfork(
+                rng.choice([None, *self.POOL]),
+                frozenset(rng.sample(self.POOL, rng.randint(0, 2)))),
+                rng.choice([FidLeaf(), DaimonLeaf()]))
+                for _ in range(rng.randint(0, 4))]
+            outcomes = []
+            for build in (make_cutnet, oracle_make_cutnet):
+                try:
+                    outcomes.append(build(designs))
+                except CutNetError as e:
+                    outcomes.append(e.problems)
+            assert outcomes[0] == outcomes[1]
 
 
 class TestNormalizeClosed:
