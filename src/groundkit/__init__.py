@@ -16,27 +16,24 @@ from .terms import (
     Canonical, Const, ConjE, ConjI, DS, DisjE, DisjI, Equation, ExistsE,
     ExistsI, Exploder, ForallE, ForallI, FuelExhausted, GroundEnv, GroundTerm,
     GroundType, GroundTypeError, GroundVerdict, ImplE, ImplI, Loop, MetaVar,
-    ReductionOutcome, Stuck, UserOp, UserOpDecl, Var, close_instance,
-    denotes_ground, is_linear, normalize, reduce_step, reduce_step_at, subst,
-    typecheck,
+    ReductionOutcome, Stuck, UserOp, UserOpDecl, Var, denotes_ground,
+    is_linear, normalize, reduce_step_at, subst, typecheck,
 )
 from .designs import (
     Address, DaimonLeaf, Design, FidLeaf, NegNode, Pitchfork, PosNode,
     Ramification, atomic_bomb, build_fax, contains_daimon, daimon, delocate,
-    design_depth, fid, format_address, merge_subdesigns, negative,
-    negative_sponge, parse_address, positive, skunk, subdesign_order,
-    validate_design, validate_pitchfork,
+    fid, format_address, merge_subdesigns, negative, parse_address, positive,
+    skunk, subdesign_order, validate_design, validate_pitchfork,
 )
 from .interaction import (
     Converged, CutNet, CutNetError, DEFAULT_FUEL, Diverged,
     InteractionResult, TraceRecord, dual_bases, join_used_parts, make_cutnet,
-    normalize_closed, orthogonal, render_design, render_snapshots, used_part,
+    normalize_closed, orthogonal, render_design, snapshots,
 )
 from .behaviours import (
     Behaviour, CandidateVerdict, NotAMember, OutOfFuel, SizeLimitExceeded,
-    UniverseBounds, behaviour, biorthogonal, classify_candidate,
-    count_universe, enumerate_universe, full_pool, incarnation_of,
-    is_material, member_verdict, members, orthogonal_set,
+    UniverseBounds, behaviour, classify_candidate, count_universe,
+    enumerate_universe, full_pool, incarnation_of, members, orthogonal_set,
 )
 from .translate import (
     TranslationEnv, TranslationError, arrow, check_translation,

@@ -203,15 +203,11 @@ def _undecided(fuel: int) -> OutOfFuel:
 
 
 def orthogonal_set(E, bounds: UniverseBounds,
-                   fuel: int = DEFAULT_FUEL) -> frozenset:
+                   fuel: int = DEFAULT_FUEL) -> tuple:
     """Bounded E^⊥ for designs E on bounds.base: the counter-tests on its
     dual bases (designs, or pairs for α⊢β) orthogonal to every design of E,
-    tried against its ⊑-minimal ones only.  ∅^⊥ is every counter-test."""
-    return frozenset(_orthogonal(E, bounds, fuel))
-
-
-def _orthogonal(E, bounds: UniverseBounds, fuel: int) -> tuple:
-    """orthogonal_set's counter-tests in universe (for pairs, product) order."""
+    tried against its ⊑-minimal ones only, in universe (for pairs, product)
+    order.  ∅^⊥ is every counter-test."""
     E = list(E)
     if any(d.base != bounds.base for d in E):
         raise ValueError("orthogonal set requires designs on the bounds' base")
@@ -231,13 +227,6 @@ def _minimal(E: list[Design]) -> list[Design]:
     return kept
 
 
-def biorthogonal(E, bounds: UniverseBounds,
-                 fuel: int = DEFAULT_FUEL) -> frozenset[Design]:
-    """Bounded E^⊥⊥ on a one-address base."""
-    dual = bounds.at(dual_bases(bounds.base)[0])
-    return orthogonal_set(orthogonal_set(E, bounds, fuel), dual, fuel)
-
-
 @dataclass(frozen=True)
 class Behaviour:
     generators: frozenset[Design]
@@ -254,7 +243,8 @@ def behaviour(generators, bounds: UniverseBounds,
     """The behaviour generated by designs on bounds.base; its
     counter-tests are tried on the ⊑-minimal generators only."""
     gens = list(generators)
-    return Behaviour(frozenset(gens), bounds, _orthogonal(gens, bounds, fuel))
+    return Behaviour(frozenset(gens), bounds,
+                     orthogonal_set(gens, bounds, fuel))
 
 
 def _test_run(d, tests, fuel: int) -> tuple[str, list]:
@@ -317,18 +307,6 @@ def _passing(candidates, tests, fuel: int) -> list:
     return [c for c, v in zip(candidates, status) if v == "yes"]
 
 
-def _counter_tests(d: Design, b: Behaviour) -> tuple:
-    """The cached counter-tests of b, once d is known to sit on b's base."""
-    if d.base != b.base:
-        raise BaseMismatch(f"design on {d.base}, behaviour on {b.base}")
-    return b.cached_orthogonal
-
-
-def member_verdict(d: Design, b: Behaviour, fuel: int = DEFAULT_FUEL) -> str:
-    """'yes' | 'no' | 'unknown': orthogonality to the cached orthogonal."""
-    return _test_run(d, _counter_tests(d, b), fuel)[0]
-
-
 def members(b: Behaviour, fuel: int = DEFAULT_FUEL) -> frozenset[Design]:
     """The bounded membership set (the bounded bi-orthogonal)."""
     return frozenset(_passing(enumerate_universe(b.bounds),
@@ -347,16 +325,14 @@ def free_incarnation(b: Behaviour,
 def incarnation_of(d: Design, b: Behaviour,
                    fuel: int = DEFAULT_FUEL) -> Design:
     """The join of the parts of d used against every cached counter-test."""
-    verdict, results = _test_run(d, _counter_tests(d, b), fuel)
+    if d.base != b.base:
+        raise BaseMismatch(f"design on {d.base}, behaviour on {b.base}")
+    verdict, results = _test_run(d, b.cached_orthogonal, fuel)
     if verdict == "no":
         raise NotAMember("incarnation is defined for members only")
     if verdict == "unknown":
         raise _undecided(fuel)
     return join_used_parts(d, [r.trace for r in results])
-
-
-def is_material(d: Design, b: Behaviour, fuel: int = DEFAULT_FUEL) -> bool:
-    return d == incarnation_of(d, b, fuel)
 
 
 # ---------------------------------------------------------------------------

@@ -37,16 +37,22 @@ class CliError(Exception):
         super().__init__(message)
 
 
-def _load(path, ext=None):
-    """The value of the file at path, which must be a file of extension
-    `ext` when one is given."""
+def _check_ext(path, ext) -> None:
     if ext is not None and os.path.splitext(path)[1] != ext:
         raise CliError(f"{path}: expected a {ext} file")
+
+
+def _load(path, ext=None):
+    """The value of the file at path, which must be a file of extension
+    `ext` when one is given; a refusal to read it names the path."""
+    _check_ext(path, ext)
     try:
         return sx.load(path)
     except FileNotFoundError:
         raise CliError(f"no such file: {path}")
-    except sx.ParseError as e:
+    except OSError as e:
+        raise CliError(f"{path}: {e.strerror}")
+    except (sx.ParseError, CutNetError, ValueError) as e:
         raise CliError(f"{path}: {e}")
 
 
@@ -189,11 +195,16 @@ def cmd_classify(args) -> int:
 
 
 def cmd_translate(args) -> int:
+    if args.out:
+        _check_ext(args.out, ".dsn")
     t, env = _load(args.term, ".gt"), _load(args.env, ".tenv")
     d = translate(t, env, root=(0,))
     _print_design(d)
     if args.out:
-        sx.dump(d, args.out)
+        try:
+            sx.dump(d, args.out)
+        except OSError as e:
+            raise CliError(f"{args.out}: {e.strerror}")
     v = check_translation(t, d, env, root=(0,))
     print(f"classification: {v}")
     return OK if v.tag in ("Ground", "PseudoGround") else NO

@@ -117,10 +117,6 @@ def validate_pitchfork(p: Pitchfork) -> list[str]:
                        for a, b in prefix_pairs(sorted(p.all_addresses()))]
 
 
-def positive_base(*pos: Address) -> Pitchfork:
-    return Pitchfork(None, frozenset(pos))
-
-
 # ---------------------------------------------------------------------------
 # designs
 
@@ -197,11 +193,11 @@ class Design(Interned):
 
 
 def daimon(*pos: Address) -> Design:
-    return Design(positive_base(*pos), DaimonLeaf())
+    return Design(Pitchfork(None, pos), DaimonLeaf())
 
 
 def fid(*pos: Address) -> Design:
-    return Design(positive_base(*pos), FidLeaf())
+    return Design(Pitchfork(None, pos), FidLeaf())
 
 
 def positive(focus: Address, children: dict[int, Design] | None = None,
@@ -213,7 +209,7 @@ def positive(focus: Address, children: dict[int, Design] | None = None,
     pos = frozenset({focus}) | frozenset(extra)
     for c in kids:
         pos |= c.base.pos
-    return Design(positive_base(*pos), PosNode(focus, ram, kids))
+    return Design(Pitchfork(None, pos), PosNode(focus, ram, kids))
 
 
 def negative(focus: Address, branches: dict | None = None, extra=()) -> Design:
@@ -237,11 +233,6 @@ def atomic_bomb(xi: Address) -> Design:
 def skunk(xi: Address) -> Design:
     """The negative rule with no branches at ξ⊢."""
     return negative(xi)
-
-
-def negative_sponge(xi: Address, rams) -> Design:
-    """Negative design whose every branch gives up immediately."""
-    return negative(xi, {tuple(sorted(I)): daimon(*star(xi, I)) for I in rams})
 
 
 def build_fax(xi: Address, xi2: Address, depth: int, arity_bound: int = 1) -> Design:
@@ -288,12 +279,6 @@ def subtrees(d: Design):
             case _:
                 premises = []
         todo += [(path + (step,), p) for step, p in reversed(premises)]
-
-
-def design_depth(d: Design) -> int:
-    """Nesting of rule applications; leaves count zero."""
-    return max((len(path) + 1 for path, s in subtrees(d)
-                if isinstance(s.node, PosNode | NegNode)), default=0)
 
 
 def contains_daimon(d: Design) -> bool:

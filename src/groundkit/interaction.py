@@ -283,13 +283,6 @@ def orthogonal(d: Design, test, fuel: int = DEFAULT_FUEL) -> str:
 # used parts
 
 
-def used_part(d: Design, trace) -> Design:
-    """Prune a design to the nodes consumed (or reached) in a trace, as
-    join_used_parts does.  Bases are kept, so the result compares under
-    subdesign_order."""
-    return join_used_parts(d, (trace,))
-
-
 def join_used_parts(d: Design, traces) -> Design:
     """Union of the prunings of one design over several traces, in one walk
     carrying the bit mask of the traces that reach each node: a positive
@@ -361,11 +354,6 @@ def render_state(current: Design, env: dict[Address, Design],
     for d in [current] + [env[k] for k in sorted(env)]:
         lines += render_design(d, mark) + [""]
     return lines
-
-
-def render_snapshots(net: CutNet, fuel: int = DEFAULT_FUEL) -> str:
-    """Replay a closed normalization, one snapshot of the net per step."""
-    return snapshots(net, fuel)[1]
 
 
 def snapshots(net: CutNet, fuel: int = DEFAULT_FUEL) -> tuple:

@@ -326,20 +326,8 @@ def formula_from_sexpr(x) -> Formula:
     return syntax_from_text(write_sexpr(x), "formula")
 
 
-def term_to_sexpr(t: tm.GroundTerm):
-    return read_sexpr(syntax_text(t, "term"))
-
-
 def term_from_sexpr(x) -> tm.GroundTerm:
     return syntax_from_text(write_sexpr(x), "term")
-
-
-def polarized_to_sexpr(f: fo.PolarizedFormula):
-    return read_sexpr(syntax_text(f, "polarized"))
-
-
-def polarized_from_sexpr(x) -> fo.PolarizedFormula:
-    return syntax_from_text(write_sexpr(x), "polarized")
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +367,22 @@ def _tenv(entries) -> TranslationEnv:
                          "its behaviour's depth or pool is not the env's")
 
 
+def _bounds(*fields) -> UniverseBounds:
+    """The bounds of the fields, whose refusal is a parse error."""
+    try:
+        return UniverseBounds(*fields)
+    except ValueError as e:
+        raise ParseError(str(e))
+
+
+def _behaviour(bounds: UniverseBounds, generators) -> Behaviour:
+    """The behaviour of generators, refused if one is off the bounds' base."""
+    if off := [g.base for g in generators if g.base != bounds.base]:
+        raise ParseError(f"a generator on {off[0]} is off the bounds' base "
+                         f"{bounds.base}")
+    return behaviour(generators, bounds)
+
+
 #: file sort -> head -> (builder, field kinds), read as `_GRAMMAR`'s rows; at
 #: the form's ')' the builder checks what the kinds cannot and builds it.
 _FILE_GRAMMAR = {
@@ -392,14 +396,13 @@ _FILE_GRAMMAR = {
     "net": {"net": (make_cutnet, "*design")},
     "base": {"pos-base": (lambda pos: Pitchfork(None, pos), "*address"),
              "neg-base": (Pitchfork, "address *address")},
-    "bounds": {"bounds": (UniverseBounds, "number pool base")},
+    "bounds": {"bounds": (_bounds, "number pool base")},
     "pool": {"pool": (tuple, "*I")},
-    "behaviour": {"behaviour": (lambda bounds, gens: behaviour(gens, bounds),
-                                "bounds generators")},
+    "behaviour": {"behaviour": (_behaviour, "bounds generators")},
     "generators": {"generators": (tuple, "*design")},
     "seq": {"seq": (tuple, "*polarized")},
     "tenv": {"tenv": (_tenv, "*tenv-entry")},
-    "tenv-entry": {"bounds": (lambda *f: ("bounds", UniverseBounds(*f)),
+    "tenv-entry": {"bounds": (lambda *f: ("bounds", _bounds(*f)),
                               "number pool base"),
                    "fax-arity": (lambda n: ("fax_arity", n), "number"),
                    "fuel": (lambda n: ("fuel", n), "number"),
@@ -481,36 +484,12 @@ def design_from_sexpr(x) -> Design:
     return syntax_from_text(write_sexpr(x), "design")
 
 
-def cutnet_to_sexpr(net: CutNet):
-    return read_sexpr(syntax_text(net, "net"))
-
-
-def cutnet_from_sexpr(x) -> CutNet:
-    return syntax_from_text(write_sexpr(x), "net")
-
-
 def bounds_from_sexpr(x) -> UniverseBounds:
     return syntax_from_text(write_sexpr(x), "bounds")
 
 
-def behaviour_to_sexpr(b: Behaviour):
-    return read_sexpr(syntax_text(b, "behaviour"))
-
-
 def behaviour_from_sexpr(x) -> Behaviour:
     return syntax_from_text(write_sexpr(x), "behaviour")
-
-
-def tenv_from_sexpr(x) -> TranslationEnv:
-    return syntax_from_text(write_sexpr(x), "tenv")
-
-
-def sequent_to_sexpr(seq):
-    return read_sexpr(syntax_text(seq, "seq"))
-
-
-def sequent_from_sexpr(x):
-    return syntax_from_text(write_sexpr(x), "seq")
 
 
 # ---------------------------------------------------------------------------

@@ -595,11 +595,6 @@ def reduce_step_at(t: GroundTerm, env: GroundEnv | None = None,
     return new, tuple(k for _, _, k in path), hit[1]
 
 
-def reduce_step(t: GroundTerm, env: GroundEnv | None = None) -> GroundTerm | None:
-    hit = reduce_step_at(t, env)
-    return hit[0] if hit else None
-
-
 # ---------------------------------------------------------------------------
 # normalization outcomes
 
@@ -760,39 +755,7 @@ def _denotes(t, formula, env, fuel, sampler) -> GroundVerdict:
 
 
 # ---------------------------------------------------------------------------
-# closed instances and linearity
-
-
-class SubstitutionError(Exception):
-    pass
-
-
-def close_instance(t: GroundTerm,
-                   assignment: dict[Var | str, GroundTerm | ITerm],
-                   env: GroundEnv | None = None) -> GroundTerm:
-    """Simultaneous capture-avoiding substitution of closed values.
-
-    Keys are typed variables (for ground terms) or individual-variable
-    names (for individual terms).
-    """
-    env = env or GroundEnv()
-    missing = [v for v in free_vars(t) if v not in assignment]
-    missing += [x for x in term_free_ivars(t) if x not in assignment]
-    if missing:
-        raise SubstitutionError(f"missing assignment for {missing}")
-    for key, val in assignment.items():
-        if isinstance(key, str):
-            if not isinstance(val, (IVar, IConst)):
-                raise SubstitutionError(f"{key} needs an individual term")
-            t = subst_term_ivar(t, key, val)
-        else:
-            ty = typecheck(val, env)
-            if ty.succedent != key.type or ty.antecedents:
-                raise SubstitutionError(
-                    f"type mismatch for {key.name}: expected {key.type}, "
-                    f"got {ty.succedent} under {ty.antecedents}")
-            t = subst(t, key, val)
-    return t
+# linearity
 
 
 def is_linear(t: GroundTerm) -> bool:

@@ -109,21 +109,10 @@ def _alpha(x: Behaviour | Design) -> Address:
                            f"expected a base ⊢α, got {x.base}")
 
 
-def arrow(bA: Behaviour, bB: Behaviour, bounds: UniverseBounds,
-          fuel: int = DEFAULT_FUEL) -> Behaviour:
-    """A → B on α⊢β: the designs sending every †-free incarnated A-member
-    into the †-free incarnation of B, closed under bi-orthogonality in bounds.
-
-    Counter-tests are pairs (a, b) with a on ⊢α and b on β⊢; a design d
-    on α⊢β is orthogonal to the pair when the closed net {a, d, b}
-    converges.
-    """
-    return _arrow(_alpha(bA), _alpha(bB), free_incarnation(bA, fuel),
-                  free_incarnation(bB, fuel), bounds, fuel)
-
-
-def _arrow(alpha, beta, dom_free, cod_free, bounds, fuel) -> Behaviour:
-    """The arrow on α⊢β from the †-free incarnations of its two sides."""
+def arrow(alpha, beta, dom_free, cod_free, bounds, fuel) -> Behaviour:
+    """A → B on α⊢β: the designs sending dom_free, A's †-free incarnation at
+    ⊢α, into cod_free, B's at ⊢β, closed under bi-orthogonality in bounds;
+    its counter-tests are pairs of designs on ⊢α and β⊢."""
     bounds = bounds.at(Pitchfork(alpha, frozenset({beta})))
     # the normal form of the net {a, d}, valid by its bases, reads d only
     # through its branch at a's first ramification: one normalization per
@@ -179,19 +168,10 @@ class TranslationEnv:
                                    f"no behaviour registered for {f}")
         return b, _alpha(b)
 
-    def behaviour_at(self, f: Formula, xi: Address) -> Behaviour:
-        """f's behaviour moved from its home ⊢α to ⊢ξ: the one built at ⊢ξ,
-        as orthogonality is invariant under delocation and f is bounded like
-        the env.  Moving a common prefix keeps the universe order."""
-        b, alpha = self._home(f)
-        return Behaviour(
-            frozenset(delocate(g, alpha, xi) for g in b.generators),
-            self.bounds.at(Pitchfork(None, frozenset({xi}))),
-            tuple(delocate(e, alpha, xi) for e in b.cached_orthogonal))
-
     def free_at(self, f: Formula, xi: Address) -> frozenset[Design]:
         """The free incarnation of f's behaviour at ⊢ξ: computed once per env
-        at its home ⊢α and moved like `behaviour_at` moves the behaviour."""
+        at its home ⊢α and moved there, as orthogonality is invariant under
+        delocation and f is bounded like the env."""
         b, alpha = self._home(f)
         if f not in self._free:
             self._free[f] = free_incarnation(b, self.fuel)
@@ -277,8 +257,8 @@ def check_translation(t: GroundTerm, d: Design, env: TranslationEnv,
     match ty:
         case Impl(a, b):
             alpha, beta = child(root, 0), child(root, 1)
-            ab = _arrow(alpha, beta, env.free_at(a, alpha),
-                        env.free_at(b, beta), env.bounds, env.fuel)
+            ab = arrow(alpha, beta, env.free_at(a, alpha),
+                       env.free_at(b, beta), env.bounds, env.fuel)
             return classify_candidate(d, ab, env.fuel)
         case _:
             # d moved to the atom's home ⊢α, as delocation keeps

@@ -158,8 +158,11 @@ def bounds_from_sexpr(x) -> UniverseBounds:
     depth, pool, base = _fields(x, 3, head="bounds")
     pool = tuple(_ram_from_sexpr(i) for i in _fields(pool, 0, True,
                                                      head="pool"))
-    return UniverseBounds(_atom(depth, "number"), pool,
-                          _pitchfork_from_sexpr(base))
+    depth, base = _atom(depth, "number"), _pitchfork_from_sexpr(base)
+    try:
+        return UniverseBounds(depth, pool, base)
+    except ValueError as e:
+        raise ParseError(str(e))
 
 
 def behaviour_from_sexpr(x):
@@ -167,6 +170,10 @@ def behaviour_from_sexpr(x):
     bounds = bounds_from_sexpr(bounds)
     gens = [design_from_sexpr(g)
             for g in _fields(gens, 0, True, head="generators")]
+    off = [g for g in gens if g.base != bounds.base]
+    if off:
+        raise ParseError(f"a generator on {off[0].base} is off the bounds' "
+                         f"base {bounds.base}")
     return behaviour(gens, bounds)
 
 

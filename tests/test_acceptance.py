@@ -19,6 +19,7 @@ from conftest import (
 from interaction_oracle import oracle_normalize
 from termgen import corpus
 from test_designs import random_design, prune
+from translate_oracle import behaviour_arrow, behaviour_at
 
 from groundkit import terms as tm
 from groundkit import focusing as fo
@@ -32,12 +33,9 @@ from groundkit.behaviours import (
     enumerate_universe, full_pool, incarnation_of, members, orthogonal_set,
 )
 from groundkit.interaction import (
-    Converged, Diverged, make_cutnet, normalize_closed, orthogonal,
-    render_snapshots,
+    Converged, Diverged, make_cutnet, normalize_closed, orthogonal, snapshots,
 )
-from groundkit.translate import (
-    TranslationEnv, arrow, normalize_open, translate,
-)
+from groundkit.translate import TranslationEnv, normalize_open, translate
 
 XI = (0,)
 POS = Pitchfork(None, frozenset({XI}))
@@ -104,7 +102,7 @@ def test_criterion_05_interaction_trace_and_golden():
     out = normalize_closed(convergent_pair())
     foci = [xi for pol, xi, _ in out.trace if pol == "+"]
     visited = {xi for _, xi, _ in out.trace}
-    text = render_snapshots(convergent_pair())
+    text = snapshots(convergent_pair())[1]
     ok = (isinstance(out, Converged)
           and foci == [(0,), (0, 1)]
           and out.trace[-1][0] == "†" and out.trace[-1][1] == (0, 1, 1)
@@ -124,7 +122,7 @@ def test_criterion_06_behaviour_sets_at_stated_bounds():
     # pool 𝒫({0,1}); that universe has ~5.4 × 10¹² members
     stated = UniverseBounds(3, full_pool(1), POS, cap=1_000_000)
     try:
-        single = orthogonal_set([atomic_bomb(XI)], stated)
+        single = frozenset(orthogonal_set([atomic_bomb(XI)], stated))
         ok = single == {negative(XI, {(): daimon()})}
     except SizeLimitExceeded:
         ok = False
@@ -134,15 +132,16 @@ def test_criterion_06_behaviour_sets_at_stated_bounds():
 def test_criterion_06_behaviour_sets_reduced_bounds():
     t0 = time.perf_counter()
     tiny = UniverseBounds(2, ((),), POS)
-    single = orthogonal_set([atomic_bomb(XI)], tiny)
+    single = frozenset(orthogonal_set([atomic_bomb(XI)], tiny))
     ok_single = single == {negative(XI, {(): daimon()})}
 
     full2 = UniverseBounds(2, full_pool(1), POS)
     one = behaviour([atomic_bomb(XI)], full2)
     ok_one = members(one) == {atomic_bomb(XI), daimon(XI)}
-    ok_skunk = orthogonal_set([skunk(XI)], full2.at(NEG)) == {daimon(XI)}
+    ok_skunk = frozenset(orthogonal_set([skunk(XI)], full2.at(NEG))) \
+        == {daimon(XI)}
     negatives = set(enumerate_universe(full2.at(NEG)))
-    ok_daimon = orthogonal_set([daimon(XI)], full2) == negatives
+    ok_daimon = frozenset(orthogonal_set([daimon(XI)], full2)) == negatives
     top = behaviour([skunk(XI)], full2.at(NEG))
     ok_top = all(incarnation_of(d, top).node == NegNode(XI, ())
                  for d in members(top))
@@ -167,8 +166,8 @@ def test_criterion_07_fax_translation_and_protocol():
     d = translate(tm.ImplI(x, x), env, root=(0,))
     ok_translate = d == fx
 
-    ab = arrow(env.behaviour_at(Absurd(), (0, 0)),
-               env.behaviour_at(Absurd(), (0, 1)), bounds)
+    ab = behaviour_arrow(behaviour_at(env, Absurd(), (0, 0)),
+                         behaviour_at(env, Absurd(), (0, 1)), bounds)
     v = classify_candidate(d, ab)
     ok_classify = (v.tag, v.reason) == ("PseudoGround", "not-material")
     report(7, ok_cut and ok_translate and ok_classify,
@@ -241,10 +240,10 @@ def test_criterion_11_property_suites():
     terms = corpus(seed=101, size=1000)
     for t in terms:
         ty = tm.typecheck(t)
-        stepped = tm.reduce_step(t)
-        while stepped is not None:
-            assert tm.typecheck(stepped) == ty
-            prev, stepped = stepped, tm.reduce_step(stepped)
+        hit = tm.reduce_step_at(t)
+        while hit is not None:
+            assert tm.typecheck(hit[0]) == ty
+            prev, hit = hit[0], tm.reduce_step_at(hit[0])
             if tm.is_primitive_head(prev):
                 break
 
@@ -266,7 +265,7 @@ def test_criterion_11_property_suites():
         if not e:
             continue
         oe, of = orthogonal_set(e, small), orthogonal_set(f, small)
-        assert of <= oe
+        assert set(of) <= set(oe)
         assert orthogonal_set(orthogonal_set(oe, small.at(NEG)), small) == oe
 
     # incarnation idempotence and minimality (exhaustive at small bounds)

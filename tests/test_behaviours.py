@@ -8,14 +8,14 @@ from test_designs import prune, random_design
 
 from groundkit.designs import (
     DaimonLeaf, Design, FidLeaf, NegNode, Pitchfork, PosNode, atomic_bomb,
-    contains_daimon, daimon, fid, negative, negative_sponge, positive, skunk,
+    contains_daimon, daimon, fid, negative, positive, skunk,
     subdesign_order, validate_design,
 )
 from groundkit.behaviours import (
     NotAMember, OutOfFuel, SizeLimitExceeded, UniverseBounds, behaviour,
-    biorthogonal, classify_candidate, count_universe, enumerate_universe,
-    free_incarnation, full_pool, incarnation_of, is_material, member_verdict,
-    members, orthogonal_set,
+    CandidateVerdict, _test_run, classify_candidate, count_universe,
+    enumerate_universe, free_incarnation, full_pool, incarnation_of, members,
+    orthogonal_set,
 )
 from groundkit.interaction import (
     DEFAULT_FUEL, VERDICT, Converged, _parts, dual_bases, make_cutnet,
@@ -97,15 +97,15 @@ class TestEnumeration:
 class TestOrthogonalSets:
     def test_bomb_orthogonal_is_single_responder(self):
         bounds = UniverseBounds(2, ((),), POS)
-        orth = orthogonal_set([atomic_bomb(XI)], bounds)
+        orth = frozenset(orthogonal_set([atomic_bomb(XI)], bounds))
         assert orth == {negative(XI, {(): daimon()})}
 
     def test_skunk_orthogonal_is_daimon(self):
-        orth = orthogonal_set([skunk(XI)], SMALL.at(NEG))
+        orth = frozenset(orthogonal_set([skunk(XI)], SMALL.at(NEG)))
         assert orth == {daimon(XI)}
 
     def test_daimon_orthogonal_is_all_negatives(self):
-        orth = orthogonal_set([daimon(XI)], SMALL)
+        orth = frozenset(orthogonal_set([daimon(XI)], SMALL))
         universe = set(enumerate_universe(SMALL.at(NEG)))
         assert orth == universe
         assert skunk(XI).node in {d.node for d in orth}
@@ -113,7 +113,8 @@ class TestOrthogonalSets:
     def test_antitonicity(self):
         e = [atomic_bomb(XI)]
         f = [atomic_bomb(XI), daimon(XI)]
-        assert orthogonal_set(f, SMALL) <= orthogonal_set(e, SMALL)
+        assert frozenset(orthogonal_set(f, SMALL)) \
+            <= frozenset(orthogonal_set(e, SMALL))
 
     def test_default_fuel_decides_every_candidate(self):
         assert orthogonal_set([atomic_bomb(XI)], SMALL)
@@ -126,13 +127,18 @@ class TestOrthogonalSets:
             members(behaviour_one(), fuel=0)
 
 
+def biorthogonal(E) -> frozenset:
+    """Bounded E^⊥⊥ on SMALL's base."""
+    return frozenset(orthogonal_set(orthogonal_set(E, SMALL), SMALL.at(NEG)))
+
+
 class TestBiorthogonal:
     def test_behaviour_one(self):
-        closure = biorthogonal([atomic_bomb(XI)], SMALL)
+        closure = biorthogonal([atomic_bomb(XI)])
         assert closure == {atomic_bomb(XI), daimon(XI)}
 
     def test_behaviour_zero(self):
-        closure = biorthogonal([daimon(XI)], SMALL)
+        closure = biorthogonal([daimon(XI)])
         assert closure == {daimon(XI)}
 
     def test_closure_inflationary(self):
@@ -143,7 +149,7 @@ class TestBiorthogonal:
                  and not isinstance(d.node, FidLeaf)}
             if not e:
                 continue
-            assert e <= biorthogonal(e, SMALL) | {d for d in e}
+            assert e <= biorthogonal(e) | {d for d in e}
 
     def test_triple_orthogonal_law(self):
         rng = random.Random(33)
@@ -153,7 +159,7 @@ class TestBiorthogonal:
             e = [d for d in universe if rng.random() < 0.25]
             if not e:
                 continue
-            lhs = orthogonal_set(biorthogonal(e, SMALL), SMALL)
+            lhs = orthogonal_set(biorthogonal(e), SMALL)
             assert lhs == orthogonal_set(e, SMALL)
 
 
@@ -183,8 +189,10 @@ class TestMembership:
 
     def test_member_verdict(self):
         b = behaviour_one()
-        assert member_verdict(atomic_bomb(XI), b) == "yes"
-        assert member_verdict(fid(XI), b) == "no"
+        assert _test_run(atomic_bomb(XI), b.cached_orthogonal,
+                         DEFAULT_FUEL)[0] == "yes"
+        assert _test_run(fid(XI), b.cached_orthogonal,
+                         DEFAULT_FUEL)[0] == "no"
 
 
 class TestIncarnation:
@@ -197,11 +205,10 @@ class TestIncarnation:
     def test_bomb_material_in_one(self):
         b = behaviour_one()
         assert incarnation_of(atomic_bomb(XI), b) == atomic_bomb(XI)
-        assert is_material(atomic_bomb(XI), b)
 
     def test_daimon_material(self):
-        assert is_material(daimon(XI), behaviour_one())
-        assert is_material(daimon(XI), behaviour_zero())
+        assert incarnation_of(daimon(XI), behaviour_one()) == daimon(XI)
+        assert incarnation_of(daimon(XI), behaviour_zero()) == daimon(XI)
 
     def test_not_a_member(self):
         with pytest.raises(NotAMember):
@@ -280,9 +287,9 @@ class TestDualBase:
 class TestBaseAndFuelErrors:
     def test_member_verdict_checks_the_base(self):
         with pytest.raises(ValueError):
-            member_verdict(skunk(XI), behaviour_one())
-        with pytest.raises(ValueError):
             incarnation_of(skunk(XI), behaviour_one())
+        assert classify_candidate(skunk(XI), behaviour_one()) \
+            == CandidateVerdict("NotInBehaviour", "base mismatch")
 
     def test_incarnation_out_of_fuel_is_not_a_non_member(self):
         with pytest.raises(ValueError, match="fuel-exhausted"):
@@ -293,8 +300,8 @@ class TestBaseAndFuelErrors:
             behaviour([skunk(XI)], SMALL)
 
     def test_empty_set_orthogonal_is_the_dual_universe(self):
-        assert orthogonal_set([], SMALL) == set(enumerate_universe(
-            SMALL.at(NEG)))
+        assert frozenset(orthogonal_set([], SMALL)) \
+            == set(enumerate_universe(SMALL.at(NEG)))
 
 
 class TestVerdictShortCircuit:
@@ -304,7 +311,7 @@ class TestVerdictShortCircuit:
         verdicts = [orthogonal(d, e) for e in b.cached_orthogonal]
         assert "yes" in verdicts and "no" in verdicts
         calls = count_runs(monkeypatch)
-        assert member_verdict(d, b) == "no"
+        assert _test_run(d, b.cached_orthogonal, DEFAULT_FUEL)[0] == "no"
         assert len(calls) == verdicts.index("no") + 1
 
     def test_internal_error_propagates(self, monkeypatch):

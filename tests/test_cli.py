@@ -491,6 +491,21 @@ class TestExitContract:
         # a premise per index, so no index repeats
         ("(pos 0 (I 0 0) (neg 0.0) (neg 0.0))", ".dsn",
          "positive node ramification repeats an index"),
+        # what the bounds, a generator or a net refuses names the file too
+        ("(behaviour (bounds 0 (pool (I)) (pos-base 0)) (generators))",
+         ".bhv", "depth must be at least 1"),
+        ("(tenv (bounds 0 (pool (I)) (pos-base 9)))", ".tenv",
+         "depth must be at least 1"),
+        ("(behaviour (bounds 1 (pool (I)) (pos-base 0)) (generators "
+         "(daimon 1)))", ".bhv",
+         "a generator on ⊢ 1 is off the bounds' base ⊢ 0"),
+        ("(net (daimon 0) (daimon 0))", ".net",
+         "condition (2): address 0 occurs twice with the same polarity"),
+        # a lexical fault names its line and column
+        ("(impl-i (var x (atom A))\n  (var x (atom A))", ".gt",
+         "line 2, column 19: unclosed '('"),
+        ("(daimon 0))", ".dsn", "line 1, column 11: trailing input ')'"),
+        ("", ".frm", "line 1, column 1: unexpected end of input"),
     ])
     def test_malformed_file_exits_2(self, tmp_path, capsys, text, suffix,
                                     message):
@@ -506,7 +521,8 @@ class TestExitContract:
         path.write_text(f"(behaviour (bounds 1 {pool} (pos-base 0)) "
                         "(generators))", encoding="utf-8")
         assert run(capsys, "check", str(path)) == (
-            2, "", "error: the pool repeats an index or a ramification\n")
+            2, "", f"error: {path}: the pool repeats an index or a "
+                   "ramification\n")
 
     def test_universe_over_cap_exits_2(self, tmp_path, capsys, monkeypatch):
         # a cap of 1000 in place of 10**6, so the enumeration gives up at once
@@ -515,22 +531,41 @@ class TestExitContract:
         path.write_text("(behaviour (bounds 3 (pool (I) (I 0) (I 1) (I 0 1))"
                         " (pos-base 0)) (generators (pos 0 (I))))")
         status, _, err = run(capsys, "check", str(path))
-        assert (status, err) == (2, "error: universe exceeds cap 1000\n")
+        assert (status, err) == (2, f"error: {path}: universe exceeds cap "
+                                    "1000\n")
 
-    @pytest.mark.parametrize("suffix, message", [
-        (".gt", "expected a term, got a Design"),
-        (".seq", "expected a sequent, got a Design"),
-        (".tenv", ".tenv files are read only"),
-    ])
-    def test_translate_out_of_another_format_exits_2(self, tmp_path, capsys,
-                                                     suffix, message):
+    @pytest.mark.parametrize("suffix", [".gt", ".seq", ".tenv"])
+    def test_translate_refuses_out_of_another_format(self, tmp_path, capsys,
+                                                     suffix):
+        """--out is checked before anything is translated or printed."""
         out = tmp_path / f"x{suffix}"
-        status, _, err = run(capsys, "translate", "--term",
-                             str(DATA / "copycat.gt"),
-                             "--env", str(DATA / "zero-env.tenv"),
-                             "--out", str(out))
-        assert (status, err) == (2, f"error: {message}\n")
+        assert run(capsys, "translate", "--term", str(DATA / "copycat.gt"),
+                   "--env", str(DATA / "zero-env.tenv"), "--out", str(out)) \
+            == (2, "", f"error: {out}: expected a .dsn file\n")
         assert not out.exists()
+
+    def test_translate_out_in_a_missing_directory_exits_2(self, tmp_path,
+                                                          capsys):
+        out = tmp_path / "missing" / "x.dsn"
+        status, printed, err = run(
+            capsys, "translate", "--term", str(DATA / "copycat.gt"),
+            "--env", str(DATA / "zero-env.tenv"), "--out", str(out))
+        assert (status, err) == (2, f"error: {out}: No such file or "
+                                    "directory\n")
+        assert printed.startswith("(- 0.0 ")
+
+    def test_a_directory_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "x.gt"
+        path.mkdir()
+        assert run(capsys, "check", str(path)) == (
+            2, "", f"error: {path}: Is a directory\n")
+
+    def test_a_file_not_in_utf_8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "x.gt"
+        path.write_bytes(b"\xff(const a (atom A))")
+        assert run(capsys, "check", str(path)) == (
+            2, "", f"error: {path}: 'utf-8' codec can't decode byte 0xff in "
+                   "position 0: invalid start byte\n")
 
 
 #: a .tenv of the benchmark's shape: A is the behaviour 1, generated by

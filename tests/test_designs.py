@@ -4,14 +4,19 @@ import pytest
 
 from groundkit.designs import (
     DaimonLeaf, Design, FidLeaf, NegNode, Pitchfork, PosNode, atomic_bomb,
-    build_fax, child, contains_daimon, daimon, delocate, design_depth,
-    disjoint, fid, format_address, merge_subdesigns, negative,
-    negative_sponge, parse_address, positive, skunk, star, subdesign_order,
-    subsets, subtrees, validate_design, validate_pitchfork,
+    build_fax, child, contains_daimon, daimon, delocate, disjoint, fid,
+    format_address, merge_subdesigns, negative, parse_address, positive,
+    skunk, star, subdesign_order, subsets, subtrees, validate_design,
+    validate_pitchfork,
 )
 
 XI = (0,)
 XI2 = (1,)
+
+
+def negative_sponge(xi, rams):
+    """The negative design at ξ whose every branch gives up at once."""
+    return negative(xi, {I: daimon(*star(xi, I)) for I in rams})
 
 
 class TestAddresses:
@@ -296,8 +301,6 @@ class TestSubdesignOrder:
 class TestMisc:
     def test_depth_and_daimon_detection(self):
         fx = build_fax(XI, XI2, 1, 1)
-        assert design_depth(daimon(XI)) == 0
-        assert design_depth(atomic_bomb(XI)) == 1
         assert contains_daimon(negative_sponge(XI, [()]))
         assert not contains_daimon(fx)
 

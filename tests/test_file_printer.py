@@ -112,22 +112,18 @@ def test_every_printer_is_the_table_printer(tmp_path, monkeypatch):
     rng = random.Random(3)
     values = {sort: random_value(rng, sort) for sort in PRINTERS}
     values.update({"formula": Impl(Atom("A"), Atom("B")),
-                   "term": tm.Const("a", Atom("A")),
-                   "polarized": fo.Tensor(fo.PosAtom("A"), fo.One())})
+                   "term": tm.Const("a", Atom("A"))})
     wants = {sort: sx.write_sexpr(PRINTERS[sort](x))
              for sort, x in values.items() if sort in PRINTERS}
     wants.update({sort: sx.write_sexpr(reference_form(values[sort], sort))
-                  for sort in ("formula", "term", "polarized")})
+                  for sort in ("formula", "term")})
     calls, table_printer = [], sx.syntax_text
     monkeypatch.setattr(sx, "syntax_text", lambda value, sort, cache=None:
                         calls.append(sort) or table_printer(value, sort,
                                                             cache))
     monkeypatch.setattr(sx, "write_sexpr", lambda x: pytest.fail(
         "printed through a list"))
-    printers = {"design": sx.design_to_sexpr, "net": sx.cutnet_to_sexpr,
-                "behaviour": sx.behaviour_to_sexpr,
-                "seq": sx.sequent_to_sexpr, "formula": sx.formula_to_sexpr,
-                "term": sx.term_to_sexpr, "polarized": sx.polarized_to_sexpr}
+    printers = {"design": sx.design_to_sexpr, "formula": sx.formula_to_sexpr}
     for sort, to_sexpr in printers.items():
         calls.clear()
         assert to_sexpr(values[sort]) == sx.read_sexpr(wants[sort])

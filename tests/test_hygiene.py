@@ -1,5 +1,7 @@
-"""Every name a groundkit module imports is used in that module, and every
-top-level function or class it defines is named somewhere else.
+"""Every name a groundkit module imports is used in that module, every
+top-level function or class it defines is named somewhere else, and every
+one of them is reached from the command line or is allowlisted with a
+reason.
 
 No linter is installed, so this walks the syntax trees with `ast`.
 """
@@ -7,6 +9,8 @@ No linter is installed, so this walks the syntax trees with `ast`.
 import ast
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -98,3 +102,104 @@ def test_no_unreferenced_definitions():
               if name not in named
               and not re.search(rf"\b{name}\b", scripts)]
     assert unused == [], f"never referenced: {unused}"
+
+
+# ---------------------------------------------------------------------------
+# every definition in src/ is reached by a verb
+
+#: why a definition that no verb reaches stays, by its qualified name
+BENCH = "called by bench/, which changes only with the benchmark"
+GENV = "Prawitz's atomic bases and user operations, waiting for .genv files"
+STRATEGY = "the strategy round trip, for focus --to-strategy to check"
+UNREACHED = {
+    **{f"sexpr.{name}": BENCH for name in (
+        "formula_to_sexpr", "formula_from_sexpr", "term_from_sexpr",
+        "design_to_sexpr", "design_from_sexpr", "bounds_from_sexpr",
+        "behaviour_from_sexpr")},
+    "behaviours.full_pool": BENCH,
+    "designs.atomic_bomb": BENCH,
+    "designs.skunk": "a test fixture: the negative rule with no branches",
+    **{name: GENV for name in (
+        "formulas.is_closed", "formulas.validate_rule",
+        "formulas._mentions_undeclared", "formulas.validate_base",
+        "terms.EquationError", "terms.metavars", "terms.validate_equation",
+        "terms.GroundEnv.register_op", "terms.GroundEnv.register_equation")},
+    **{f"focusing.{name}": STRATEGY for name in (
+        "validate_derivation", "strategy_to_derivation",
+        "StrategyConversionError")},
+    "designs.merge_subdesigns": "the join of two prunings, waiting for the "
+                                "cones of a behaviour",
+}
+
+
+def spelled_names(node: ast.AST) -> set[str]:
+    """Names a piece of code looks up, reads as an attribute, or spells as
+    an identifier string; an import spells none."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) \
+                and n.value.isidentifier():
+            out.add(n.value)
+    return out
+
+
+def unreached(src: pathlib.Path) -> set[str]:
+    """The definitions of the package at src that no verb reaches, by
+    qualified name (module.name, or module.Class.method).
+
+    The names reached start from `cli.main` and from every module's
+    import-time statements.  A top-level def or class is reached when its
+    name is, and its code then adds its names: a class's bases, decorators,
+    class-level statements and dunder methods, which Python calls.  Any
+    other method of a reached class is reached when its name is.  A method
+    of a class that is not reached is not reported apart from its class."""
+    defs = {}                            # qualified name -> node
+    names = set()
+    for path in sorted(src.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, ast.FunctionDef | ast.ClassDef):
+                defs[f"{path.stem}.{stmt.name}"] = stmt
+                if path.stem == "cli" and stmt.name == "main":
+                    names |= spelled_names(stmt)
+            elif not isinstance(stmt, ast.Import | ast.ImportFrom):
+                names |= spelled_names(stmt)
+    reached: set[str] = set()
+    while new := [qual for qual, node in defs.items()
+                  if qual not in reached and node.name in names]:
+        for qual in new:
+            reached.add(qual)
+            node = defs[qual]
+            if isinstance(node, ast.FunctionDef):
+                names |= spelled_names(node)
+                continue
+            for part in node.bases + node.keywords + node.decorator_list:
+                names |= spelled_names(part)
+            for stmt in node.body:
+                if not isinstance(stmt, ast.FunctionDef):
+                    names |= spelled_names(stmt)
+                    continue
+                defs[f"{qual}.{stmt.name}"] = stmt
+                if stmt.name.startswith("__") and stmt.name.endswith("__"):
+                    names.add(stmt.name)
+    return set(defs) - reached
+
+
+def test_every_definition_is_reached_by_a_verb():
+    """What `cli.main` cannot reach is dead, unless the allowlist says why it
+    stays; an entry for a definition reached or gone is stale."""
+    dead = unreached(SRC)
+    assert sorted(dead - set(UNREACHED)) == [], "reached by no verb"
+    assert sorted(set(UNREACHED) - dead) == [], "stale allowlist entries"
+
+
+def test_bench_selftest_passes():
+    """bench/ calls the program by name, so deleting a name it calls fails
+    here too."""
+    done = subprocess.run([sys.executable, str(ROOT / "bench" / "selftest.py")],
+                          capture_output=True, text=True, check=False)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.endswith("selftest: ok\n")

@@ -7,17 +7,16 @@ from hypothesis import given, settings
 
 from conftest import convergent_pair
 from interaction_oracle import oracle_make_cutnet, oracle_normalize
-from test_designs import random_design
+from test_designs import negative_sponge, random_design
 
 from groundkit.designs import (
     DaimonLeaf, Design, FidLeaf, NegNode, Pitchfork, PosNode, atomic_bomb,
-    daimon, fid, merge_subdesigns, negative, negative_sponge, positive, skunk,
-    subdesign_order, subtrees, validate_design,
+    daimon, fid, merge_subdesigns, negative, positive, skunk, subdesign_order,
+    subtrees, validate_design,
 )
 from groundkit.interaction import (
     BaseMismatch, Converged, CutNetError, Diverged, dual_bases,
-    join_used_parts, make_cutnet, normalize_closed, orthogonal,
-    render_snapshots, used_part,
+    join_used_parts, make_cutnet, normalize_closed, orthogonal, snapshots,
 )
 from groundkit.interaction import (
     CONVERGED, NO_BRANCH, OMEGA, UNCUT, Exhausted, run_closed, step,
@@ -200,7 +199,7 @@ class TestUsedPart:
     def test_daimon_keeps_only_the_skunk_root(self):
         deep = negative_sponge(XI, [(), (0,), (0, 1)])
         out = normalize_closed(make_cutnet((daimon(XI), deep)))
-        pruned = used_part(deep, out.trace)
+        pruned = join_used_parts(deep, [out.trace])
         assert pruned.node == NegNode(XI, ())
         assert pruned.base == deep.base
 
@@ -208,7 +207,7 @@ class TestUsedPart:
         net = convergent_pair()
         left = net.principal
         out = normalize_closed(net)
-        pruned = used_part(left, out.trace)
+        pruned = join_used_parts(left, [out.trace])
         inner = pruned.node.children[0]
         assert tuple(k for k, _ in inner.node.branches) == ((1,),)
         assert validate_design(pruned) == []
@@ -216,7 +215,7 @@ class TestUsedPart:
     def test_empty_trace_root_pruning(self):
         net = convergent_pair()
         left = net.principal
-        assert isinstance(used_part(left, ()).node, FidLeaf)
+        assert isinstance(join_used_parts(left, [()]).node, FidLeaf)
 
     def test_trace_coherence(self):
         """Re-running on the used parts reproduces the same trace."""
@@ -228,7 +227,7 @@ class TestUsedPart:
             out = normalize_closed(make_cutnet((p, n)))
             if not isinstance(out, Converged):
                 continue
-            p2, n2 = used_part(p, out.trace), used_part(n, out.trace)
+            p2, n2 = (join_used_parts(x, [out.trace]) for x in (p, n))
             assert validate_design(p2) == [] and validate_design(n2) == []
             again = normalize_closed(make_cutnet((p2, n2)))
             assert isinstance(again, Converged)
@@ -269,10 +268,10 @@ class TestRendering:
         import pathlib
         golden = pathlib.Path(__file__).parent / "golden" / \
             "convergent_pair_snapshots.txt"
-        assert render_snapshots(convergent_pair()) == golden.read_text()
+        assert snapshots(convergent_pair())[1] == golden.read_text()
 
     def test_snapshot_count(self):
-        text = render_snapshots(convergent_pair())
+        text = snapshots(convergent_pair())[1]
         assert text.count("== ") == 4            # three steps plus the result
         assert text.rstrip().endswith("† ⊢")
 
@@ -319,8 +318,8 @@ class TestFuel:
 
     def test_snapshots(self):
         net = convergent_pair()
-        assert render_snapshots(net, 2).endswith("== result ==\n† ⊢\n")
-        text = render_snapshots(net, 1)
+        assert snapshots(net, 2)[1].endswith("== result ==\n† ⊢\n")
+        text = snapshots(net, 1)[1]
         assert text.endswith("== result ==\nfuel exhausted\n")
         assert text.count("== step") == 2
 
@@ -381,10 +380,10 @@ class TestJoinInOneWalk:
                 picked = [a for a in actions(d) if rng.random() < 0.6]
                 traces.append([("+", xi, ram) for xi, ram in picked]
                               + [("†", XI, ())])
-        parts = [used_part(d, t) for t in traces]
+        parts = [join_used_parts(d, [t]) for t in traces]
         for t, p in zip(traces, parts):
             assert p is pruned_oracle(d, t)
         expected = reduce(merge_subdesigns, parts) if parts \
-            else used_part(d, ())
+            else join_used_parts(d, [()])
         assert join_used_parts(d, traces) is expected
         assert subdesign_order(expected, d)

@@ -31,6 +31,16 @@ DATA = pathlib.Path(__file__).parent.parent / "demos" / "data"
 XI = (0,)
 
 
+def form(value, sort: str):
+    """The list form of the value's text, a `sort`."""
+    return sx.read_sexpr(sx.syntax_text(value, sort))
+
+
+def text_roundtrip(value, sort: str):
+    """The value read back from its text, a `sort`."""
+    return sx.syntax_from_text(sx.syntax_text(value, sort), sort)
+
+
 class TestReader:
     def test_atoms_and_nesting(self):
         assert sx.read_sexpr("(a (b c) d)") == ["a", ["b", "c"], "d"]
@@ -76,11 +86,11 @@ class TestFormulas:
 class TestTerms:
     def test_named_terms_roundtrip(self):
         for t in (worked_term(), open_variant()):
-            assert sx.term_from_sexpr(sx.term_to_sexpr(t)) == t
+            assert sx.term_from_sexpr(form(t, "term")) == t
 
     def test_random_corpus_roundtrip(self):
         for t in corpus(47, 60):
-            assert sx.term_from_sexpr(sx.term_to_sexpr(t)) == t
+            assert sx.term_from_sexpr(form(t, "term")) == t
 
 
 class TestGrammar:
@@ -106,11 +116,10 @@ class TestGrammar:
 
     def test_roundtrip_through_text(self):
         for t in self.TERMS:
-            text = sx.write_sexpr(sx.term_to_sexpr(t))
+            text = sx.syntax_text(t, "term")
             assert sx.term_from_sexpr(sx.read_sexpr(text)) == t
         for f in self.POLARIZED:
-            text = sx.write_sexpr(sx.polarized_to_sexpr(f))
-            assert sx.polarized_from_sexpr(sx.read_sexpr(text)) == f
+            assert text_roundtrip(f, "polarized") == f
 
     def test_term_rows_are_the_terms_table(self):
         """Each ground-term class has one row in `terms.FIELDS`, with one
@@ -157,8 +166,8 @@ class TestGrammar:
 
     def test_every_row_has_a_roundtrip_case(self):
         forms = ([sx.formula_to_sexpr(f) for f in TestFormulas.CASES]
-                 + [sx.term_to_sexpr(t) for t in self.TERMS + corpus(47, 60)]
-                 + [sx.polarized_to_sexpr(f) for f in self.POLARIZED])
+                 + [form(t, "term") for t in self.TERMS + corpus(47, 60)]
+                 + [form(f, "polarized") for f in self.POLARIZED])
         heads, todo = set(), forms
         while todo:
             x = todo.pop()
@@ -172,8 +181,7 @@ class TestGrammar:
         holds the node's text from a print at another sort."""
         warm = sx.TextCache()
         sx.syntax_text(Atom("A"), "formula", warm)
-        for print_term in (sx.term_to_sexpr,
-                           lambda t: sx.syntax_text(t, "term"),
+        for print_term in (lambda t: sx.syntax_text(t, "term"),
                            lambda t: sx.syntax_text(t, "term", warm)):
             with pytest.raises(sx.ParseError, match="expected a term"):
                 print_term(daimon(XI))
@@ -249,7 +257,7 @@ class TestTextPrinter:
     def test_term_corpus(self):
         self.assert_prints(corpus(47, 200))
         for t in corpus(47, 60):
-            assert sx.term_to_sexpr(t) == reference_form(t, "term")
+            assert form(t, "term") == reference_form(t, "term")
 
     def test_every_step_of_seeded_reductions(self):
         below_root = 0
@@ -270,7 +278,7 @@ class TestTextPrinter:
         for f in TestFormulas.CASES:
             assert sx.formula_to_sexpr(f) == reference_form(f, "formula")
         for f in TestGrammar.POLARIZED:
-            assert sx.polarized_to_sexpr(f) == reference_form(f, "polarized")
+            assert form(f, "polarized") == reference_form(f, "polarized")
 
 
 class TestAddresses:
@@ -519,7 +527,7 @@ class TestDesigns:
 
     def test_cutnet_roundtrip(self):
         net = convergent_pair()
-        back = sx.cutnet_from_sexpr(sx.cutnet_to_sexpr(net))
+        back = text_roundtrip(net, "net")
         assert back.designs == net.designs
         assert back.cuts == net.cuts
 
@@ -529,7 +537,7 @@ class TestBehavioursAndSequents:
         bounds = UniverseBounds(2, ((), (0,)), Pitchfork(None,
                                                          frozenset({XI})))
         b = behaviour([atomic_bomb(XI)], bounds)
-        back = sx.behaviour_from_sexpr(sx.behaviour_to_sexpr(b))
+        back = sx.behaviour_from_sexpr(form(b, "behaviour"))
         assert back.generators == b.generators
         assert back.bounds == b.bounds
 
@@ -541,12 +549,12 @@ class TestBehavioursAndSequents:
             fo.Top(), fo.Zero(), fo.Bottom(),
         ]
         for f in cases:
-            assert sx.polarized_from_sexpr(sx.polarized_to_sexpr(f)) == f
+            assert text_roundtrip(f, "polarized") == f
 
     def test_sequent_roundtrip(self):
         A = fo.PosAtom("A")
         seq = (fo.Par(A, A), fo.Tensor(fo.NegAtom("A"), fo.NegAtom("A")))
-        assert sx.sequent_from_sexpr(sx.sequent_to_sexpr(seq)) == seq
+        assert text_roundtrip(seq, "seq") == seq
 
 
 class TestFiles:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from translate_oracle import behaviour_arrow, behaviour_at
 from test_behaviours import (
     count_runs, members_per_pair, orthogonal_against_all, outcome,
     universe_order,
@@ -15,12 +16,12 @@ from groundkit.designs import (
     positive, skunk, validate_design,
 )
 from groundkit.behaviours import (
-    OutOfFuel, UniverseBounds, behaviour, classify_candidate,
-    enumerate_universe, full_pool, member_verdict, members,
+    OutOfFuel, UniverseBounds, _test_run, behaviour, classify_candidate,
+    enumerate_universe, full_pool, incarnation_of, members,
 )
 from groundkit.interaction import DEFAULT_FUEL, make_cutnet, orthogonal
 from groundkit.translate import (
-    MisboundAtom, TranslationEnv, TranslationError, arrow, check_translation,
+    MisboundAtom, TranslationEnv, TranslationError, check_translation,
     free_incarnation, normalize_open, translate,
 )
 
@@ -156,9 +157,9 @@ def positive_with_zero_branch():
 class TestArrow:
     def test_arrow_zero_zero_contains_fax(self):
         env = zero_env()
-        bA = env.behaviour_at(Absurd(), (0, 0))
-        bB = env.behaviour_at(Absurd(), (0, 1))
-        ab = arrow(bA, bB, BOUNDS)
+        bA = behaviour_at(env, Absurd(), (0, 0))
+        bB = behaviour_at(env, Absurd(), (0, 1))
+        ab = behaviour_arrow(bA, bB, BOUNDS)
         fx = build_fax((0, 0), (0, 1), 2, 0)
         # vacuous domain: the defining set is the whole bounded universe
         # (the fax itself is deeper than the bound, so it only enters via
@@ -167,15 +168,15 @@ class TestArrow:
         assert ab.generators == frozenset(
             enumerate_universe(BOUNDS.at(ab.base)))
         assert fx not in ab.generators
-        assert member_verdict(fx, ab) == "yes"
+        assert _test_run(fx, ab.cached_orthogonal, DEFAULT_FUEL)[0] == "yes"
 
     def test_vacuous_domain_pairs_are_daimon_led(self):
         # fid is in the defining set, so the only pairs orthogonal to
         # everything are those whose left component ends the game at once
         env = zero_env()
-        bA = env.behaviour_at(Absurd(), (0, 0))
-        bB = env.behaviour_at(Absurd(), (0, 1))
-        ab = arrow(bA, bB, BOUNDS)
+        bA = behaviour_at(env, Absurd(), (0, 0))
+        bB = behaviour_at(env, Absurd(), (0, 1))
+        ab = behaviour_arrow(bA, bB, BOUNDS)
         assert ab.cached_orthogonal
         assert all(a == daimon((0, 0)) for a, _ in ab.cached_orthogonal)
 
@@ -184,9 +185,9 @@ class TestArrow:
         incarnation: the documented verdict is PseudoGround(not-material),
         while its cut against 0's Daimon is a material member of 0."""
         env = zero_env()
-        bA = env.behaviour_at(Absurd(), (0, 0))
-        bB = env.behaviour_at(Absurd(), (0, 1))
-        ab = arrow(bA, bB, BOUNDS)
+        bA = behaviour_at(env, Absurd(), (0, 0))
+        bB = behaviour_at(env, Absurd(), (0, 1))
+        ab = behaviour_arrow(bA, bB, BOUNDS)
         fx = translate(copycat(Absurd()), env, root=(0,))
         v = classify_candidate(fx, ab)
         assert (v.tag, v.reason) == ("PseudoGround", "not-material")
@@ -196,25 +197,25 @@ class TestArrow:
         v2 = classify_candidate(delocate(out, (0, 1), HOME),
                                 env.atoms[Absurd()])
         assert (v2.tag, v2.reason) == ("PseudoGround", "contains-daimon")
-        from groundkit.behaviours import is_material
-        assert is_material(delocate(out, (0, 1), HOME), env.atoms[Absurd()])
+        out = delocate(out, (0, 1), HOME)
+        assert incarnation_of(out, env.atoms[Absurd()]) == out
 
     def test_arrow_one_one_maps_bomb_to_bomb(self):
         env = one_env()
-        bA = env.behaviour_at(P, (0, 0))
-        bB = env.behaviour_at(P, (0, 1))
-        ab = arrow(bA, bB, BOUNDS)
+        bA = behaviour_at(env, P, (0, 0))
+        bB = behaviour_at(env, P, (0, 1))
+        ab = behaviour_arrow(bA, bB, BOUNDS)
         fx = build_fax((0, 0), (0, 1), 1, 0)
         assert len(ab.generators) == 5
         assert len(ab.cached_orthogonal) == 16
-        assert member_verdict(fx, ab) == "yes"
+        assert _test_run(fx, ab.cached_orthogonal, DEFAULT_FUEL)[0] == "yes"
         out = normalize_open(make_cutnet((atomic_bomb((0, 0)), fx)))
         assert out in free_incarnation(bB)
 
     def test_pair_tests_are_in_product_order(self):
         env = one_env()
-        ab = arrow(env.behaviour_at(P, (0, 0)), env.behaviour_at(P, (0, 1)),
-                   BOUNDS)
+        ab = behaviour_arrow(behaviour_at(env, P, (0, 0)),
+                             behaviour_at(env, P, (0, 1)), BOUNDS)
         assert isinstance(ab.cached_orthogonal, tuple)
         assert len(ab.cached_orthogonal) == 16
         assert ab.cached_orthogonal == universe_order(ab)
@@ -237,8 +238,8 @@ class TestEmptyDefiningSet:
         env = TranslationEnv({P: behaviour([atomic_bomb(HOME)], home),
                               Absurd(): behaviour([daimon(HOME)], home)},
                              BOUNDS, fax_arity=0)
-        return arrow(env.behaviour_at(P, (0, 0)),
-                     env.behaviour_at(Absurd(), (0, 1)), BOUNDS)
+        return behaviour_arrow(behaviour_at(env, P, (0, 0)),
+                               behaviour_at(env, Absurd(), (0, 1)), BOUNDS)
 
     def test_counts(self):
         ab = self.arrow_one_zero()
@@ -310,7 +311,7 @@ class TestCheckTranslationOracle:
         for xi in [HOME, (0, 0), (9, 1), (3, 2, 7), (0,)]:
             here = env.bounds.at(Pitchfork(None, frozenset({xi})))
             for ty in (P, Q, Absurd()):
-                old = env.behaviour_at(ty, xi)
+                old = behaviour_at(env, ty, xi)
                 for d in enumerate_universe(here):
                     assert check_translation(tm.Const("c", ty), d, env) == \
                         classify_candidate(d, old, env.fuel)
@@ -322,8 +323,9 @@ class TestCheckTranslationOracle:
         rng = random.Random(5)
         for ty in (P, Q, Absurd()):
             t = copycat(ty)
-            old = arrow(env.behaviour_at(ty, alpha),
-                        env.behaviour_at(ty, beta), env.bounds, env.fuel)
+            old = behaviour_arrow(behaviour_at(env, ty, alpha),
+                                  behaviour_at(env, ty, beta), env.bounds,
+                                  env.fuel)
             universe = enumerate_universe(old.bounds)
             for d in [translate(t, env, root=(0,)), *rng.sample(universe, 10)]:
                 assert check_translation(t, d, env) == \
@@ -342,7 +344,7 @@ class TestCheckTranslationOracle:
 class TestDelocatedBehaviours:
     def test_behaviour_at_preserves_membership(self):
         env = one_env()
-        b = env.behaviour_at(P, (5,))
+        b = behaviour_at(env, P, (5,))
         assert b.base == Pitchfork(None, frozenset({(5,)}))
         from groundkit.behaviours import members
         assert members(b) == {atomic_bomb((5,)), daimon((5,))}
@@ -360,7 +362,7 @@ class TestDelocatedBehaviours:
             env = TranslationEnv({P: behaviour(gens, home)}, bounds)
             for xi in [HOME, (0, 0), (9, 1), (3, 2, 7)]:
                 here = bounds.at(Pitchfork(None, frozenset({xi})))
-                assert env.behaviour_at(P, xi) == behaviour(
+                assert behaviour_at(env, P, xi) == behaviour(
                     [delocate(g, HOME, xi) for g in gens], here)
 
     @pytest.mark.parametrize("pool", [BOUNDS.pool, ((), (0,), (1,))])
@@ -372,7 +374,7 @@ class TestDelocatedBehaviours:
             # (0, 0) twice: before and after the env holds P's free set
             for xi in [(0, 0), HOME, (3, 2, 7), (0, 0)]:
                 assert env.free_at(P, xi) == free_incarnation(
-                    env.behaviour_at(P, xi))
+                    behaviour_at(env, P, xi))
 
     def test_free_incarnation_once_per_env(self, monkeypatch):
         """P → P and the constant of P share one free incarnation of P."""
@@ -425,13 +427,13 @@ class TestOpenFuel:
 class TestArrowShortCircuit:
     def test_member_verdict_stops_at_first_no(self, monkeypatch):
         env = one_env()
-        ab = arrow(env.behaviour_at(P, (0, 0)), env.behaviour_at(P, (0, 1)),
-                   BOUNDS)
+        ab = behaviour_arrow(behaviour_at(env, P, (0, 0)),
+                             behaviour_at(env, P, (0, 1)), BOUNDS)
         d = negative((0, 0), extra=[(0, 1)])
         verdicts = [orthogonal(d, (a, b)) for a, b in ab.cached_orthogonal]
         assert "no" in verdicts and "yes" in verdicts
         calls = count_runs(monkeypatch)
-        assert member_verdict(d, ab) == "no"
+        assert _test_run(d, ab.cached_orthogonal, DEFAULT_FUEL)[0] == "no"
         assert len(calls) == verdicts.index("no") + 1
 
 
@@ -441,10 +443,10 @@ class TestArrowMinimalDesigns:
 
     def arrows(self):
         zero, one = zero_env(), one_env()
-        yield arrow(zero.behaviour_at(Absurd(), (0, 0)),
-                    zero.behaviour_at(Absurd(), (0, 1)), BOUNDS)
-        yield arrow(one.behaviour_at(P, (0, 0)), one.behaviour_at(P, (0, 1)),
-                    BOUNDS)
+        yield behaviour_arrow(behaviour_at(zero, Absurd(), (0, 0)),
+                              behaviour_at(zero, Absurd(), (0, 1)), BOUNDS)
+        yield behaviour_arrow(behaviour_at(one, P, (0, 0)),
+                              behaviour_at(one, P, (0, 1)), BOUNDS)
         yield TestEmptyDefiningSet().arrow_one_zero()
 
     def test_agrees_with_every_defining_design(self):
@@ -457,9 +459,9 @@ class TestArrowMinimalDesigns:
         and 18 for the defining set's normal forms and the orthogonal of its
         one minimal design, whose 144 pairs a run per pair would take."""
         env = one_env()
-        bA, bB = env.behaviour_at(P, (0, 0)), env.behaviour_at(P, (0, 1))
+        bA, bB = behaviour_at(env, P, (0, 0)), behaviour_at(env, P, (0, 1))
         calls = count_runs(monkeypatch)
-        ab = arrow(bA, bB, BOUNDS)
+        ab = behaviour_arrow(bA, bB, BOUNDS)
         assert len(ab.generators) == 5
         assert len(calls) == 44
 
@@ -528,8 +530,8 @@ class TestArrowSharedPrefixes:
                            (positive_with_zero_branch(), atomic_bomb(HOME))]:
                 env = TranslationEnv({P: behaviour([gA], home),
                                       Absurd(): behaviour([gB], home)}, bounds)
-                cases.append((env.behaviour_at(P, alpha),
-                              env.behaviour_at(Absurd(), beta), bounds))
+                cases.append((behaviour_at(env, P, alpha),
+                              behaviour_at(env, Absurd(), beta), bounds))
         expected = []
         for bA, bB, bounds in cases:
             dom, cod = free_incarnation(bA), free_incarnation(bB)
@@ -540,6 +542,6 @@ class TestArrowSharedPrefixes:
                        for a in dom)))
         monkeypatch.setattr(importlib.import_module("groundkit.translate"),
                             "make_cutnet", None)
-        assert [arrow(bA, bB, bounds).generators
+        assert [behaviour_arrow(bA, bB, bounds).generators
                 for bA, bB, bounds in cases] == expected
         assert any(expected) and not all(expected)

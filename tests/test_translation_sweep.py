@@ -12,6 +12,7 @@ import contextlib
 import io
 
 from test_translation import BOUNDS, HOME, P
+from translate_oracle import behaviour_at
 
 import groundkit.sexpr as sx
 from groundkit import terms as tm
@@ -87,7 +88,7 @@ def sweep(tmp_path):
     for k, g in enumerate(GENERATORS):
         env = tmp_path / f"env{k}.tenv"
         env.write_text(tenv_text(g))
-        b = sx.load(str(env)).behaviour_at(P, BETA)
+        b = behaviour_at(sx.load(str(env)), P, BETA)
         const = None
         for n, t in named.items():
             path, out = tmp_path / f"{k}-{n}.gt", tmp_path / f"{k}-{n}.dsn"
