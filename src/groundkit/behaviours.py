@@ -19,12 +19,14 @@ same and E^⊥ = (min E)^⊥ (Girard's monotonicity).
 
 Runs are shared by branch.  Each net has one design on a negative
 one-address base ζ⊢, its leaf, and an interaction reads the leaf only
-through the branch that the action (ζ, I) selects.  So the rest of the net
-runs once; unless it stops uncut at ζ, its stop is every leaf's verdict.
-Otherwise the run resumes with the fuel left once per distinct branch I
-(interned designs group by identity), and a leaf with no branch I answers
-"no" without a run.  Each resumption is the run the whole net makes, so
-every verdict, fuel included, is the one a run per net gives.
+through the branch that the action (ζ, I) selects.  So nets that differ in
+their leaf only form a group (for an arrow, one design on ⊢α with every
+design on β⊢), whose rest runs once; unless it stops uncut at ζ, its stop
+is every leaf's verdict.  Otherwise the leaves, split by their branch I once
+per ramification, resume the run with the fuel left once per distinct
+branch (interned designs group by identity), and a leaf with no branch I
+answers "no" without a run.  Each resumption is the run the whole net
+makes, so every verdict, fuel included, is the one a run per net gives.
 """
 
 from __future__ import annotations
@@ -213,9 +215,12 @@ def orthogonal_set(E, bounds: UniverseBounds,
         raise ValueError("orthogonal set requires designs on the bounds' base")
     universes = [enumerate_universe(bounds.at(p))
                  for p in dual_bases(bounds.base)]
-    tests = universes[0] if len(universes) == 1 \
-        else itertools.product(*universes)
-    return tuple(_passing(tests, _minimal(E), fuel))
+    if len(universes) == 1:
+        return tuple(_passing(universes[0], _minimal(E), fuel))
+    # the pairs (a, b) for one a are a group, the leaves b all of β⊢
+    left, right = universes
+    return tuple(itertools.compress(itertools.product(left, right), _verdicts(
+        _minimal(E), [((a,), right) for a in left], True, fuel)))
 
 
 def _minimal(E: list[Design]) -> list[Design]:
@@ -265,46 +270,66 @@ def _test_run(d, tests, fuel: int) -> tuple[str, list]:
 def _passing(candidates, tests, fuel: int) -> list:
     """The candidates that pass every test, in their order; OutOfFuel if one
     fails no test and some test on it is undecided.  Either side may hold
-    pairs; the runs share their prefixes (see the module docstring)."""
+    pairs: the leaf, on ζ⊢, is the last design of one side's items, and
+    consecutive items with the same rest form a group (a behaviour's pairs
+    come in product order)."""
     candidates, tests = list(candidates), list(tests)
     if not (candidates and tests):
         return candidates if not tests else []
-    # the leaf, on ζ⊢, is the last design of the items of one side, whose
-    # positions are grouped by the rest of their items
     flip = bool(_parts(tests[0])[-1].base.pos)
-    fixed, varied = (tests, candidates) if flip else (candidates, tests)
-    groups: dict = {}
-    for n, x in enumerate(map(_parts, varied)):
-        groups.setdefault(x[:-1], {})[n] = x[-1]
-    status = ["yes"] * len(candidates)
+    groups = [(rest, [x[-1] for x in xs]) for rest, xs in itertools.groupby(
+        map(_parts, candidates if flip else tests), lambda x: x[:-1])]
+    return list(itertools.compress(candidates, _verdicts(
+        tests if flip else candidates, groups, flip, fuel)))
+
+
+def _verdicts(fixed, groups, flip: bool, fuel: int) -> list[bool]:
+    """Whether each candidate passes every test; OutOfFuel if one fails no
+    test and some test on it is undecided.  One side's items are `fixed`,
+    the other's come as groups (rest, leaves) of the items rest + (h,) for
+    h in leaves.  The candidates are the fixed items, or with `flip` the
+    grouped ones in group order.  The runs share their prefixes (see the
+    module docstring)."""
+    status = ["yes"] * (sum(len(g[1]) for g in groups) if flip else len(fixed))
+    splits: dict = {}   # (leaves, ram) -> [(branch, first leaf, offsets)]
     for i, f in enumerate(fixed):
-        for rest, leaves in groups.items():
-            if not flip and status[i] == "no":
-                break
-            if flip and all(status[n] == "no" for n in leaves):
+        hi = 0
+        for rest, leaves in groups:
+            # the candidates at stake: the group's leaves, or f
+            lo, hi = (hi, hi + len(leaves)) if flip else (i, i + 1)
+            if (failed := status[lo:hi].count("no")) == hi - lo:
                 continue
             net = _parts(f) + rest
             env = listeners(net)
             reason, last, left = run(next(d for d in net if d.base.neg is None),
                                      env, fuel)
-            by_branch = {None: "no"}
-            for n, h in leaves.items():
-                m = n if flip else i            # the candidate at stake
-                if status[m] == "no":
-                    continue
-                if reason != UNCUT:
-                    v = VERDICT[reason]
-                else:
-                    branch = h.node.branch_map().get(last.node.ramification)
-                    if branch not in by_branch:
-                        by_branch[branch] = VERDICT[
-                            run(last, env | {h.base.neg: h}, left)[0]]
-                    v = by_branch[branch]
+            if reason == UNCUT:
+                ram = last.node.ramification
+                if (key := (id(leaves), ram)) not in splits:
+                    split: dict = {}
+                    for p, b in enumerate([h.node.branch_map().get(ram)
+                                           for h in leaves]):
+                        split.setdefault(b, []).append(p)
+                    splits[key] = [(b, ps[0], ps if flip else [0])
+                                   for b, ps in split.items()]
+                parts = splits[key]
+            else:                   # the stop is every leaf's verdict
+                parts = [(None, 0, range(hi - lo))]
+            for branch, first, offsets in parts:
+                if not flip and status[i] == "no":
+                    break           # f has failed a test
+                if failed and all(status[lo + o] == "no" for o in offsets):
+                    continue        # so has every candidate at stake
+                v = VERDICT[reason] if reason != UNCUT \
+                    else "no" if branch is None else VERDICT[run(
+                        last, env | {last.node.focus: leaves[first]}, left)[0]]
                 if v != "yes":
-                    status[m] = v
+                    for o in offsets:
+                        if status[lo + o] != "no":
+                            status[lo + o] = v
     if "unknown" in status:
         raise _undecided(fuel)
-    return [c for c, v in zip(candidates, status) if v == "yes"]
+    return [v == "yes" for v in status]
 
 
 def members(b: Behaviour, fuel: int = DEFAULT_FUEL) -> frozenset[Design]:

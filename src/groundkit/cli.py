@@ -420,7 +420,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()           # a closed stdout fails here, not at exit
+        return status
+    except BrokenPipeError:          # the reader is gone: drop the rest
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {args.verb}: standard output closed", file=sys.stderr)
+        return ERR
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.status

@@ -79,10 +79,6 @@ class Pitchfork:
     def __post_init__(self):
         object.__setattr__(self, "pos", frozenset(self.pos))
 
-    @property
-    def polarity(self) -> str:
-        return "neg" if self.neg is not None else "pos"
-
     def all_addresses(self) -> frozenset[Address]:
         return self.pos | ({self.neg} if self.neg is not None else frozenset())
 

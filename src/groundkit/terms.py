@@ -21,7 +21,7 @@ from functools import partial
 
 from .formulas import (
     Absurd, Atom, AtomicBase, AtomicDerivation, Conj, Disj, Exists, Forall,
-    Formula, IConst, ITerm, IVar, Impl, check_atomic_derivation, free_ivars,
+    Formula, ITerm, IVar, Impl, check_atomic_derivation, free_ivars,
     subst_ivar,
 )
 from .sharing import Syntax, fold
@@ -671,22 +671,20 @@ class GroundVerdict:
 
 
 def denotes_ground(t: GroundTerm, env: GroundEnv | None = None,
-                   fuel: int = DEFAULT_FUEL,
-                   sampler=None) -> GroundVerdict:
+                   fuel: int = DEFAULT_FUEL) -> GroundVerdict:
     """Decide (structurally) whether a closed term denotes a ground.
 
     For function types the full condition quantifies over all closed
-    instances and is undecidable; by default only the structural check
-    runs.  `sampler(formula)` may supply closed instance terms to probe.
+    instances and is undecidable; only the structural check runs.
     """
     env = env or GroundEnv()
     ty = typecheck(t, env)
     if ty.antecedents or not is_closed_term(t):
         raise GroundTypeError(t, "groundhood is defined for closed terms only")
-    return _denotes(t, ty.succedent, env, fuel, sampler)
+    return _denotes(t, ty.succedent, env, fuel)
 
 
-def _denotes(t, formula, env, fuel, sampler) -> GroundVerdict:
+def _denotes(t, formula, env, fuel) -> GroundVerdict:
     if isinstance(formula, Absurd):
         return GroundVerdict("no", "no term denotes a ground for absurdity")
     out = normalize(t, env, fuel)
@@ -714,7 +712,7 @@ def _denotes(t, formula, env, fuel, sampler) -> GroundVerdict:
             return GroundVerdict("no", "atomic type needs a derivation constant")
         case (Conj(a, b), ConjI(l, r)):
             for sub, want in ((l, a), (r, b)):
-                v = _denotes(sub, want, env, fuel, sampler)
+                v = _denotes(sub, want, env, fuel)
                 if v.tag != "yes":
                     return v
             return GroundVerdict("yes")
@@ -722,33 +720,17 @@ def _denotes(t, formula, env, fuel, sampler) -> GroundVerdict:
             if d != formula:
                 return GroundVerdict("no", "injection annotated at a different "
                                      "disjunction")
-            return _denotes(body, a if side == 1 else b, env, fuel, sampler)
+            return _denotes(body, a if side == 1 else b, env, fuel)
         case (Exists(x, a), ExistsI(w, e, body)):
             if e != formula:
                 return GroundVerdict("no", "witness annotated at a different "
                                      "existential")
-            return _denotes(body, subst_ivar(a, x, w), env, fuel, sampler)
+            return _denotes(body, subst_ivar(a, x, w), env, fuel)
         case (Impl(a, b), ImplI(x, body)):
             if x.type != a:
                 return GroundVerdict("no", "binder typed at a different domain")
-            if sampler is None:
-                return GroundVerdict("yes")
-            verdicts = [_denotes(subst(body, x, s), b, env, fuel, sampler)
-                        for s in sampler(a)]
-            if any(v.tag == "no" for v in verdicts):
-                return GroundVerdict("no", "a sampled instance fails")
-            if any(v.tag == "unknown" for v in verdicts):
-                return GroundVerdict("unknown", "a sampled instance is undecided")
             return GroundVerdict("yes")
-        case (Forall(x, a), ForallI(y, body)):
-            if sampler is None:
-                return GroundVerdict("yes")
-            insts = [c for c in sampler(formula) if isinstance(c, IConst)]
-            for c in insts:
-                v = _denotes(subst_term_ivar(body, y, c),
-                             subst_ivar(a, x, c), env, fuel, sampler)
-                if v.tag != "yes":
-                    return v
+        case (Forall(), ForallI()):
             return GroundVerdict("yes")
     return GroundVerdict("no", f"canonical head {type(u).__name__} does not "
                          f"match the type")

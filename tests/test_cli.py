@@ -373,6 +373,27 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.startswith("ok: ")
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("verb, lines", [("check", 0), ("reduce", 1)])
+    def test_a_closed_stdout_exits_2(self, tmp_path, unbuffered, verb, lines):
+        """A reader that closes the pipe ends the verb with exit 2 and one
+        error line, with no traceback then or at exit: `check`'s one line
+        meets a pipe closed before the program is up, and `reduce` still
+        has several pipes' worth to write after the first line."""
+        term = write(tmp_path, "chain.gt", identity_chain_text(100))
+        args = {"check": [term],
+                "reduce": ["--format", "pretty", "--term", term]}[verb]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "groundkit.cli", verb, *args],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONUNBUFFERED=unbuffered))
+        assert all(proc.stdout.readline() for _ in range(lines))
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 2
+        assert err == f"error: {verb}: standard output closed\n".encode()
+
 
 class TestDemos:
     """Each demo script, run with a fixed hash seed, prints the bytes

@@ -63,10 +63,6 @@ class TestPitchforks:
             for a, b in [("0", "0.1"), ("0", "0.1.2"), ("0", "0.2"),
                          ("0.1", "0.1.2")]]
 
-    def test_polarity(self):
-        assert Pitchfork(None, frozenset({XI})).polarity == "pos"
-        assert Pitchfork(XI, frozenset()).polarity == "neg"
-
 
 class TestValidation:
     def test_daimon_ok(self):

@@ -1,5 +1,9 @@
+import functools
 import importlib
+import pathlib
 import random
+import re
+import types
 
 import pytest
 
@@ -13,15 +17,17 @@ from groundkit import terms as tm
 from groundkit.formulas import Absurd, Atom, Impl
 from groundkit.designs import (
     Pitchfork, atomic_bomb, build_fax, daimon, delocate, fid, negative,
-    positive, skunk, validate_design,
+    positive, skunk, subdesign_order, validate_design,
 )
 from groundkit.behaviours import (
     OutOfFuel, UniverseBounds, _test_run, behaviour, classify_candidate,
     enumerate_universe, full_pool, incarnation_of, members,
 )
-from groundkit.interaction import DEFAULT_FUEL, make_cutnet, orthogonal
+from groundkit.interaction import (
+    DEFAULT_FUEL, dual_bases, make_cutnet, orthogonal,
+)
 from groundkit.translate import (
-    MisboundAtom, TranslationEnv, TranslationError, check_translation,
+    MisboundAtom, TranslationEnv, TranslationError, arrow, check_translation,
     free_incarnation, normalize_open, translate,
 )
 
@@ -517,6 +523,63 @@ class TestArrowSharedPrefixes:
         assert len(calls) == 12 + 2
         assert orth == orthogonal_against_all([d], bounds)
 
+    #: the bench envs' shapes: (depth, pool), the sizes of U(⊢α) and U(β⊢),
+    #: and the machine runs of the copycat-atom arrow's orthogonal
+    SHAPES = {"depth2-pool3": (2, ((), (0,), (1,)), 57, 48, 59),
+              "depth3-pool2": (3, ((), (0,)), 15, 39, 17)}
+
+    @staticmethod
+    @functools.cache
+    def copycat_arrow(shape):
+        """The arrow P → P that `check_translation` builds for the copycat
+        of the atom when P is the bomb's behaviour, at a bench env's shape."""
+        depth, pool = TestArrowSharedPrefixes.SHAPES[shape][:2]
+        bounds = UniverseBounds(depth, pool, BOUNDS.base)
+        env = TranslationEnv({P: behaviour([atomic_bomb(HOME)], bounds.at(
+            Pitchfork(None, frozenset({HOME}))))}, bounds)
+        a, b = TestArrowSharedPrefixes.ALPHA, TestArrowSharedPrefixes.BETA
+        return arrow(a, b, env.free_at(P, a), env.free_at(P, b), bounds,
+                     DEFAULT_FUEL)
+
+    @pytest.mark.parametrize("fuel", [0, 1, 2, DEFAULT_FUEL])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_bench_shapes(self, shape, fuel, monkeypatch):
+        """At the bench's shapes the orthogonal is the product filtered by
+        a run per (design, pair), OutOfFuel included: for the defining set,
+        for two designs of which neither prunes the other (the rows the
+        first one fails are not run again for the second), and for a
+        random sample of designs."""
+        ab = self.copycat_arrow(shape)
+        sizes = self.SHAPES[shape][2:4]
+        assert tuple(len(enumerate_universe(ab.bounds.at(p)))
+                     for p in dual_bases(ab.bounds.base)) == sizes
+        alpha, beta = self.ALPHA, self.BETA
+        two = [negative(alpha, {(): atomic_bomb(beta)}),
+               negative(alpha, {(0,): daimon(beta, (0, 0, 0))})]
+        assert not any(subdesign_order(a, b) for a, b in (two, two[::-1]))
+        rng = random.Random(f"{shape}:{fuel}")
+        for E in [list(ab.generators), two,
+                  rng.sample(enumerate_universe(ab.bounds), 3)]:
+            got = outcome(
+                lambda: behaviour(E, ab.bounds, fuel).cached_orthogonal)
+            assert got == outcome(orthogonal_against_all, E, ab.bounds, fuel)
+        calls = count_runs(monkeypatch)
+        outcome(lambda: behaviour(two, ab.bounds, fuel))
+        assert len(calls) < 2 * sizes[0]
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_copycat_arrow_runs(self, shape, monkeypatch):
+        """The copycat-atom arrow's orthogonal, over its defining set in
+        universe order, takes one run per design on ⊢α and one per distinct
+        branch resumed: 59 and 17 runs, a bound that may only go down."""
+        ab = self.copycat_arrow(shape)
+        defining = [d for d in enumerate_universe(ab.bounds)
+                    if d in ab.generators]
+        calls = count_runs(monkeypatch)
+        assert behaviour(defining, ab.bounds).cached_orthogonal \
+            == ab.cached_orthogonal
+        assert len(calls) <= self.SHAPES[shape][4]
+
     def test_defining_set_agrees_with_validated_nets(self, monkeypatch):
         """The defining set, normalized once per (a, branch) and started
         from (a, d) directly, is the one each validated net {a, d} gives."""
@@ -545,3 +608,32 @@ class TestArrowSharedPrefixes:
         assert [behaviour_arrow(bA, bB, bounds).generators
                 for bA, bB, bounds in cases] == expected
         assert any(expected) and not all(expected)
+
+
+class TestBenchTranslateWorkload:
+    """The translate benchmark's own check passes on the program's answers
+    at two seeds, all three envs included, and each copycat's
+    classification is pinned per env (the check reads copycat-absurd's
+    only)."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_check_passes(self, seed, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(
+            str(pathlib.Path(__file__).parent.parent / "bench"))
+        workloads = importlib.import_module("workloads")
+        gk = types.SimpleNamespace(**{
+            m: importlib.import_module(f"groundkit.{m}")
+            for m in ("sexpr", "terms", "designs", "interaction",
+                      "behaviours", "translate", "cli")})
+        w = workloads.Translate(seed, tmp_path)
+        w.write_files()
+        shared = w.setup(gk)
+        outputs = [op() for op in w.operations(gk, shared)]
+        assert len(outputs) == 15
+        assert w.check(gk, shared, outputs) == []
+        copycats = {(k, t): re.findall(r"^classification: (.*)$", text, re.M)
+                    for (k, t), (_, text) in zip(w.calls, outputs)
+                    if t.startswith("copycat")}
+        assert copycats == {
+            (k, t): ["PseudoGround(not-material)"] for k in range(3)
+            for t in ("copycat-atom", "copycat-absurd")}
