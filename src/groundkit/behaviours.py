@@ -40,20 +40,21 @@ from .designs import (
     Ramification, child, contains_daimon, star, subdesign_order, subsets,
 )
 from .interaction import (
-    DEFAULT_FUEL, UNCUT, VERDICT, BaseMismatch, _parts, dual_bases,
-    join_used_parts, listeners, run, run_closed,
+    DEFAULT_FUEL, UNCUT, VERDICT, _parts, dual_bases, join_used_parts,
+    listeners, run, run_closed,
 )
+from .sharing import Refusal
 
 
-class SizeLimitExceeded(ValueError):
+class SizeLimitExceeded(Refusal):
     pass
 
 
-class NotAMember(Exception):
+class NotAMember(Refusal):
     pass
 
 
-class OutOfFuel(ValueError):
+class OutOfFuel(Refusal):
     pass
 
 
@@ -68,10 +69,10 @@ class UniverseBounds:
         object.__setattr__(self, "pool",
                            tuple(sorted(tuple(sorted(I)) for I in self.pool)))
         if self.max_depth < 1:
-            raise ValueError("depth must be at least 1")
+            raise Refusal("depth must be at least 1")
         if any(len(set(I)) != len(I) for I in self.pool) \
                 or len(set(self.pool)) != len(self.pool):
-            raise ValueError("the pool repeats an index or a ramification")
+            raise Refusal("the pool repeats an index or a ramification")
 
     def at(self, base: Pitchfork) -> "UniverseBounds":
         return UniverseBounds(self.max_depth, self.pool, base, self.cap)
@@ -185,13 +186,9 @@ def _count_neg(pool, n: int, depth: int) -> int:
     """Negative designs with a context of n addresses."""
     if depth < 1:
         return 0
-    total = 0
-    for size in range(len(pool) + 1):
-        for keys in itertools.combinations(pool, size):
-            prod = 1
-            for I in keys:
-                prod *= _count_pos(pool, n + len(I), depth - 1)
-            total += prod
+    total = 1             # each I of the pool: no branch, or one of U(n + |I|)
+    for I in pool:
+        total *= 1 + _count_pos(pool, n + len(I), depth - 1)
     return total
 
 
@@ -351,7 +348,7 @@ def incarnation_of(d: Design, b: Behaviour,
                    fuel: int = DEFAULT_FUEL) -> Design:
     """The join of the parts of d used against every cached counter-test."""
     if d.base != b.base:
-        raise BaseMismatch(f"design on {d.base}, behaviour on {b.base}")
+        raise NotAMember(f"design on {d.base}, behaviour on {b.base}")
     verdict, results = _test_run(d, b.cached_orthogonal, fuel)
     if verdict == "no":
         raise NotAMember("incarnation is defined for members only")

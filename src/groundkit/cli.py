@@ -2,7 +2,8 @@
 translate, focus, and an interactive step-REPL.
 
 Exit status: 0 for affirmative results (ok / yes / Ground / Converged),
-1 for negative results, 2 for errors and unknowns.
+1 for negative results, 2 for errors and unknowns.  An error is a `Refusal`
+of the input or the request; any other exception is a bug and shows as one.
 """
 
 from __future__ import annotations
@@ -21,25 +22,20 @@ from .behaviours import (
 )
 from .designs import format_address, natural, validate_design
 from .interaction import (
-    CONVERGED, OMEGA, Converged, CutNet, CutNetError, DEFAULT_FUEL, Diverged,
-    listeners, normalize_closed, orthogonal, render_design, render_state,
-    snapshots, step,
+    CONVERGED, OMEGA, Converged, CutNet, DEFAULT_FUEL, Diverged, listeners,
+    normalize_closed, orthogonal, render_design, render_state, snapshots,
+    step,
 )
-from .translate import TranslationError, check_translation, translate
+from .sharing import Refusal
+from .translate import check_translation, translate
 
 
 OK, NO, ERR = 0, 1, 2
 
 
-class CliError(Exception):
-    def __init__(self, message, status=ERR):
-        self.status = status
-        super().__init__(message)
-
-
 def _check_ext(path, ext) -> None:
     if ext is not None and os.path.splitext(path)[1] != ext:
-        raise CliError(f"{path}: expected a {ext} file")
+        raise Refusal(f"{path}: expected a {ext} file")
 
 
 def _load(path, ext=None):
@@ -49,11 +45,11 @@ def _load(path, ext=None):
     try:
         return sx.load(path)
     except FileNotFoundError:
-        raise CliError(f"no such file: {path}")
+        raise Refusal(f"no such file: {path}")
     except OSError as e:
-        raise CliError(f"{path}: {e.strerror}")
-    except (sx.ParseError, CutNetError, ValueError) as e:
-        raise CliError(f"{path}: {e}")
+        raise Refusal(f"{path}: {e.strerror}")
+    except Refusal as e:
+        raise Refusal(f"{path}: {e}")
 
 
 def _print_term(t, cache=None):
@@ -204,7 +200,7 @@ def cmd_translate(args) -> int:
         try:
             sx.dump(d, args.out)
         except OSError as e:
-            raise CliError(f"{args.out}: {e.strerror}")
+            raise Refusal(f"{args.out}: {e.strerror}")
     v = check_translation(t, d, env, root=(0,))
     print(f"classification: {v}")
     return OK if v.tag in ("Ground", "PseudoGround") else NO
@@ -247,7 +243,7 @@ def cmd_repl(args) -> int:
         return _repl_term(_load(args.term, ".gt"))
     if args.net:
         return _repl_net(_load(args.net, ".net"))
-    raise CliError("repl needs --term or --net")
+    raise Refusal("repl needs --term or --net")
 
 
 def _repl(state, text, trace, advance, inp=None, out=None) -> int:
@@ -427,11 +423,7 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {args.verb}: standard output closed", file=sys.stderr)
         return ERR
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.status
-    except (CutNetError, sx.ParseError, tm.GroundTypeError,
-            TranslationError, ValueError) as e:
+    except Refusal as e:
         print(f"error: {e}", file=sys.stderr)
         return ERR
     except RecursionError:

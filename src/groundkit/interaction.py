@@ -22,7 +22,7 @@ from .designs import (
     Ramification, child, daimon, disjoint, format_address, prefix_pairs,
     subtrees,
 )
-from .sharing import fold
+from .sharing import Refusal, fold
 
 DEFAULT_FUEL = 100_000
 
@@ -30,7 +30,7 @@ DEFAULT_FUEL = 100_000
 TraceRecord = tuple[str, Address, Ramification]
 
 
-class CutNetError(Exception):
+class CutNetError(Refusal):
     def __init__(self, problems):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
@@ -241,7 +241,7 @@ def normalize_closed(net: CutNet, fuel: int = DEFAULT_FUEL,
 # orthogonality
 
 
-class BaseMismatch(ValueError):
+class BaseMismatch(Refusal):
     pass
 
 

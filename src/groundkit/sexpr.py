@@ -27,10 +27,11 @@ from .formulas import (
 )
 from .interaction import CutNet, make_cutnet
 from . import terms as tm
+from .sharing import Refusal
 from .translate import MisboundAtom, TranslationEnv
 
 
-class ParseError(Exception):
+class ParseError(Refusal):
     def __init__(self, message, line=None, col=None):
         if line is not None:
             message = f"line {line}, column {col}: {message}"
@@ -371,7 +372,7 @@ def _bounds(*fields) -> UniverseBounds:
     """The bounds of the fields, whose refusal is a parse error."""
     try:
         return UniverseBounds(*fields)
-    except ValueError as e:
+    except Refusal as e:
         raise ParseError(str(e))
 
 
@@ -511,7 +512,11 @@ def _format(path: str):
 def load(path: str):
     sort = _format(path)
     with open(path, encoding="utf-8") as fh:
-        return syntax_from_text(fh.read(), sort)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:     # bytes that are not UTF-8
+            raise ParseError(str(e)) from None
+    return syntax_from_text(text, sort)
 
 
 def dump(value, path: str) -> None:

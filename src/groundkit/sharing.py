@@ -1,4 +1,4 @@
-"""What the syntaxes and designs share: hash-consing and a bottom-up builder.
+"""What every module shares: hash-consing, a bottom-up builder, refusals.
 
 `Interned` is the base of the hash-consed classes (Filliâtre and Conchon,
 *Type-Safe Modular Hash-Consing*, 2006).  `Syntax` is the one base that
@@ -10,6 +10,10 @@ its own stack, so a tree of any depth can be built.
 from __future__ import annotations
 
 from weakref import ref as weak_ref
+
+
+class Refusal(ValueError):
+    """A fault of the input or the request, not a bug: the CLI exits 2."""
 
 
 def gone():

@@ -24,12 +24,12 @@ from .formulas import (
     Formula, ITerm, IVar, Impl, check_atomic_derivation, free_ivars,
     subst_ivar,
 )
-from .sharing import Syntax, fold
+from .sharing import Refusal, Syntax, fold
 
 DEFAULT_FUEL = 10_000
 
 
-class GroundTypeError(Exception):
+class GroundTypeError(Refusal):
     def __init__(self, subterm, message, expected=None, actual=None):
         self.subterm = subterm
         self.expected = expected

@@ -40,11 +40,12 @@ from .interaction import (
     make_cutnet, run,
 )
 from .formulas import Absurd, Atom, Formula, Impl
+from .sharing import Refusal
 from .terms import GroundEnv, GroundTerm, ImplE, ImplI, Const, \
     is_linear, typecheck
 
 
-class TranslationError(Exception):
+class TranslationError(Refusal):
     def __init__(self, kind: str, message: str):
         self.kind = kind
         super().__init__(f"{kind}: {message}")
@@ -140,7 +141,7 @@ def arrow(alpha, beta, dom_free, cod_free, bounds, fuel) -> Behaviour:
 # translation environment
 
 
-class MisboundAtom(ValueError):
+class MisboundAtom(Refusal):
     """The atom, its one argument, whose behaviour's depth or pool is not
     its env's."""
 

@@ -1,10 +1,12 @@
 import contextlib
 import importlib
 import io
+import itertools
 import os
 import pathlib
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import hypothesis.strategies as st
@@ -469,10 +471,15 @@ class TestExitContract:
                              str(DATA / "daimon.dsn"))
         assert status == 2
         assert "not dual" in err
-        status, _, _ = run(capsys, "incarnate",
-                           "--design", str(DATA / "skunk.dsn"),
-                           "--behaviour", str(DATA / "one.bhv"))
-        assert status == 2
+
+    def test_a_design_on_another_base_is_not_a_member(self, capsys):
+        """incarnate answers a base mismatch as classify does: no, exit 1."""
+        argv = ("--design", str(DATA / "skunk.dsn"),
+                "--behaviour", str(DATA / "one.bhv"))
+        assert run(capsys, "incarnate", *argv) == (
+            1, "not a member: design on 0 ⊢, behaviour on ⊢ 0\n", "")
+        assert run(capsys, "classify", *argv) == (
+            1, "NotInBehaviour(base mismatch)\n", "")
 
     def test_focus_strategy_order_ignores_hash_seed(self):
         outputs = set()
@@ -554,6 +561,22 @@ class TestExitContract:
         status, _, err = run(capsys, "check", str(path))
         assert (status, err) == (2, f"error: {path}: universe exceeds cap "
                                     "1000\n")
+
+    def test_a_wide_pool_is_refused_at_once(self, tmp_path, capsys):
+        """The dual universe of ⊢ 0 at depth 1 over 40 ramifications has
+        2^40 designs or more; counting them takes a product, not a sum over
+        every subset of the pool."""
+        pool = " ".join(["(I" + "".join(f" {i}" for i in I) + ")"
+                         for n in range(3)
+                         for I in itertools.combinations(range(9), n)][:40])
+        path = tmp_path / "wide.bhv"
+        path.write_text(f"(behaviour (bounds 1 (pool {pool}) (pos-base 0)) "
+                        "(generators))")
+        start = time.perf_counter()
+        status, _, err = run(capsys, "check", str(path))
+        assert time.perf_counter() - start < 2
+        assert (status, err) == (2, f"error: {path}: universe exceeds cap "
+                                    "1000000\n")
 
     @pytest.mark.parametrize("suffix", [".gt", ".seq", ".tenv"])
     def test_translate_refuses_out_of_another_format(self, tmp_path, capsys,

@@ -1,21 +1,25 @@
 """The one-pass reader on the file formats, against the list walkers of
-`sexpr_oracle`: the same value, or the same fault."""
+`sexpr_oracle`: the same value, or the same fault; and every one-token edit
+of a demos/data file, through the command line, keeps its exit contract."""
 
 import random
+import re
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from sexpr_oracle import oracle_read, oracle_read_sexpr
-from test_cli import CONTAINERS, FORMS
+from test_cli import CONTAINERS, DATA, FORMS, _sweep
 from test_designs import random_design
 from test_sexpr import POLARIZED, spaced
 
 import groundkit.sexpr as sx
 from groundkit.behaviours import UniverseBounds, behaviour
+from groundkit.cli import main
 from groundkit.designs import Pitchfork
 from groundkit.interaction import CutNetError, make_cutnet
+from groundkit.sharing import Refusal
 
 XI = (0,)
 POS, NEG = Pitchfork(None, frozenset({XI})), Pitchfork(XI, frozenset())
@@ -48,6 +52,14 @@ def printed(rng: random.Random, ext: str) -> str:
         entries.append(f"(atom {f} (behaviour {HOME} (generators {g})))")
     rng.shuffle(entries)
     return f"(tenv {' '.join(entries)})"
+
+
+def one_token_edits(tokens: list):
+    """(token, the tokens with it deleted), then (token, the tokens with it
+    doubled), for each token in order."""
+    for i, token in enumerate(tokens):
+        yield token, tokens[:i] + tokens[i + 1:]
+        yield token, tokens[:i + 1] + tokens[i:]
 
 
 def outcome(read):
@@ -99,16 +111,14 @@ class TestAgainstTheWalkers:
         two: a premise with no head, and one premise too many; the walker
         counts the premises first, the one-pass reader meets the head."""
         tokens = sx._spaced(printed(rng, ext)).split()
-        for i, token in enumerate(tokens):
-            for edit in (tokens[:i] + tokens[i + 1:],
-                         tokens[:i + 1] + tokens[i:]):
-                text = " ".join(edit)
-                variant = rng.choice((text, spaced(text)))
-                new, old = both(variant, ext)
-                if token == "extra" and len(edit) < len(tokens):
-                    assert new[1] is old[1] is sx.ParseError
-                else:
-                    assert new == old, variant
+        for token, edit in one_token_edits(tokens):
+            text = " ".join(edit)
+            variant = rng.choice((text, spaced(text)))
+            new, old = both(variant, ext)
+            if token == "extra" and len(edit) < len(tokens):
+                assert new[1] is old[1] is sx.ParseError
+            else:
+                assert new == old, variant
 
 
 class TestTokenizer:
@@ -178,3 +188,36 @@ class TestReaders:
                 assert readers[ext](sx.read_sexpr(text)) == want
         assert sx.bounds_from_sexpr(sx.read_sexpr(HOME)) \
             == UniverseBounds(2, ((), (0,)), Pitchfork(None, {(9,)}))
+
+
+class TestEditedFilesThroughTheCli:
+    def test_exit_contract(self, tmp_path, capsys):
+        """Every one-token deletion or doubling of every demos/data file,
+        through every verb of the sweep that reads it, exits 0, 1 or 2 with
+        no traceback; what it prints on stderr is one `error:` line, and
+        exit 2; and a refusal to read the edited file names its path."""
+        problems, runs = [], 0
+        for name in sorted(p.name for p in DATA.iterdir()):
+            path = tmp_path / name
+            cases = [[str(path) if a == name else str(DATA / a)
+                      if (DATA / a).is_file() else a for a in argv]
+                     for argv in _sweep() if name in argv]
+            tokens = sx._spaced((DATA / name).read_text("utf-8")).split()
+            for text in dict.fromkeys(" ".join(edit) for _, edit in
+                                      one_token_edits(tokens)):
+                path.write_text(text, encoding="utf-8")
+                try:
+                    sx.load(str(path))
+                    fault = None
+                except Refusal as e:
+                    fault = f"error: {path}: {e}\n"
+                for argv in cases:
+                    runs += 1
+                    status = main(argv)
+                    err = capsys.readouterr().err
+                    if status not in (0, 1, 2) or fault not in (None, err) \
+                            or err and not (status == 2 and re.fullmatch(
+                                "error: .*\n", err)):
+                        problems.append((argv[0], text, status, err))
+        assert problems == []
+        assert runs == 10758

@@ -1,18 +1,24 @@
 """Every name a groundkit module imports is used in that module, every
 top-level function or class it defines is named somewhere else, and every
 one of them is reached from the command line or is allowlisted with a
-reason.
+reason.  Every exception class is a `Refusal`, which the command line
+reports as the user's fault, or says why not; and the command line catches
+nothing else that a bug could raise.
 
 No linter is installed, so this walks the syntax trees with `ast`.
 """
 
 import ast
+import importlib
 import pathlib
 import re
 import subprocess
 import sys
 
 import pytest
+
+from groundkit.cli import main
+from groundkit.sharing import Refusal
 
 ROOT = pathlib.Path(__file__).parent.parent
 SRC = ROOT / "src" / "groundkit"
@@ -203,3 +209,69 @@ def test_bench_selftest_passes():
                           capture_output=True, text=True, check=False)
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.endswith("selftest: ok\n")
+
+
+# ---------------------------------------------------------------------------
+# a refusal is the user's fault, and anything else is a bug
+
+#: why an exception class of src/ is not a Refusal, by qualified name
+NOT_REFUSALS = {
+    "terms.EquationError": "raised only by code no verb reaches: " + GENV,
+    "focusing.StrategyConversionError": "raised only by code no verb "
+                                        "reaches: " + STRATEGY,
+}
+
+
+def test_every_exception_class_is_a_refusal():
+    classes = {f"{path.stem}.{name}": value
+               for path in MODULES
+               for name, value in vars(importlib.import_module(
+                   f"groundkit.{path.stem}")).items()
+               if isinstance(value, type) and issubclass(value, BaseException)
+               and value.__module__ == f"groundkit.{path.stem}"}
+    others = {name for name, cls in classes.items()
+              if not issubclass(cls, Refusal)}
+    assert sorted(others - set(NOT_REFUSALS)) == [], "neither kind"
+    assert sorted(set(NOT_REFUSALS) - others) == [], "stale entries"
+
+
+def caught(node: ast.AST) -> list[str]:
+    """What each except clause in the code catches, in order; '' for a bare
+    except."""
+    return [ast.unparse(n.type) if n.type else "" for n in ast.walk(node)
+            if isinstance(n, ast.ExceptHandler)]
+
+
+def test_the_command_line_catches_refusals_only():
+    """`main` reports a refusal, a closed stdout and, until the recursions
+    leave src/, input nested too deeply; `_load` turns a fault reading a
+    file into a refusal naming it.  No clause anywhere in cli.py catches
+    what a bug raises."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    functions = {n.name: n for n in tree.body
+                 if isinstance(n, ast.FunctionDef)}
+    assert caught(functions["main"]) == [
+        "BrokenPipeError", "Refusal", "RecursionError"]
+    assert caught(functions["_load"]) == [
+        "FileNotFoundError", "OSError", "Refusal"]
+    names = {name for clause in caught(tree)
+             for name in re.findall(r"\w+", clause) or [""]}
+    assert not names & {"", "ValueError", "Exception", "BaseException"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--design", "bomb.dsn", "--behaviour", "one.bhv"),
+    ("orth", "bomb.dsn", "skunk.dsn")], ids=lambda argv: argv[0])
+def test_a_bug_is_not_reported_as_a_refusal(monkeypatch, argv):
+    """A ValueError that the machine raises is a bug: it leaves `main` as
+    it was raised, not as an `error:` line blaming the input."""
+    def run(*args, **kwargs):
+        raise ValueError("a bug in the machine")
+    for module in ("interaction", "behaviours", "translate"):
+        monkeypatch.setattr(importlib.import_module(f"groundkit.{module}"),
+                            "run", run)
+    data = ROOT / "demos" / "data"
+    with pytest.raises(ValueError, match="a bug in the machine") as e:
+        main([str(data / a) if a.endswith((".dsn", ".bhv")) else a
+              for a in argv])
+    assert not isinstance(e.value, Refusal)
