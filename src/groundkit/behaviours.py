@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache
+from math import comb
 
 from .designs import (
     Address, DaimonLeaf, Design, FidLeaf, NegNode, Pitchfork, PosNode,
@@ -113,18 +114,11 @@ def enumerate_universe(bounds: UniverseBounds) -> tuple[Design, ...]:
                     # ram) or is dropped (value len(ram))
                     for assign in itertools.product(range(len(ram) + 1),
                                                     repeat=len(ctx)):
-                        groups = {i: frozenset(
-                            a for a, slot in zip(ctx, assign) if slot == k)
-                            for k, i in enumerate(ram)}
-                        options = [
-                            negatives(child(focus, i),
-                                      frozenset(groups[i]), depth - 1)
-                            for i in ram]
-                        if any(not o for o in options):
-                            continue
-                        for kids in itertools.product(*options):
-                            out.append(Design(
-                                base, PosNode(focus, ram, tuple(kids))))
+                        options = [negatives(child(focus, i), frozenset(
+                            a for a, slot in zip(ctx, assign) if slot == k),
+                            depth - 1) for k, i in enumerate(ram)]
+                        out += (Design(base, PosNode(focus, ram, kids))
+                                for kids in itertools.product(*options))
         memo_pos[key] = out
         return out
 
@@ -167,17 +161,17 @@ def count_universe(bounds: UniverseBounds) -> int:
 
 @cache
 def _count_pos(pool, n: int, depth: int) -> int:
-    """Positive designs on a base of n addresses, whatever they are."""
+    """Positive designs on a base of n addresses, whatever they are: the
+    n − 1 beside the focus split over a ramification's slots, by count."""
     total = 2
-    if depth >= 1:
-        for _ in range(n):                           # choice of focus
-            for ram in pool:
-                for assign in itertools.product(range(len(ram) + 1),
-                                                repeat=n - 1):
-                    prod = 1
-                    for k in range(len(ram)):
-                        prod *= _count_neg(pool, assign.count(k), depth - 1)
-                    total += prod
+    if depth >= 1 and n:
+        for ram in pool:
+            ways = [1] * n      # ways[m]: m given addresses over the slots
+            for _ in ram:       # so far, the dropped one first
+                ways = [sum(comb(m, k) * _count_neg(pool, k, depth - 1)
+                            * ways[m - k] for k in range(m + 1))
+                        for m in range(n)]
+            total += n * ways[n - 1]
     return total
 
 
@@ -221,7 +215,12 @@ def orthogonal_set(E, bounds: UniverseBounds,
 
 
 def _minimal(E: list[Design]) -> list[Design]:
-    """The ⊑-minimal designs of E, in the order they first appear."""
+    """The ⊑-minimal designs of E, all on one base, in the order they first
+    appear.  The least design of the base (Fid, or ξ⊢'s branchless node)
+    prunes every other: if E holds it, it is the answer."""
+    if E and (least := Design(E[0].base, FidLeaf() if E[0].base.neg is None
+                              else NegNode(E[0].base.neg, ()))) in E:
+        return [least]
     kept: list[Design] = []
     for d in E:
         if not any(subdesign_order(m, d) for m in kept):

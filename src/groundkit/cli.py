@@ -27,7 +27,7 @@ from .interaction import (
     step,
 )
 from .sharing import Refusal
-from .translate import check_translation, translate
+from .translate import TranslationEnv, check_translation, translate
 
 
 OK, NO, ERR = 0, 1, 2
@@ -38,12 +38,17 @@ def _check_ext(path, ext) -> None:
         raise Refusal(f"{path}: expected a {ext} file")
 
 
-def _load(path, ext=None):
+def _load(path, ext=None, every_atom=False):
     """The value of the file at path, which must be a file of extension
-    `ext` when one is given; a refusal to read it names the path."""
+    `ext` when one is given; a refusal to read it names the path.  A .tenv's
+    atoms are built when a type names them, or here with `every_atom`."""
     _check_ext(path, ext)
     try:
-        return sx.load(path)
+        value = sx.load(path)
+        if every_atom and isinstance(value, TranslationEnv):
+            for f in value.atoms:
+                value.behaviour(f)
+        return value
     except FileNotFoundError:
         raise Refusal(f"no such file: {path}")
     except OSError as e:
@@ -69,7 +74,7 @@ def _action(xi, ram) -> str:
 
 
 def cmd_check(args) -> int:
-    value = _load(args.input)
+    value = _load(args.input, every_atom=True)
     if args.input.endswith(".gt"):
         try:
             ty = tm.typecheck(value, tm.GroundEnv())
@@ -119,14 +124,9 @@ def cmd_ground(args) -> int:
 
 
 def cmd_design_validate(args) -> int:
-    d = _load(args.design, ".dsn")
-    problems = validate_design(d)
-    if problems:
-        for p in problems:
-            print(f"violation: {p}")
-        return NO
-    print("ok")
-    return OK
+    problems = validate_design(_load(args.design, ".dsn"))
+    print("\n".join(f"violation: {p}" for p in problems) or "ok")
+    return NO if problems else OK
 
 
 def cmd_interact(args) -> int:
@@ -157,10 +157,8 @@ def cmd_orth(args) -> int:
 
 def cmd_behaviour(args) -> int:
     b = _load(args.behaviour, ".bhv")
-    if args.show == "orthogonal":
-        designs = sorted(b.cached_orthogonal, key=repr)
-    else:
-        designs = sorted(members(b, args.fuel), key=repr)
+    designs = sorted(b.cached_orthogonal if args.show == "orthogonal"
+                     else members(b, args.fuel), key=repr)
     print(f"{args.show}: {len(designs)} design(s)")
     for d in designs:
         _print_design(d)
@@ -183,11 +181,7 @@ def cmd_classify(args) -> int:
     d, b = _load(args.design, ".dsn"), _load(args.behaviour, ".bhv")
     v = classify_candidate(d, b, args.fuel)
     print(v)
-    if v.tag == "Ground":
-        return OK
-    if v.tag == "Unknown":
-        return ERR
-    return NO
+    return {"Ground": OK, "Unknown": ERR}.get(v.tag, NO)
 
 
 def cmd_translate(args) -> int:
@@ -334,81 +328,74 @@ def build_parser() -> argparse.ArgumentParser:
                     "and focused proof search.")
     sub = p.add_subparsers(dest="verb", required=True)
 
+    def verb(func, help):
+        """The subparser of the verb that `func`, cmd_<verb>, runs."""
+        sp = sub.add_parser(func.__name__[4:].replace("_", "-"), help=help)
+        sp.set_defaults(func=func)
+        return sp
+
     def fuel(sp):
         sp.add_argument("--fuel", type=natural, default=DEFAULT_FUEL)
 
-    sp = sub.add_parser("check", help="parse a file; typecheck ground terms")
+    sp = verb(cmd_check, help="parse a file; typecheck ground terms")
     sp.add_argument("input")
-    sp.set_defaults(func=cmd_check)
 
-    sp = sub.add_parser("reduce", help="normalize a ground term with a trace")
+    sp = verb(cmd_reduce, help="normalize a ground term with a trace")
     sp.add_argument("--term", required=True)
     sp.add_argument("--format", choices=["pretty", "trace-lines"],
                     default="trace-lines")
     fuel(sp)
-    sp.set_defaults(func=cmd_reduce)
 
-    sp = sub.add_parser("ground", help="does a closed term denote a ground?")
+    sp = verb(cmd_ground, help="does a closed term denote a ground?")
     sp.add_argument("--term", required=True)
     fuel(sp)
-    sp.set_defaults(func=cmd_ground)
 
-    sp = sub.add_parser("design-validate", help="check the design rules")
+    sp = verb(cmd_design_validate, help="check the design rules")
     sp.add_argument("--design", required=True)
-    sp.set_defaults(func=cmd_design_validate)
 
-    sp = sub.add_parser("interact", help="normalize a closed cut-net")
+    sp = verb(cmd_interact, help="normalize a closed cut-net")
     sp.add_argument("--net", required=True)
     sp.add_argument("--render", choices=["snapshots", "trace-lines"],
                     default="trace-lines")
     fuel(sp)
-    sp.set_defaults(func=cmd_interact)
 
-    sp = sub.add_parser("orth", help="orthogonality of two designs")
+    sp = verb(cmd_orth, help="orthogonality of two designs")
     sp.add_argument("designs", nargs=2)
     fuel(sp)
-    sp.set_defaults(func=cmd_orth)
 
-    sp = sub.add_parser("behaviour",
-                        help="show the members or orthogonal of a behaviour")
+    sp = verb(cmd_behaviour,
+              help="show the members or orthogonal of a behaviour")
     sp.add_argument("--behaviour", required=True)
     sp.add_argument("--show", choices=["members", "orthogonal"],
                     default="members")
     fuel(sp)
-    sp.set_defaults(func=cmd_behaviour)
 
-    sp = sub.add_parser("incarnate", help="incarnation of a member design")
+    sp = verb(cmd_incarnate, help="incarnation of a member design")
     sp.add_argument("--design", required=True)
     sp.add_argument("--behaviour", required=True)
     fuel(sp)
-    sp.set_defaults(func=cmd_incarnate)
 
-    sp = sub.add_parser("classify",
-                        help="ground / pseudo-ground classification")
+    sp = verb(cmd_classify, help="ground / pseudo-ground classification")
     sp.add_argument("--design", required=True)
     sp.add_argument("--behaviour", required=True)
     fuel(sp)
-    sp.set_defaults(func=cmd_classify)
 
-    sp = sub.add_parser("translate",
-                        help="map a linear implicational term to a design")
+    sp = verb(cmd_translate,
+              help="map a linear implicational term to a design")
     sp.add_argument("--term", required=True)
     sp.add_argument("--env", required=True)
     sp.add_argument("--out", help="write the design to this .dsn file")
-    sp.set_defaults(func=cmd_translate)
 
-    sp = sub.add_parser("focus", help="focused proof search on a sequent")
+    sp = verb(cmd_focus, help="focused proof search on a sequent")
     sp.add_argument("--sequent", required=True)
     sp.add_argument("--daimon", action="store_true",
                     help="close failed branches with the daimon")
     sp.add_argument("--to-strategy", action="store_true",
                     help="also print the induced strategy")
-    sp.set_defaults(func=cmd_focus)
 
-    sp = sub.add_parser("repl", help="interactive step-through")
+    sp = verb(cmd_repl, help="interactive step-through")
     sp.add_argument("--term")
     sp.add_argument("--net")
-    sp.set_defaults(func=cmd_repl)
 
     return p
 

@@ -246,14 +246,9 @@ def build_fax(xi: Address, xi2: Address, depth: int, arity_bound: int = 1) -> De
     pool = subsets(range(arity_bound + 1))
 
     def fax(a: Address, b: Address, d: int) -> Design:
-        branches = {}
-        for I in pool:
-            if d <= 0:
-                branches[I] = fid(b, *star(a, I))
-            else:
-                branches[I] = positive(
-                    b, {i: fax(child(b, i), child(a, i), d - 1) for i in I})
-        return negative(a, branches)
+        return negative(a, {I: fid(b, *star(a, I)) if d <= 0 else positive(
+            b, {i: fax(child(b, i), child(a, i), d - 1) for i in I})
+            for I in pool})
     return fax(xi, xi2, depth)
 
 

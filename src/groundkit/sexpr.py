@@ -243,9 +243,10 @@ def _fault(text: str, stack: list, kinds: tuple, rest: tuple,
 
 
 def _wrong(x, sort: str) -> ParseError:
-    """The fault of the part x, where a `sort` is expected (a+b reads as a;
-    a design of one polarity reads as a design, but for the other's heads)."""
-    sort = sort.partition("+")[0]
+    """The fault of the part x, where a `sort` is expected (a+b reads as a,
+    atom-behaviour as behaviour; a design of one polarity reads as a design,
+    but for the other's heads)."""
+    sort = sort.partition("+")[0].removeprefix("atom-")
     if sort in ("positive", "negative"):
         if _head(x, "design") in _TABLE["design"]:
             return ParseError(f"({x[0]} …) is not {_a(sort)} design")
@@ -376,12 +377,13 @@ def _bounds(*fields) -> UniverseBounds:
         raise ParseError(str(e))
 
 
-def _behaviour(bounds: UniverseBounds, generators) -> Behaviour:
-    """The behaviour of generators, refused if one is off the bounds' base."""
+def _unbuilt(bounds: UniverseBounds, generators) -> tuple:
+    """(generators, bounds), a behaviour not yet built; refused if a
+    generator is off the bounds' base."""
     if off := [g.base for g in generators if g.base != bounds.base]:
         raise ParseError(f"a generator on {off[0]} is off the bounds' base "
                          f"{bounds.base}")
-    return behaviour(generators, bounds)
+    return generators, bounds
 
 
 #: file sort -> head -> (builder, field kinds), read as `_GRAMMAR`'s rows; at
@@ -399,7 +401,9 @@ _FILE_GRAMMAR = {
              "neg-base": (Pitchfork, "address *address")},
     "bounds": {"bounds": (_bounds, "number pool base")},
     "pool": {"pool": (tuple, "*I")},
-    "behaviour": {"behaviour": (_behaviour, "bounds generators")},
+    "behaviour": {"behaviour": (lambda *f: behaviour(*_unbuilt(*f)),
+                                "bounds generators")},
+    "atom-behaviour": {"behaviour": (_unbuilt, "bounds generators")},
     "generators": {"generators": (tuple, "*design")},
     "seq": {"seq": (tuple, "*polarized")},
     "tenv": {"tenv": (_tenv, "*tenv-entry")},
@@ -407,7 +411,7 @@ _FILE_GRAMMAR = {
                               "number pool base"),
                    "fax-arity": (lambda n: ("fax_arity", n), "number"),
                    "fuel": (lambda n: ("fuel", n), "number"),
-                   "atom": (lambda f, b: (f, b), "formula behaviour")},
+                   "atom": (lambda f, b: (f, b), "formula atom-behaviour")},
 }
 
 

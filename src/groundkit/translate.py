@@ -148,35 +148,52 @@ class MisboundAtom(Refusal):
 
 @dataclass
 class TranslationEnv:
-    """Interpretation of atomic types."""
+    """Interpretation of atomic types: an atom's behaviour, or its
+    (generators, bounds) as a .tenv gives them, built at the env's fuel the
+    first time a type names the atom."""
 
-    atoms: dict[Formula, Behaviour]
+    atoms: dict[Formula, Behaviour | tuple]
     bounds: UniverseBounds
     fax_arity: int = 1
     fuel: int = DEFAULT_FUEL
     _free: dict = field(default_factory=dict, repr=False, compare=False)
+    _types: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         for f, b in self.atoms.items():
-            if b.bounds.at(self.bounds.base) != self.bounds:
+            bounds = b.bounds if isinstance(b, Behaviour) else b[1]
+            if bounds.at(self.bounds.base) != self.bounds:
                 raise MisboundAtom(f)
 
-    def _home(self, f: Formula) -> tuple[Behaviour, Address]:
-        """f's behaviour and the address α of its home ⊢α."""
+    def behaviour(self, f: Formula) -> Behaviour:
+        """f's behaviour at its home ⊢α, built on first use."""
         b = self.atoms.get(f)
         if b is None:
             raise TranslationError("unsupported-constructor",
                                    f"no behaviour registered for {f}")
-        return b, _alpha(b)
+        if not isinstance(b, Behaviour):
+            b = self.atoms[f] = behaviour(*b, self.fuel)
+        return b
 
     def free_at(self, f: Formula, xi: Address) -> frozenset[Design]:
         """The free incarnation of f's behaviour at ⊢ξ: computed once per env
         at its home ⊢α and moved there, as orthogonality is invariant under
         delocation and f is bounded like the env."""
-        b, alpha = self._home(f)
+        b = self.behaviour(f)
+        alpha = _alpha(b)
         if f not in self._free:
             self._free[f] = free_incarnation(b, self.fuel)
         return frozenset(delocate(d, alpha, xi) for d in self._free[f])
+
+    def type_of(self, t: GroundTerm) -> Formula:
+        """The type of the closed term t, found once per env."""
+        if t not in self._types:
+            ty = typecheck(t, GroundEnv())
+            if ty.antecedents:
+                raise TranslationError("unsupported-constructor",
+                                       "only closed terms are translated")
+            self._types[t] = ty.succedent
+        return self._types[t]
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +213,12 @@ def translate(t: GroundTerm, env: TranslationEnv,
     A copycat's fax, of depth 2d + 1 at env depth d, lies outside the
     arrow's α⊢β universe, so its NotInBehaviour is relative to the bounds.
     """
-    ty = typecheck(t, GroundEnv())
-    if ty.antecedents:
-        raise TranslationError("unsupported-constructor",
-                               "only closed terms are translated")
+    ty = env.type_of(t)
     if not is_linear(t):
         raise TranslationError("nonlinear-term",
                                "every implication binder must bind exactly "
                                "one occurrence")
-    _check_fragment(ty.succedent)
+    _check_fragment(ty)
     alpha, beta = child(root, 0), child(root, 1)
     cuts = []           # fᵢ's design, or None for the fax, f₁ … fₙ in turn
     while isinstance(t, ImplE):
@@ -254,8 +268,7 @@ def _check_fragment(f: Formula) -> None:
 def check_translation(t: GroundTerm, d: Design, env: TranslationEnv,
                       root: Address = (0,)) -> CandidateVerdict:
     """Classify the design of a term in the behaviour of the term's type."""
-    ty = typecheck(t, GroundEnv()).succedent
-    match ty:
+    match ty := env.type_of(t):
         case Impl(a, b):
             alpha, beta = child(root, 0), child(root, 1)
             ab = arrow(alpha, beta, env.free_at(a, alpha),
@@ -264,7 +277,8 @@ def check_translation(t: GroundTerm, d: Design, env: TranslationEnv,
         case _:
             # d moved to the atom's home ⊢α, as delocation keeps
             # orthogonality; on no base ⊢ξ it meets a base mismatch there
-            b, alpha = env._home(ty)
+            b = env.behaviour(ty)
+            alpha = _alpha(b)
             if d.base.neg is None and len(d.base.pos) == 1:
                 d = delocate(d, min(d.base.pos), alpha)
             return classify_candidate(d, b, env.fuel)

@@ -165,16 +165,21 @@ def bounds_from_sexpr(x) -> UniverseBounds:
         raise ParseError(str(e))
 
 
-def behaviour_from_sexpr(x):
+def unbuilt_from_sexpr(x) -> tuple:
+    """(generators, bounds) of a behaviour form, not yet built."""
     bounds, gens = _fields(x, 2, head="behaviour")
     bounds = bounds_from_sexpr(bounds)
-    gens = [design_from_sexpr(g)
-            for g in _fields(gens, 0, True, head="generators")]
+    gens = tuple(design_from_sexpr(g)
+                 for g in _fields(gens, 0, True, head="generators"))
     off = [g for g in gens if g.base != bounds.base]
     if off:
         raise ParseError(f"a generator on {off[0].base} is off the bounds' "
                          f"base {bounds.base}")
-    return behaviour(gens, bounds)
+    return gens, bounds
+
+
+def behaviour_from_sexpr(x):
+    return behaviour(*unbuilt_from_sexpr(x))
 
 
 def tenv_from_sexpr(x) -> TranslationEnv:
@@ -187,7 +192,7 @@ def tenv_from_sexpr(x) -> TranslationEnv:
                 numbers[key] = _atom(*_fields(item, 1), "number")
             case "atom":
                 f, b = _fields(item, 2)
-                atoms[reference_read(f, "formula")] = behaviour_from_sexpr(b)
+                atoms[reference_read(f, "formula")] = unbuilt_from_sexpr(b)
             case other:
                 raise ParseError(f"unknown tenv entry {other!r}")
     if bounds is None:

@@ -9,11 +9,11 @@ from test_designs import prune, random_design
 from groundkit.designs import (
     DaimonLeaf, Design, FidLeaf, NegNode, Pitchfork, PosNode, atomic_bomb,
     contains_daimon, daimon, fid, negative, positive, skunk,
-    subdesign_order, validate_design,
+    subdesign_order, subsets, validate_design,
 )
 from groundkit.behaviours import (
     NotAMember, OutOfFuel, SizeLimitExceeded, UniverseBounds, behaviour,
-    CandidateVerdict, _test_run, classify_candidate, count_universe,
+    CandidateVerdict, _minimal, _test_run, classify_candidate, count_universe,
     enumerate_universe, free_incarnation, full_pool, incarnation_of, members,
     orthogonal_set,
 )
@@ -73,6 +73,23 @@ class TestEnumeration:
         finally:
             if enabled:
                 gc.enable()
+
+    def test_count_is_the_enumeration_on_a_sweep(self):
+        """Random small pools, depths and bases of both polarities, with a
+        context of up to two addresses beside ξ; universes over 25,000
+        designs are only counted."""
+        rng, shapes = random.Random(7), set()
+        for _ in range(100):
+            pool = tuple(rng.sample(subsets(range(3)), rng.randint(1, 3)))
+            ctx = frozenset((i,) for i in range(1, rng.randint(1, 3)))
+            base = rng.choice([Pitchfork(None, ctx | {XI}),
+                               Pitchfork(XI, ctx)])
+            bounds = UniverseBounds(rng.choice((1, 2, 2, 3)), pool, base)
+            if (n := count_universe(bounds)) <= 25_000:
+                assert len(enumerate_universe(bounds)) == n
+                if n > 10:
+                    shapes.add((base.neg is None, len(ctx)))
+        assert len(shapes) == 6
 
     def test_size_cap(self):
         capped = UniverseBounds(3, full_pool(1), POS, cap=1000)
@@ -447,9 +464,40 @@ class TestClassifySinglePass:
         assert len(calls) == verdicts.index("no") + 1
 
 
+def reference_minimal(E) -> list:
+    """The ⊑-minimal designs of E, in the order they first appear: each
+    design compared with the minimal ones kept so far."""
+    kept = []
+    for d in E:
+        if not any(subdesign_order(m, d) for m in kept):
+            kept = [m for m in kept if not subdesign_order(d, m)] + [d]
+    return kept
+
+
 class TestMinimalDesigns:
     """E^⊥ = (min E)^⊥: the orthogonal tries only the ⊑-minimal designs of
     E, with the same counter-tests, order and OutOfFuel as trying all."""
+
+    @pytest.mark.parametrize("bounds", [SMALL, FULL2, SMALL.at(NEG),
+                                        FULL2.at(NEG)])
+    def test_is_the_pairwise_reference(self, bounds):
+        """Random subsets of a universe and their prunings, in random
+        order, with the least design (Fid, or ξ⊢'s branchless node) at a
+        random place or without it."""
+        rng = random.Random(len(bounds.pool) + (bounds.base.neg is None))
+        least = fid(XI) if bounds.base.neg is None else negative(XI)
+        universe = enumerate_universe(bounds)
+        assert least in universe
+        kinds = set()
+        for _ in range(300):
+            E = rng.sample(universe, rng.randint(0, min(8, len(universe))))
+            E = [d for d in E + [prune(rng, d) for d in E] if d is not least]
+            rng.shuffle(E)
+            if rng.random() < 0.5:
+                E.insert(rng.randint(0, len(E)), least)
+            kinds.add((least in E, len(reference_minimal(E)) > 1))
+            assert _minimal(E) == reference_minimal(E)
+        assert kinds == {(True, False), (False, False), (False, True)}
 
     @pytest.mark.parametrize("fuel", [0, 1, 2, DEFAULT_FUEL])
     @pytest.mark.parametrize("bounds", [FULL2, FULL2.at(NEG)],

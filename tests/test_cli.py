@@ -578,6 +578,20 @@ class TestExitContract:
         assert (status, err) == (2, f"error: {path}: universe exceeds cap "
                                     "1000000\n")
 
+    def test_a_wide_ramification_is_counted_at_once(self, tmp_path, capsys):
+        """The dual universe of ⊢ 0 at depth 3 over one ramification of 7
+        indices: a positive node's context splits 8 ways per address, and
+        counting sums over how many addresses each child takes, not over
+        every split."""
+        path = tmp_path / "wide.bhv"
+        path.write_text("(behaviour (bounds 3 (pool (I 0 1 2 3 4 5 6)) "
+                        "(pos-base 0)) (generators))")
+        start = time.perf_counter()
+        status, _, err = run(capsys, "check", str(path))
+        assert time.perf_counter() - start < 1
+        assert (status, err) == (2, f"error: {path}: universe exceeds cap "
+                                    "1000000\n")
+
     @pytest.mark.parametrize("suffix", [".gt", ".seq", ".tenv"])
     def test_translate_refuses_out_of_another_format(self, tmp_path, capsys,
                                                      suffix):
@@ -645,6 +659,101 @@ def projections_text(n):
     for _ in range(n):
         text = f"(conj-e 1 {text})"
     return text
+
+
+#: ONE_ENV with an atom B on ⊢ 7, 8, a base with no counter-test base, so
+#: that building B's behaviour is refused
+LAZY_ENV = ONE_ENV[:-1] + (" (atom (atom B) (behaviour (bounds 2 (pool (I) "
+                           "(I 0) (I 1)) (pos-base 7 8)) (generators))))")
+COPYCAT_A = "(impl-i (var x (atom A)) (var x (atom A)))"
+
+
+def recorder(monkeypatch, name, *modules):
+    """The argument tuples of every call of groundkit's function `name`,
+    made through any of the modules."""
+    calls = []
+    real = getattr(importlib.import_module(f"groundkit.{modules[0]}"), name)
+    for module in modules:
+        monkeypatch.setattr(importlib.import_module(f"groundkit.{module}"),
+                            name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+class TestTranslateWork:
+    """translate does its term's work only, once per call: it builds an
+    atom's behaviour when the term's type names it, at the env's fuel, and
+    typechecks the term once."""
+
+    def translate(self, tmp_path, capsys, term, env=ONE_ENV):
+        return run(capsys, "translate", "--term", write(tmp_path, "t.gt", term),
+                   "--env", write(tmp_path, "env.tenv", env))
+
+    def test_a_copycat_builds_one_atom_and_five_universes(
+            self, tmp_path, monkeypatch, capsys):
+        universes = recorder(monkeypatch, "enumerate_universe", "behaviours",
+                             "translate")
+        built = recorder(monkeypatch, "behaviour", "translate")
+        status, out, _ = self.translate(tmp_path, capsys, COPYCAT_A)
+        assert (status, out.splitlines()[-1]) == (
+            0, "classification: PseudoGround(not-material)")
+        assert len(universes) <= 5
+        # A's behaviour at its home, not ⊥'s, then the arrow A → A
+        assert [bounds.base for _, bounds, _ in built] == [
+            sx.syntax_from_text(base, "base")
+            for base in ("(pos-base 9)", "(neg-base 0.0 0.1)")]
+
+    def test_an_application_enumerates_two_universes(
+            self, tmp_path, monkeypatch, capsys):
+        """A's orthogonal (9⊢) and its free incarnation (⊢9)."""
+        universes = recorder(monkeypatch, "enumerate_universe", "behaviours",
+                             "translate")
+        status, out, _ = self.translate(
+            tmp_path, capsys, f"(impl-e {COPYCAT_A} (const c (atom A)))")
+        assert (status, out.splitlines()[-1]) == (0, "classification: Ground")
+        assert len(universes) <= 2
+
+    @pytest.mark.parametrize("term", [
+        COPYCAT_A, f"(impl-e {COPYCAT_A} (const c (atom A)))",
+        identity_chain_text(3)])
+    def test_one_typecheck_per_call(self, tmp_path, monkeypatch, capsys,
+                                    term):
+        calls = recorder(monkeypatch, "typecheck", "terms", "translate")
+        status, _, _ = self.translate(tmp_path, capsys, term)
+        assert status == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("term", [
+        COPYCAT_A, "(impl-i (var x (absurd)) (var x (absurd)))",
+        f"(impl-e {COPYCAT_A} (const c (atom A)))"])
+    def test_an_atom_the_term_does_not_name_is_not_built(
+            self, tmp_path, capsys, term):
+        assert self.translate(tmp_path, capsys, term, LAZY_ENV) \
+            == self.translate(tmp_path, capsys, term)
+
+    def test_an_atom_the_term_names_is_built(self, tmp_path, capsys):
+        """The fax is printed; classifying it in B → B builds B."""
+        status, out, err = self.translate(
+            tmp_path, capsys, COPYCAT_A.replace("A", "B"), LAZY_ENV)
+        assert (status, err) == (2, "error: base ⊢ 7, 8 has no dual bases\n")
+        assert "classification" not in out
+
+    def test_check_builds_every_atom(self, tmp_path, capsys):
+        path = write(tmp_path, "env.tenv", LAZY_ENV)
+        assert run(capsys, "check", path) == (
+            2, "", f"error: {path}: base ⊢ 7, 8 has no dual bases\n")
+
+    @pytest.mark.parametrize("env", [
+        ONE_ENV.replace("(tenv ", "(tenv (fuel 0) "),
+        ONE_ENV[:-1] + " (fuel 0))"], ids=["before", "after"])
+    def test_an_atom_is_built_at_the_envs_fuel(self, tmp_path, capsys, env):
+        """Wherever (fuel 0) stands, no counter-test of A or ⊥ is decided
+        within it."""
+        assert run(capsys, "check", write(tmp_path, "one.tenv", ONE_ENV)) \
+            == (0, "ok: parsed\n", "")
+        path = write(tmp_path, "env.tenv", env)
+        assert run(capsys, "check", path) == (
+            2, "", f"error: {path}: fuel-exhausted: an orthogonality test "
+                   "needs more than 0 action pairs\n")
 
 
 class CharSink(io.TextIOBase):

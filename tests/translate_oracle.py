@@ -17,7 +17,7 @@ def behaviour_at(env, f, xi) -> Behaviour:
     """f's behaviour in env moved from its home ⊢α to ⊢ξ: the one built at
     ⊢ξ, as orthogonality is invariant under delocation and f is bounded like
     the env.  Moving a common prefix keeps the universe order."""
-    b = env.atoms[f]
+    b = env.behaviour(f)
     alpha = min(b.base.pos)
     return Behaviour(
         frozenset(delocate(g, alpha, xi) for g in b.generators),
