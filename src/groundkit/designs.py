@@ -6,10 +6,9 @@ checked by inclusion, so weakening is always allowed.
 
 Designs are hash-consed as terms are (Filliâtre and Conchon, *Type-Safe
 Modular Hash-Consing*, 2006): equal designs are one object, held weakly
-by an intern table, so `==` is identity, and the structural hash and the
-daimon flag are computed once.  No walker recurses: `subtrees` is an
-explicit-stack preorder, and `sharing.fold` builds designs bottom-up, so
-any depth works.
+by an intern table, so `==` and `hash` are identity's, and the daimon flag
+is computed once.  No walker recurses: `subtrees` is an explicit-stack
+preorder, and `sharing.fold` builds designs bottom-up, so any depth works.
 """
 
 from __future__ import annotations
@@ -149,37 +148,30 @@ DesignNode = DaimonLeaf | FidLeaf | PosNode | NegNode
 class Design(Interned):
     """A base and the node of its last rule."""
 
-    __slots__ = ("base", "node", "_hash", "_daimon")
+    __slots__ = ("base", "node", "_daimon")
     __match_args__ = ("base", "node")
     _daimon_of = attrgetter("_daimon")
 
     def __new__(cls, base: Pitchfork, node: DesignNode):
-        # the key holds the premises' identities: their hashes collide (†
-        # and Fid hash alike)
+        # the key holds the premises' identities, and a leaf's kind: † and
+        # Fid on one base differ by nothing else
         kind = type(node)
         if kind is PosNode:
             kids = node.children
-            fields = (node.focus, node.ramification, kids)
             key = (base.neg, base.pos, node.focus, node.ramification,
                    tuple(map(id, kids)))
         elif kind is NegNode:
             keys, kids = zip(*node.branches) if node.branches else ((), ())
-            fields = (node.focus, node.branches)
             key = (kind, base.neg, base.pos, node.focus, keys, *map(id, kids))
         else:
-            kids, fields, key = (), (), (kind, base.neg, base.pos)
+            kids, key = (), (kind, base.neg, base.pos)
         if (d := cls._interned.get(key, gone)()) is not None:
             return d
         d = object.__new__(cls)
         d._key, d.base, d.node = key, base, node
-        # hash((base, node)): a dataclass hashes the tuple of its fields
-        d._hash = hash(((base.neg, base.pos), fields))
         d._daimon = kind is DaimonLeaf or any(map(cls._daimon_of, kids))
         cls._interned[key] = weak_ref(d)
         return d
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"Design(base={self.base!r}, node={self.node!r})"

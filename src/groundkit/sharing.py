@@ -1,10 +1,11 @@
 """What every module shares: hash-consing, a bottom-up builder, refusals.
 
 `Interned` is the base of the hash-consed classes (Filliâtre and Conchon,
-*Type-Safe Modular Hash-Consing*, 2006).  `Syntax` is the one base that
-interns all three syntaxes, ground terms, formulas and polarized formulas,
-by their fields.  `fold` builds a value of a tree from the bottom up with
-its own stack, so a tree of any depth can be built.
+*Type-Safe Modular Hash-Consing*, 2006), which compare and hash by
+identity.  `Syntax` is the one base that interns all three syntaxes,
+ground terms, formulas and polarized formulas, by their fields.  `fold`
+builds a value of a tree from the bottom up with its own stack, so a tree
+of any depth can be built.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ class Interned:
     """A value that is the one live instance with its key `_key`.  Each
     subclass has a table `_interned`, key -> weak reference to that
     instance, which its constructor fills and which the instance leaves
-    when it dies.  Instances are shared, so no field is assigned after
-    construction."""
+    when it dies.  Equal values are one object, so `==` and `hash` are
+    object's own, by identity.  Instances are shared, so no field is
+    assigned after construction."""
 
     __slots__ = ("_key", "__weakref__")
 
@@ -43,11 +45,10 @@ class Interned:
 
 class Syntax(Interned):
     """A node of a syntax tree, keyed by its fields: each subclass is a
-    constructor whose `__slots__` name its fields, in order.  Equal trees
-    are one object, and the hash is `hash(fields)`, a frozen dataclass's.
-    `_made` caches what a subclass keeps beside the fields of a new node."""
+    constructor whose `__slots__` name its fields, in order.  `_made`
+    caches what a subclass keeps beside the fields of a new node."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ()
 
     def __new__(cls, *fields):
         if (t := cls._interned.get(fields, gone)()) is not None:
@@ -59,16 +60,12 @@ class Syntax(Interned):
         t._key = fields
         for name, value in zip(cls.__slots__, fields):
             setattr(t, name, value)
-        t._hash = hash(fields)
         t._made()
         cls._interned[fields] = weak_ref(t)
         return t
 
     def _made(self) -> None:
         pass
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         fields = map("{}={!r}".format, self.__slots__, self._key)

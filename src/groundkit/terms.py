@@ -5,12 +5,12 @@
 Terms are hash-consed (Filliâtre and Conchon, *Type-Safe Modular
 Hash-Consing*, 2006) on `sharing.Syntax`, the one base that interns ground
 terms, formulas and polarized formulas alike: equal terms are one object,
-which an intern table holds weakly, and a term's structural hash and free
-(individual) variables are computed once, so `==`, `hash`, `free_vars` and
-`term_free_ivars` cost O(1).  Reduction applies the conversion equations
-leftmost-outermost and stops at a primitive head (weak-head form),
-recording a trace; loops are detected by a seen-set of the terms
-themselves.
+which an intern table holds weakly, so `==` and `hash` are identity's,
+and a term's free (individual) variables are computed once, so
+`free_vars` and `term_free_ivars` cost O(1).  Reduction applies the
+conversion equations leftmost-outermost and stops at a primitive head
+(weak-head form), recording a trace; loops are detected by a seen-set of
+the terms themselves.
 """
 
 from __future__ import annotations

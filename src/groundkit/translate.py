@@ -204,11 +204,13 @@ def translate(t: GroundTerm, env: TranslationEnv,
               root: Address = (0,)) -> Design:
     """Map a closed linear implicational term to a design.
 
-    Supported shapes: →Iξ(ξ) (copycat), closed applications →E(t, u),
-    and constants interpreted by the first †-free incarnated member of
-    their atomic behaviour.  A chain f₁ (f₂ (… u)) is walked from the
+    Supported shapes: →Iξ(ξ) (copycat), constants interpreted by the
+    first †-free incarnated member of their atomic behaviour, and chains
+    f₁ (… (fₙ u)) of copycats applied to a constant u, walked from the
     inside out at the one root: u's design, moved to ⊢root.0, is cut
-    against each fᵢ's design on root.0 ⊢ root.1, one fax for every copycat.
+    against one fax on root.0 ⊢ root.1 per copycat.  An argument of arrow
+    type, whose design is on α ⊢ β and not ⊢α, is refused before any cut;
+    a function that is an application has one at its head.
 
     A copycat's fax, of depth 2d + 1 at env depth d, lies outside the
     arrow's α⊢β universe, so its NotInBehaviour is relative to the bounds.
@@ -220,30 +222,37 @@ def translate(t: GroundTerm, env: TranslationEnv,
                                "one occurrence")
     _check_fragment(ty)
     alpha, beta = child(root, 0), child(root, 1)
-    cuts = []           # fᵢ's design, or None for the fax, f₁ … fₙ in turn
+    copycats = 0
     while isinstance(t, ImplE):
-        # a function that is not a copycat is refused as it translates alone
-        cuts.append(None if _copycat(t.function)
-                    else translate(t.function, env, root))
-        t = t.argument
-    d = fax = build_fax(alpha, beta, env.bounds.max_depth, env.fax_arity) \
-        if _copycat(t) or None in cuts else None
-    if isinstance(t, Const):
-        free = sorted(env.free_at(t.type, alpha), key=repr)
-        if not free:
-            raise TranslationError(
-                "unsupported-constructor",
-                f"the behaviour for {t.type} has no †-free material member")
-        d = free[0]
-    elif not _copycat(t):
+        f = t.function
+        while isinstance(f, ImplE):     # to its head
+            f = f.function
+        if not _copycat(f):
+            t = f                       # refused below
+            break
+        if isinstance(f.var.type, Impl):
+            raise TranslationError("unsupported-constructor", "an argument "
+                                   "of arrow type is not translated")
+        t, copycats = t.argument, copycats + 1
+    if not isinstance(t, Const) and not _copycat(t):
         raise TranslationError(
             "unsupported-constructor",
             "only the copycat body ξ is supported under a binder"
             if isinstance(t, ImplI) else
             f"{type(t).__name__} is outside the implicational fragment")
-    for df in reversed(cuts):
-        d = normalize_open(make_cutnet((delocate(d, _alpha(d), alpha),
-                                        fax if df is None else df)), env.fuel)
+    fax = build_fax(alpha, beta, env.bounds.max_depth, env.fax_arity) \
+        if copycats or _copycat(t) else None
+    if _copycat(t):
+        return fax
+    free = sorted(env.free_at(t.type, alpha), key=repr)
+    if not free:
+        raise TranslationError(
+            "unsupported-constructor",
+            f"the behaviour for {t.type} has no †-free material member")
+    d = free[0]
+    for _ in range(copycats):
+        d = normalize_open(make_cutnet((delocate(d, _alpha(d), alpha), fax)),
+                           env.fuel)
         if d is None:
             raise TranslationError("diverged-application",
                                    "the application cut-net diverges")

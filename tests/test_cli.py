@@ -1,7 +1,9 @@
 import contextlib
+import gc
 import importlib
 import io
 import itertools
+import json
 import os
 import pathlib
 import subprocess
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 
 from test_behaviours import count_runs
+from test_hygiene import interned_classes
 
 import groundkit.sexpr as sx
 from groundkit.behaviours import UniverseBounds
@@ -456,6 +459,21 @@ def _sweep():
     return cases
 
 
+#: runs each argv of a JSON list on stdin through `main`, and prints the
+#: list of their [status, stdout, stderr]
+SWEEP_SCRIPT = """
+import contextlib, io, json, sys
+from groundkit.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    results.append([status, out.getvalue(), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
 class TestExitContract:
     @pytest.mark.parametrize("argv", _sweep(), ids=" ".join)
     def test_status_is_0_1_or_2(self, capsys, argv):
@@ -491,6 +509,23 @@ class TestExitContract:
                 env=dict(os.environ, PYTHONHASHSEED=seed))
             outputs.add(proc.stdout)
         assert len(outputs) == 1
+
+    def test_the_sweep_ignores_hash_seed_and_addresses(self):
+        """Interned nodes hash by identity, so a set of them iterates in
+        an order that follows memory addresses; the printed bytes must
+        not.  The sweep runs in one process under each environment."""
+        argv = [[str(DATA / a) if (DATA / a).is_file() else a for a in case]
+                for case in _sweep()]
+        outputs = []
+        for extra in ({"PYTHONHASHSEED": "0"},
+                      {"PYTHONHASHSEED": "16", "PYTHONMALLOC": "malloc"}):
+            env = {k: v for k, v in os.environ.items() if k != "PYTHONMALLOC"}
+            proc = subprocess.run(
+                [sys.executable, "-c", SWEEP_SCRIPT], input=json.dumps(argv),
+                capture_output=True, text=True, check=True,
+                env=dict(env, PYTHONPATH=str(ROOT / "src"), **extra))
+            outputs.append(json.loads(proc.stdout))
+        assert len(outputs[0]) == 66 and outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("text, suffix, message", [
         ("(impl-i)", ".gt", "(impl-i …) takes 2 fields, got 0"),
@@ -666,6 +701,9 @@ def projections_text(n):
 LAZY_ENV = ONE_ENV[:-1] + (" (atom (atom B) (behaviour (bounds 2 (pool (I) "
                            "(I 0) (I 1)) (pos-base 7 8)) (generators))))")
 COPYCAT_A = "(impl-i (var x (atom A)) (var x (atom A)))"
+APPLIED_ARROW_COPYCAT = ("(impl-e (impl-i (var f (impl (atom A) (atom A))) "
+                         "(var f (impl (atom A) (atom A)))) "
+                         f"{COPYCAT_A})")
 
 
 def recorder(monkeypatch, name, *modules):
@@ -723,6 +761,22 @@ class TestTranslateWork:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("term", [
+        APPLIED_ARROW_COPYCAT,
+        f"(impl-e {APPLIED_ARROW_COPYCAT} (const c (atom A)))"],
+        ids=["alone", "as-a-function"])
+    def test_an_argument_of_arrow_type_is_refused_before_a_cut(
+            self, tmp_path, monkeypatch, capsys, term):
+        """The copycat at A → A applied to the copycat at A: its argument's
+        design is on α ⊢ β, which the chain cannot cut."""
+        cuts = recorder(monkeypatch, "make_cutnet", "interaction",
+                        "translate")
+        calls = recorder(monkeypatch, "typecheck", "terms", "translate")
+        assert self.translate(tmp_path, capsys, term) == (
+            2, "", "error: unsupported-constructor: an argument of arrow "
+            "type is not translated\n")
+        assert cuts == [] and len(calls) == 1
+
+    @pytest.mark.parametrize("term", [
         COPYCAT_A, "(impl-i (var x (absurd)) (var x (absurd)))",
         f"(impl-e {COPYCAT_A} (const c (atom A)))"])
     def test_an_atom_the_term_does_not_name_is_not_built(
@@ -754,6 +808,25 @@ class TestTranslateWork:
         assert run(capsys, "check", path) == (
             2, "", f"error: {path}: fuel-exhausted: an orthogonality test "
                    "needs more than 0 action pairs\n")
+
+
+def test_no_node_outlives_its_call(tmp_path, capsys):
+    """Once a verb has returned and the cycles are collected, no intern
+    table holds a key it did not hold before: no memo keeps a node past its
+    call.  (A table may shrink, as an earlier test's nodes die.)"""
+    tables = [cls._interned for cls in interned_classes()]
+    gc.collect()
+    before = [set(t) for t in tables]
+    status, out, _ = run(capsys, "reduce", "--format", "pretty", "--term",
+                         write(tmp_path, "chain.gt", identity_chain_text(300)))
+    assert (status, out.splitlines()[-1]) == (0, "(const a (atom A))")
+    status, out, _ = run(capsys, "translate",
+                         "--term", write(tmp_path, "t.gt", COPYCAT_A),
+                         "--env", write(tmp_path, "env.tenv", ONE_ENV))
+    assert status == 0 and "classification" in out
+    gc.collect()
+    assert [set(t) - keys for t, keys in zip(tables, before)] == \
+        [set()] * len(tables)
 
 
 class CharSink(io.TextIOBase):

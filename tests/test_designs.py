@@ -334,13 +334,14 @@ class TestInterning:
             "node=NegNode(focus=(0,), branches=(((), Design(base=Pitchfork("
             "neg=None, pos=frozenset()), node=DaimonLeaf())),)))")
 
-    def test_hash_is_the_structural_one(self):
+    def test_hash_is_the_identity_one(self):
         rng = random.Random(29)
         for _ in range(50):
             d = random_design(rng, Pitchfork(None, frozenset({XI})), 3)
-            assert hash(d) == hash((d.base, d.node))
-        # † and Fid hash alike, as the frozen dataclasses' did
-        assert hash(daimon(XI)) == hash(fid(XI))
+            again = delocate(delocate(d, XI, XI2), XI2, XI)
+            assert again is d and hash(again) == hash(d) == object.__hash__(d)
+        # † and Fid on one base are two keys
+        assert len({daimon(XI): 0, fid(XI): 1}) == 2
 
     def test_daimon_flag_is_read_from_the_children(self):
         rng = random.Random(31)

@@ -3,7 +3,8 @@ top-level function or class it defines is named somewhere else, and every
 one of them is reached from the command line or is allowlisted with a
 reason.  Every exception class is a `Refusal`, which the command line
 reports as the user's fault, or says why not; and the command line catches
-nothing else that a bug could raise.
+nothing else that a bug could raise.  An interned class compares and hashes
+by identity.
 
 No linter is installed, so this walks the syntax trees with `ast`.
 """
@@ -18,7 +19,7 @@ import sys
 import pytest
 
 from groundkit.cli import main
-from groundkit.sharing import Refusal
+from groundkit.sharing import Interned, Refusal
 
 ROOT = pathlib.Path(__file__).parent.parent
 SRC = ROOT / "src" / "groundkit"
@@ -209,6 +210,29 @@ def test_bench_selftest_passes():
                           capture_output=True, text=True, check=False)
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.endswith("selftest: ok\n")
+
+
+# ---------------------------------------------------------------------------
+# interned values are one object each, so object's `==` and `hash` are theirs
+
+
+def interned_classes():
+    for path in MODULES:
+        importlib.import_module(f"groundkit.{path.stem}")
+    todo, found = [Interned], []
+    while todo:
+        found += (subs := todo.pop().__subclasses__())
+        todo += subs
+    return [cls for cls in found if cls.__module__.startswith("groundkit.")]
+
+
+def test_interned_classes_compare_and_hash_by_identity():
+    classes = interned_classes()
+    assert {c.__name__ for c in classes} >= {"Syntax", "Design", "Var"}
+    for cls in classes:
+        for base in cls.__mro__[:-1]:
+            assert not {"__hash__", "__eq__"} & set(vars(base)), base
+            assert "_hash" not in getattr(base, "__slots__", ()), base
 
 
 # ---------------------------------------------------------------------------

@@ -236,10 +236,13 @@ class TestInterning:
         assert tm.Var("x", Atom("A")) is x       # formulas compare by value
         assert tm.ConjI(a, x) is not tm.ImplE(a, x)
 
-    def test_hash_is_structural(self):
+    def test_hash_is_the_identity_one(self):
         x = tm.Var("x", A)
-        assert hash(x) == hash(("x", A))
-        assert hash(tm.ImplI(x, x)) == hash((x, x))
+        t = tm.ImplI(x, x)
+        again = tm.ImplI(tm.Var("x", Atom("A")), tm.Var("x", Atom("A")))
+        assert again is t and hash(again) == hash(t) == object.__hash__(t)
+        # one constructor's fields under another are another key
+        assert len({t: 0, tm.ConjI(x, x): 1}) == 2
 
     def test_deep_term_hash_and_equality(self):
         t = u = tm.Const("a", A)
