@@ -11,28 +11,28 @@ as output nodes.
 Classification protocol for arrows over a domain with empty †-free
 material part (such as the behaviour 0, whose only member contains †):
 the defining condition of A → B quantifies over the †-free material
-members of A, so it is vacuous and the defining set is the full bounded
-universe on α ⊢ β.  That universe contains the sterile Fid, so its
-orthogonal holds only pairs led by the Daimon on ⊢α, every candidate is
-a member, and the incarnation of any candidate is its root pruning.
-Consequently the copycat design is a member of 0 → 0 but classifies
-PseudoGround(not-material) there, even though its cut against the Daimon
-of 0 yields a Daimon based on the codomain address — a material member
-of 0.  Both facts are exercised by the test suite; we implement the
-literal definition rather than widen the quantifier to all material
-members.
+members of A, so it is vacuous and A → B is generated by the least
+design on α ⊢ β, the branchless node, whose orthogonal holds only pairs
+led by the Daimon on ⊢α: every candidate is a member and incarnates as
+its root pruning.  Consequently the copycat design is a member of 0 → 0
+but classifies PseudoGround(not-material) there, even though its cut
+against the Daimon of 0 yields a Daimon based on the codomain address —
+a material member of 0.  Both facts are exercised by the test suite; we
+implement the literal definition rather than widen the quantifier to all
+material members.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass, field, replace
 
 from .designs import (
     Address, Design, Pitchfork, PosNode, build_fax, child, daimon, delocate,
     fid, negative, positive, star,
 )
 from .behaviours import (
-    Behaviour, CandidateVerdict, UniverseBounds, behaviour,
+    Behaviour, CandidateVerdict, UniverseBounds, _minimal, behaviour,
     classify_candidate, enumerate_universe, free_incarnation,
 )
 from .interaction import (
@@ -112,29 +112,34 @@ def _alpha(x: Behaviour | Design) -> Address:
 
 def arrow(alpha, beta, dom_free, cod_free, bounds, fuel) -> Behaviour:
     """A → B on α⊢β: the designs sending dom_free, A's †-free incarnation at
-    ⊢α, into cod_free, B's at ⊢β, closed under bi-orthogonality in bounds;
-    its counter-tests are pairs of designs on ⊢α and β⊢."""
+    ⊢α in bounds, into cod_free, B's at ⊢β, closed under bi-orthogonality
+    in bounds; its counter-tests are pairs of designs on ⊢α and β⊢.  It is
+    generated by the ⊑-minimal ones, as E^⊥ = (min E)^⊥, built branch by
+    branch."""
     bounds = bounds.at(Pitchfork(alpha, frozenset({beta})))
-    # the normal form of the net {a, d}, valid by its bases, reads d only
-    # through its branch at a's first ramification: one normalization per
-    # (a, branch), None standing for no branch, or for an a that ends at
-    # once; a diverging cut maps into no member
-    cut, out, sent = frozenset({alpha}), Pitchfork(None, frozenset({beta})), {}
-
-    def sends(a: Design, d: Design) -> bool:
-        key = (a, d.node.branch_map().get(a.node.ramification)
-               if isinstance(a.node, PosNode) else None)
-        if key not in sent:
-            sent[key] = normalize_open(CutNet((a, d), cut, a, out),
-                                       fuel) in cod_free
-        return sent[key]
-
-    # in universe order: the orthogonal keeps the ⊑-minimal designs in this
-    # order and stops at the first failing one, so its cost must not
-    # follow hash order
-    defining = [d for d in enumerate_universe(bounds)
-                if all(sends(a, d) for a in dom_free)]
-    return behaviour(defining, bounds, fuel)
+    cut, out = frozenset({alpha}), Pitchfork(None, frozenset({beta}))
+    # {a, d} reads d only through its branch at a's first ramification I
+    # (none if a ends at once), and no branch sends nothing.  kept[I]: the
+    # branches of U(⊢β, α⋆I), a level down, that send each a seen so far;
+    # fuel runs out where a filter of U(α⊢β) trying the a's in turn would
+    kept, depth = {}, bounds.max_depth - 1
+    for a in dom_free:
+        I = a.node.ramification if isinstance(a.node, PosNode) else None
+        if I not in kept:
+            base = frozenset({beta}) | star(alpha, I or ())
+            kept[I] = [None] if I is None else [daimon(*base), fid(*base)] \
+                if not depth else enumerate_universe(replace(
+                    bounds, max_depth=depth, base=Pitchfork(None, base)))
+        kept[I] = [b for b in kept[I] if normalize_open(CutNet((a, negative(
+            alpha, {I: b} if b else {}, extra=[beta])), cut, a, out), fuel)
+            in cod_free]
+        if not kept[I]:
+            return behaviour((), bounds, fuel)
+    # min of a product: the products of min kept[I], in universe order
+    keys = sorted(I for I in kept if I is not None)
+    return behaviour([negative(alpha, dict(zip(keys, bs)), extra=[beta])
+                      for bs in itertools.product(*map(
+                          _minimal, map(kept.get, keys)))], bounds, fuel)
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +174,10 @@ class TranslationEnv:
         """f's behaviour at its home ⊢α, built on first use."""
         b = self.atoms.get(f)
         if b is None:
-            raise TranslationError("unsupported-constructor",
-                                   f"no behaviour registered for {f}")
+            from .sexpr import syntax_text
+            raise TranslationError("unsupported-constructor", "no behaviour"
+                                   " registered for "
+                                   + syntax_text(f, "formula"))
         if not isinstance(b, Behaviour):
             b = self.atoms[f] = behaviour(*b, self.fuel)
         return b
@@ -227,13 +234,13 @@ def translate(t: GroundTerm, env: TranslationEnv,
         f = t.function
         while isinstance(f, ImplE):     # to its head
             f = f.function
-        if not _copycat(f):
+        if not _copycat(f) or isinstance(f.var.type, Impl):
             t = f                       # refused below
             break
-        if isinstance(f.var.type, Impl):
-            raise TranslationError("unsupported-constructor", "an argument "
-                                   "of arrow type is not translated")
         t, copycats = t.argument, copycats + 1
+    if _copycat(t) and isinstance(t.var.type, Impl):
+        raise TranslationError("unsupported-constructor", "an argument "
+                               "of arrow type is not translated")
     if not isinstance(t, Const) and not _copycat(t):
         raise TranslationError(
             "unsupported-constructor",
@@ -246,9 +253,10 @@ def translate(t: GroundTerm, env: TranslationEnv,
         return fax
     free = sorted(env.free_at(t.type, alpha), key=repr)
     if not free:
-        raise TranslationError(
-            "unsupported-constructor",
-            f"the behaviour for {t.type} has no †-free material member")
+        from .sexpr import syntax_text
+        raise TranslationError("unsupported-constructor", "the behaviour for "
+                               f"{syntax_text(t.type, 'formula')} has no "
+                               "†-free material member")
     d = free[0]
     for _ in range(copycats):
         d = normalize_open(make_cutnet((delocate(d, _alpha(d), alpha), fax)),
@@ -270,7 +278,9 @@ def _check_fragment(f: Formula) -> None:
             case Impl(a, b):
                 todo += (b, a)
             case g if not isinstance(g, Atom | Absurd):
-                raise TranslationError("unsupported-constructor", f"type {g} "
+                from .sexpr import syntax_text
+                raise TranslationError("unsupported-constructor", "type "
+                                       f"{syntax_text(g, 'formula')} "
                                        "is outside the implicational fragment")
 
 

@@ -211,11 +211,10 @@ class TestTranslate:
         assert status == 0
         assert len(calls) <= 37
 
-    def test_copycat_universe_builds(self, monkeypatch, capsys):
-        """Regression gate: translating and classifying the demo copycat
-        enumerates at most 5 universes: the atom's orthogonal (9⊢), its
-        free incarnation (⊢9), the arrow's defining set (α⊢β) and the
-        arrow's two counter-test sides (⊢α, β⊢)."""
+    @staticmethod
+    def count_builds(monkeypatch):
+        """The bounds of every universe enumerated, wherever behaviours and
+        translate look `enumerate_universe` up."""
         builds = []
         real = importlib.import_module("groundkit.behaviours") \
             .enumerate_universe
@@ -224,11 +223,41 @@ class TestTranslate:
                                 "enumerate_universe",
                                 lambda bounds: builds.append(bounds)
                                 or real(bounds))
+        return builds
+
+    def test_copycat_universe_builds(self, monkeypatch, capsys):
+        """Regression gate: translating and classifying the demo copycat
+        enumerates at most 4 universes: the atom's orthogonal (9⊢), its
+        free incarnation (⊢9) and the arrow's two counter-test sides (⊢α,
+        β⊢).  The arrow's defining designs are built branch by branch, with
+        no α⊢β universe; 0's free incarnation is empty, so no branch is."""
+        builds = self.count_builds(monkeypatch)
         status, _, _ = run(capsys, "translate",
                            "--term", str(DATA / "copycat.gt"),
                            "--env", str(DATA / "zero-env.tenv"))
         assert status == 0
-        assert len(builds) <= 5
+        assert len(builds) <= 4
+
+    @pytest.mark.parametrize("depth, pool", [(2, "(I) (I 0) (I 1)"),
+                                             (3, "(I) (I 0)")])
+    @pytest.mark.parametrize("arity", [0, 1])
+    def test_no_two_address_universe(self, depth, pool, arity, tmp_path,
+                                     monkeypatch, capsys):
+        """At the benchmark's env shapes no translate enumerates a universe
+        on two addresses: the arrow's branches for the bomb of 1 lie on ⊢β
+        alone."""
+        bounds = f"(bounds {depth} (pool {pool}) (pos-base 9))"
+        env = write(tmp_path, "env.tenv", ONE_ENV.replace(BOUNDS_TEXT, bounds)
+                    .replace("(fax-arity 0)", f"(fax-arity {arity})"))
+        builds = self.count_builds(monkeypatch)
+        for term in ("(impl-i (var x (atom A)) (var x (atom A)))",
+                     "(impl-i (var x (absurd)) (var x (absurd)))",
+                     identity_chain_text(2)):
+            status, _, _ = run(capsys, "translate", "--term",
+                               write(tmp_path, "t.gt", term), "--env", env)
+            assert status == 0
+        assert builds
+        assert all(len(b.base.all_addresses()) == 1 for b in builds)
 
     def test_a_chain_builds_one_fax(self, tmp_path, monkeypatch, capsys):
         """Translating the benchmark's apply-3, three copycats applied in
@@ -251,6 +280,27 @@ class TestTranslate:
                    "--env", str(DATA / "zero-env.tenv")) == (
             2, "", "error: unsupported-constructor: only the copycat body ξ "
             "is supported under a binder\n")
+
+    @pytest.mark.parametrize("term, message", [
+        ("(impl-i (var x (impl (absurd) (absurd)))"
+         " (var x (impl (absurd) (absurd))))",
+         "an argument of arrow type is not translated"),
+        ("(const c (atom B))", "no behaviour registered for (atom B)"),
+        ("(conj-i (const c (atom A)) (const c (atom A)))",
+         "type (and (atom A) (atom A)) is outside the implicational "
+         "fragment"),
+        ("(const c (absurd))",
+         "the behaviour for (absurd) has no †-free material member"),
+    ])
+    def test_refusals_print_nothing_on_stdout(self, term, message, tmp_path,
+                                              capsys):
+        """Each refusal comes before any design is printed, and names its
+        formula as a file writes it: the copycat at an arrow type is
+        refused before its fax is built, not when its arrow is."""
+        assert run(capsys, "translate",
+                   "--term", write(tmp_path, "t.gt", term),
+                   "--env", str(DATA / "zero-env.tenv")) == (
+            2, "", f"error: unsupported-constructor: {message}\n")
 
     def test_nonlinear_rejected(self, tmp_path, capsys):
         bad = tmp_path / "t.gt"

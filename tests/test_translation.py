@@ -7,7 +7,9 @@ import types
 
 import pytest
 
-from translate_oracle import behaviour_arrow, behaviour_at
+from translate_oracle import (
+    behaviour_arrow, behaviour_at, defining_by_enumeration,
+)
 from test_behaviours import (
     count_runs, members_per_pair, orthogonal_against_all, outcome,
     universe_order,
@@ -16,12 +18,12 @@ from test_behaviours import (
 from groundkit import terms as tm
 from groundkit.formulas import Absurd, Atom, Impl
 from groundkit.designs import (
-    Pitchfork, atomic_bomb, build_fax, daimon, delocate, fid, negative,
-    positive, skunk, subdesign_order, validate_design,
+    Pitchfork, atomic_bomb, build_fax, contains_daimon, daimon, delocate,
+    fid, negative, positive, skunk, subdesign_order, validate_design,
 )
 from groundkit.behaviours import (
-    OutOfFuel, UniverseBounds, _test_run, behaviour, classify_candidate,
-    enumerate_universe, full_pool, incarnation_of, members,
+    Behaviour, OutOfFuel, UniverseBounds, _minimal, _test_run, behaviour,
+    classify_candidate, enumerate_universe, full_pool, incarnation_of, members,
 )
 from groundkit.interaction import (
     DEFAULT_FUEL, dual_bases, make_cutnet, orthogonal,
@@ -48,6 +50,14 @@ def zero_env():
 
 def one_env():
     return env_with(P, atomic_bomb(HOME))
+
+
+def by_enumeration(bA, bB, bounds=BOUNDS, fuel=DEFAULT_FUEL):
+    """The defining set of A → B for A on ⊢α and B on ⊢β, filtered from the
+    whole α⊢β universe."""
+    return defining_by_enumeration(
+        min(bA.base.pos), min(bB.base.pos), free_incarnation(bA, fuel),
+        free_incarnation(bB, fuel), bounds, fuel)
 
 
 def copycat(ty):
@@ -167,13 +177,15 @@ class TestArrow:
         bB = behaviour_at(env, Absurd(), (0, 1))
         ab = behaviour_arrow(bA, bB, BOUNDS)
         fx = build_fax((0, 0), (0, 1), 2, 0)
-        # vacuous domain: the defining set is the whole bounded universe
-        # (the fax itself is deeper than the bound, so it only enters via
-        # the counter-test verdict)
-        from groundkit.behaviours import enumerate_universe
-        assert ab.generators == frozenset(
-            enumerate_universe(BOUNDS.at(ab.base)))
-        assert fx not in ab.generators
+        # vacuous domain: the defining set is the whole bounded universe,
+        # generated by its least design, the branchless node (the fax
+        # itself is deeper than the bound, so it only enters via the
+        # counter-test verdict)
+        defining = by_enumeration(bA, bB)
+        assert defining == list(enumerate_universe(BOUNDS.at(ab.base)))
+        assert ab.generators == frozenset(_minimal(defining)) \
+            == {negative((0, 0), extra=[(0, 1)])}
+        assert fx not in defining
         assert _test_run(fx, ab.cached_orthogonal, DEFAULT_FUEL)[0] == "yes"
 
     def test_vacuous_domain_pairs_are_daimon_led(self):
@@ -212,7 +224,10 @@ class TestArrow:
         bB = behaviour_at(env, P, (0, 1))
         ab = behaviour_arrow(bA, bB, BOUNDS)
         fx = build_fax((0, 0), (0, 1), 1, 0)
-        assert len(ab.generators) == 5
+        defining = by_enumeration(bA, bB)
+        assert len(defining) == 5
+        assert ab.generators == frozenset(_minimal(defining))
+        assert len(ab.generators) == 1
         assert len(ab.cached_orthogonal) == 16
         assert _test_run(fx, ab.cached_orthogonal, DEFAULT_FUEL)[0] == "yes"
         out = normalize_open(make_cutnet((atomic_bomb((0, 0)), fx)))
@@ -462,14 +477,17 @@ class TestArrowMinimalDesigns:
 
     def test_arrow_test_count(self, monkeypatch):
         """P → P: 13 machine runs for each free incarnation (12 candidates)
-        and 18 for the defining set's normal forms and the orthogonal of its
-        one minimal design, whose 144 pairs a run per pair would take."""
+        and 17 for the normal forms of the bomb against the three branches
+        of U(⊢β) (†, Ω, the bomb) and the orthogonal of the one minimal
+        design, whose 144 pairs a run per pair would take.  Filtering the
+        whole α⊢β universe took 44."""
         env = one_env()
         bA, bB = behaviour_at(env, P, (0, 0)), behaviour_at(env, P, (0, 1))
         calls = count_runs(monkeypatch)
         ab = behaviour_arrow(bA, bB, BOUNDS)
-        assert len(ab.generators) == 5
-        assert len(calls) == 44
+        assert len(calls) == 43
+        assert ab.generators == frozenset(_minimal(by_enumeration(bA, bB)))
+        assert len(ab.generators) == 1
 
 
 class TestArrowSharedPrefixes:
@@ -582,7 +600,9 @@ class TestArrowSharedPrefixes:
 
     def test_defining_set_agrees_with_validated_nets(self, monkeypatch):
         """The defining set, normalized once per (a, branch) and started
-        from (a, d) directly, is the one each validated net {a, d} gives."""
+        from (a, d) directly, is the one each validated net {a, d} gives,
+        and the arrow, built branch by branch, is generated by its
+        ⊑-minimal designs."""
         alpha, beta = self.ALPHA, self.BETA
         cases = []
         for pool in (BOUNDS.pool, ((), (0,), (1,))):
@@ -598,16 +618,85 @@ class TestArrowSharedPrefixes:
         expected = []
         for bA, bB, bounds in cases:
             dom, cod = free_incarnation(bA), free_incarnation(bB)
-            expected.append(frozenset(
+            expected.append([
                 d for d in enumerate_universe(
                     bounds.at(Pitchfork(alpha, frozenset({beta}))))
                 if all(normalize_open(make_cutnet((a, d))) in cod
-                       for a in dom)))
+                       for a in dom)])
+        assert [by_enumeration(bA, bB, bounds)
+                for bA, bB, bounds in cases] == expected
         monkeypatch.setattr(importlib.import_module("groundkit.translate"),
                             "make_cutnet", None)
         assert [behaviour_arrow(bA, bB, bounds).generators
-                for bA, bB, bounds in cases] == expected
+                for bA, bB, bounds in cases] == [
+            frozenset(_minimal(e)) for e in expected]
         assert any(expected) and not all(expected)
+
+
+class TestArrowAgainstTheFilter:
+    """`arrow` builds the ⊑-minimal defining designs branch by branch; the
+    filter of the whole α⊢β universe, `defining_by_enumeration`, is its
+    reference.  For random atoms at depths 1 to 3, pools of two and three
+    ramifications and fuel from 0 up, the arrow's orthogonal is the one its
+    defining set generates, in the same order, or both refuse with the same
+    kind; and its generators are that set's ⊑-minimal designs."""
+
+    SHAPES = [(1, ((), (0,))), (1, ((), (0,), (1,))), (2, ((), (0,))),
+              (2, ((), (0,), (1,))), (2, ((0,), (0, 1))), (3, ((), (0,)))]
+    ALPHA, BETA = (0, 0), (0, 1)
+
+    @staticmethod
+    def refusal(f):
+        """f(), or the kind of the refusal it raised."""
+        try:
+            return f()
+        except TranslationError as e:
+            return e.kind
+        except OutOfFuel:
+            return "OutOfFuel"
+
+    def test_agrees_with_the_filter(self):
+        """240 cases: 48 pairs of atoms, each generated by one or two
+        †-free designs (B's with the bomb on a coin's throw, so that some
+        designs send A into B), at five fuels."""
+        alpha, beta = self.ALPHA, self.BETA
+        rng, seen = random.Random(31), []
+        while len(seen) < 240:
+            depth, pool = self.SHAPES[len(seen) // 5 % len(self.SHAPES)]
+            home = UniverseBounds(depth, pool, BOUNDS.base)
+            universe = [d for d in enumerate_universe(home)
+                        if not contains_daimon(d)]
+            gA, gB = (rng.sample(universe, min(len(universe),
+                                               rng.randint(1, 2)))
+                      for _ in "AB")
+            gB += [atomic_bomb(HOME)] * rng.randint(0, 1)
+            free = [outcome(free_incarnation, behaviour(g, home))
+                    for g in (gA, gB)]
+            if OutOfFuel in free:
+                continue
+            dom, cod = (frozenset(delocate(d, HOME, xi) for d in f)
+                        for f, xi in zip(free, (alpha, beta)))
+            bounds = home.at(Pitchfork(alpha, frozenset({beta})))
+            for fuel in (0, 1, 2, 3, DEFAULT_FUEL):
+                got = self.refusal(
+                    lambda: arrow(alpha, beta, dom, cod, home, fuel))
+                reference = self.refusal(lambda: defining_by_enumeration(
+                    alpha, beta, dom, cod, home, fuel))
+                if isinstance(reference, list):
+                    want = self.refusal(
+                        lambda: behaviour(reference, bounds, fuel))
+                    if isinstance(want, Behaviour):
+                        assert got.generators == frozenset(
+                            _minimal(reference))
+                        seen.append(min(len(got.generators), 2))
+                        got, want = (got.cached_orthogonal,
+                                     want.cached_orthogonal)
+                    reference = want
+                assert got == reference
+                if isinstance(got, str):
+                    seen.append(got)
+        # no generator, one, several, and each refusal
+        assert set(seen) == {0, 1, 2, "fuel-exhausted", "OutOfFuel"}
 
 
 class TestBenchTranslateWorkload:
