@@ -41,10 +41,14 @@ from .designs import (
     Ramification, child, contains_daimon, star, subdesign_order, subsets,
 )
 from .interaction import (
-    DEFAULT_FUEL, UNCUT, VERDICT, _parts, dual_bases, join_used_parts,
-    listeners, run, run_closed,
+    UNCUT, VERDICT, _parts, dual_bases, join_used_parts, listeners, run,
+    run_closed,
 )
-from .sharing import Refusal
+from .sharing import DEFAULT_FUEL, Refusal
+
+
+#: the most designs a universe may have before its enumeration is refused
+UNIVERSE_CAP = 10 ** 6
 
 
 class SizeLimitExceeded(Refusal):
@@ -64,7 +68,6 @@ class UniverseBounds:
     max_depth: int                       # nesting of rule nodes; leaves free
     pool: tuple[Ramification, ...]       # admissible ramifications
     base: Pitchfork
-    cap: int = 10 ** 6
 
     def __post_init__(self):
         object.__setattr__(self, "pool",
@@ -76,7 +79,7 @@ class UniverseBounds:
             raise Refusal("the pool repeats an index or a ramification")
 
     def at(self, base: Pitchfork) -> "UniverseBounds":
-        return UniverseBounds(self.max_depth, self.pool, base, self.cap)
+        return UniverseBounds(self.max_depth, self.pool, base)
 
 
 def full_pool(arity_bound: int) -> tuple[Ramification, ...]:
@@ -94,8 +97,8 @@ def enumerate_universe(bounds: UniverseBounds) -> tuple[Design, ...]:
     Discipline: negative branches inherit the full context; positive
     rules distribute each context address to one child or drop it.
     """
-    if count_universe(bounds) > bounds.cap:     # exact: the universe only
-        raise SizeLimitExceeded(f"universe exceeds cap {bounds.cap}")
+    if count_universe(bounds) > UNIVERSE_CAP:   # exact: the universe only
+        raise SizeLimitExceeded(f"universe exceeds cap {UNIVERSE_CAP}")
     pool = bounds.pool
     memo_pos: dict = {}
     memo_neg: dict = {}

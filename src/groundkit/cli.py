@@ -22,11 +22,11 @@ from .behaviours import (
 )
 from .designs import format_address, natural, validate_design
 from .interaction import (
-    CONVERGED, OMEGA, Converged, CutNet, DEFAULT_FUEL, Diverged, listeners,
+    CONVERGED, OMEGA, Converged, CutNet, Diverged, listeners,
     normalize_closed, orthogonal, render_design, render_state, snapshots,
     step,
 )
-from .sharing import Refusal
+from .sharing import DEFAULT_FUEL, Refusal
 from .translate import TranslationEnv, check_translation, translate
 
 

@@ -90,11 +90,6 @@ class Exists(Formula):
     __slots__ = __match_args__ = ("var", "body")
 
 
-def neg(a: Formula) -> Formula:
-    """Negation is notation: not-A is A -> absurd."""
-    return Impl(a, Absurd())
-
-
 def free_ivars(f: Formula) -> frozenset[str]:
     return f._free_ivars
 

@@ -22,9 +22,7 @@ from .designs import (
     Ramification, child, daimon, disjoint, format_address, prefix_pairs,
     subtrees,
 )
-from .sharing import Refusal, fold
-
-DEFAULT_FUEL = 100_000
+from .sharing import DEFAULT_FUEL, Refusal, fold
 
 #: trace record: (polarity "+", "-" or "†", address, ramification)
 TraceRecord = tuple[str, Address, Ramification]
@@ -318,8 +316,8 @@ def join_used_parts(d: Design, traces) -> Design:
 # rendering (pitchfork snapshots)
 
 
-def render_design(d: Design, mark: frozenset[Address] = frozenset(),
-                  indent: int = 0) -> list[str]:
+def render_design(d: Design,
+                  mark: frozenset[Address] = frozenset()) -> list[str]:
     """Indented tree rendering, one line per node; marked addresses are
     starred."""
     def fa(a: Address) -> str:
@@ -341,7 +339,7 @@ def render_design(d: Design, mark: frozenset[Address] = frozenset(),
                 rule = "†" if isinstance(node, DaimonLeaf) else "Ω"
         left = "" if s.base.neg is None else fa(s.base.neg)
         right = ", ".join(fa(a) for a in sorted(s.base.pos))
-        lines.append(f"{'  ' * (indent + len(path))}{rule} {left} ⊢ {right}"
+        lines.append(f"{'  ' * len(path)}{rule} {left} ⊢ {right}"
                      .rstrip())
     return lines
 

@@ -1,16 +1,21 @@
-"""What every module shares: hash-consing, a bottom-up builder, refusals.
+"""What every module shares: hash-consing, a bottom-up builder, refusals,
+and the default fuel.
 
 `Interned` is the base of the hash-consed classes (Filliâtre and Conchon,
 *Type-Safe Modular Hash-Consing*, 2006), which compare and hash by
 identity.  `Syntax` is the one base that interns all three syntaxes,
 ground terms, formulas and polarized formulas, by their fields.  `fold`
 builds a value of a tree from the bottom up with its own stack, so a tree
-of any depth can be built.
+of any depth can be built.  `DEFAULT_FUEL` is the fuel of a call that
+names none, and of every verb without `--fuel`: reduction steps in
+`terms`, action pairs in `interaction`, one bound for both engines.
 """
 
 from __future__ import annotations
 
 from weakref import ref as weak_ref
+
+DEFAULT_FUEL = 100_000
 
 
 class Refusal(ValueError):

@@ -24,17 +24,11 @@ from .formulas import (
     Formula, ITerm, IVar, Impl, check_atomic_derivation, free_ivars,
     subst_ivar,
 )
-from .sharing import Refusal, Syntax, fold
-
-DEFAULT_FUEL = 10_000
+from .sharing import DEFAULT_FUEL, Refusal, Syntax, fold
 
 
 class GroundTypeError(Refusal):
-    def __init__(self, subterm, message, expected=None, actual=None):
-        self.subterm = subterm
-        self.expected = expected
-        self.actual = actual
-        super().__init__(message)
+    pass
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +319,6 @@ class GroundEnv:
 class GroundType:
     antecedents: tuple[Formula, ...]
     succedent: Formula
-    free_individual_vars: frozenset[str] = frozenset()
 
 
 def typecheck(t: GroundTerm, env: GroundEnv | None = None) -> GroundType:
@@ -341,11 +334,11 @@ def typecheck(t: GroundTerm, env: GroundEnv | None = None) -> GroundType:
             if t not in bound:
                 if any(b.name == t.name and b != t for b in bound):
                     raise GroundTypeError(
-                        t, f"variable {t.name} shadowed at a different type")
+                        f"variable {t.name} shadowed at a different type")
                 antecedents[t] = None
             return None, t.type, ()
         if not isinstance(t, GroundTerm):
-            raise GroundTypeError(t, f"not a ground term: {t!r}")
+            raise GroundTypeError(f"not a ground term: {t!r}")
         flat, kinds, scopes = _spread(t)
         parts = [(flat[j], bound.union(flat[i] for i in scopes[j]
                                        if kinds[i] == "binder"))
@@ -353,8 +346,7 @@ def typecheck(t: GroundTerm, env: GroundEnv | None = None) -> GroundType:
         return partial(_type_rule, t, env), parts, range(len(parts))
 
     succ = fold((t, frozenset()), enter)
-    return GroundType(tuple(v.type for v in antecedents), succ,
-                      term_free_ivars(t))
+    return GroundType(tuple(v.type for v in antecedents), succ)
 
 
 #: eliminator -> the connective the type of its first term field must have,
@@ -372,23 +364,22 @@ _ELIMINATES = {
 def _type_rule(t: GroundTerm, env: GroundEnv, got: list) -> Formula:
     """The type of t, given got, the types of its term fields in order."""
     if (elim := _ELIMINATES.get(type(t))) and not isinstance(got[0], elim[0]):
-        raise GroundTypeError(t, elim[1], actual=got[0])
+        raise GroundTypeError(elim[1])
     match t:
         case MetaVar():
-            raise GroundTypeError(t, "metavariable outside an equation pattern")
+            raise GroundTypeError("metavariable outside an equation pattern")
         case Const(name, ty):
             if not isinstance(ty, (Atom, Absurd)):
-                raise GroundTypeError(t, f"constant {name} must be atomic")
+                raise GroundTypeError(f"constant {name} must be atomic")
             return ty
         case ConjI():
             return Conj(*got)
         case DisjI(side, d):
             if side not in (1, 2):
-                raise GroundTypeError(t, f"bad disjunct selector {side}")
+                raise GroundTypeError(f"bad disjunct selector {side}")
             want = d.left if side == 1 else d.right
             if got[0] != want:
-                raise GroundTypeError(t, "disjunct mismatch",
-                                      expected=want, actual=got[0])
+                raise GroundTypeError("disjunct mismatch")
             return d
         case ImplI(x):
             return Impl(x.type, got[0])
@@ -397,30 +388,26 @@ def _type_rule(t: GroundTerm, env: GroundEnv, got: list) -> Formula:
         case ExistsI(w, e):
             want = subst_ivar(e.body, e.var, w)
             if got[0] != want:
-                raise GroundTypeError(t, "witness type mismatch",
-                                      expected=want, actual=got[0])
+                raise GroundTypeError("witness type mismatch")
             return e
         case Exploder(target):
             if not isinstance(got[0], Absurd):
-                raise GroundTypeError(t, "explosion applied to a non-absurd term",
-                                      expected=Absurd(), actual=got[0])
+                raise GroundTypeError("explosion applied to a non-absurd term")
             return target
         case ConjE(side):
             return got[0].left if side == 1 else got[0].right
         case DisjE(x1, x2):
             ts, tu, tv = got
             if x1.type != ts.left or x2.type != ts.right:
-                raise GroundTypeError(t, "case binder types do not match "
+                raise GroundTypeError("case binder types do not match "
                                       "the disjuncts")
             if tu != tv:
-                raise GroundTypeError(t, "case arms disagree",
-                                      expected=tu, actual=tv)
+                raise GroundTypeError("case arms disagree")
             return tu
         case ImplE():
             tf, ta = got
             if ta != tf.left:
-                raise GroundTypeError(t, "argument type mismatch",
-                                      expected=tf.left, actual=ta)
+                raise GroundTypeError("argument type mismatch")
             return tf.right
         case ForallE(s):
             return subst_ivar(got[0].body, got[0].var, s)
@@ -428,30 +415,28 @@ def _type_rule(t: GroundTerm, env: GroundEnv, got: list) -> Formula:
             ts, res = got
             want = subst_ivar(ts.body, ts.var, IVar(x))
             if v.type != want:
-                raise GroundTypeError(t, "witness binder type mismatch",
-                                      expected=want, actual=v.type)
+                raise GroundTypeError("witness binder type mismatch")
             if x in free_ivars(res):
-                raise GroundTypeError(
-                    t, f"existential eigenvariable {x} escapes into the result type")
+                raise GroundTypeError(f"existential eigenvariable {x} escapes "
+                                      "into the result type")
             return res
         case DS():
             td, tn = got
             if tn != Impl(td.left, Absurd()):
-                raise GroundTypeError(t, "second argument must negate the "
-                                      "first disjunct",
-                                      expected=Impl(td.left, Absurd()), actual=tn)
+                raise GroundTypeError("second argument must negate the "
+                                      "first disjunct")
             return td.right
         case UserOp(name, args):
             decl = env.ops.get(name)
             if decl is None:
-                raise GroundTypeError(t, f"unregistered operation {name}")
+                raise GroundTypeError(f"unregistered operation {name}")
             if len(args) != len(decl.arg_types):
-                raise GroundTypeError(t, f"{name} expects "
+                raise GroundTypeError(f"{name} expects "
                                       f"{len(decl.arg_types)} arguments")
             for ty, want in zip(got, decl.arg_types):
                 if ty != want:
-                    raise GroundTypeError(t, f"argument of {name} has the "
-                                          "wrong type", expected=want, actual=ty)
+                    raise GroundTypeError(f"argument of {name} has the "
+                                          "wrong type")
             return decl.result
 
 
@@ -680,7 +665,7 @@ def denotes_ground(t: GroundTerm, env: GroundEnv | None = None,
     env = env or GroundEnv()
     ty = typecheck(t, env)
     if ty.antecedents or not is_closed_term(t):
-        raise GroundTypeError(t, "groundhood is defined for closed terms only")
+        raise GroundTypeError("groundhood is defined for closed terms only")
     return _denotes(t, ty.succedent, env, fuel)
 
 

@@ -36,11 +36,10 @@ from .behaviours import (
     classify_candidate, enumerate_universe, free_incarnation,
 )
 from .interaction import (
-    CONVERGED, DEFAULT_FUEL, OUT_OF_FUEL, UNCUT, CutNet, listeners,
-    make_cutnet, run,
+    CONVERGED, OUT_OF_FUEL, UNCUT, CutNet, listeners, make_cutnet, run,
 )
 from .formulas import Absurd, Atom, Formula, Impl
-from .sharing import Refusal
+from .sharing import DEFAULT_FUEL, Refusal
 from .terms import GroundEnv, GroundTerm, ImplE, ImplI, Const, \
     is_linear, typecheck
 

@@ -120,7 +120,7 @@ def test_criterion_05_interaction_trace_and_golden():
 def test_criterion_06_behaviour_sets_at_stated_bounds():
     # {bomb}^⊥ must enumerate every negative design at depth ≤ 3 over
     # pool 𝒫({0,1}); that universe has ~5.4 × 10¹² members
-    stated = UniverseBounds(3, full_pool(1), POS, cap=1_000_000)
+    stated = UniverseBounds(3, full_pool(1), POS)
     try:
         single = frozenset(orthogonal_set([atomic_bomb(XI)], stated))
         ok = single == {negative(XI, {(): daimon()})}

@@ -91,10 +91,10 @@ class TestEnumeration:
                     shapes.add((base.neg is None, len(ctx)))
         assert len(shapes) == 6
 
-    def test_size_cap(self):
-        capped = UniverseBounds(3, full_pool(1), POS, cap=1000)
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setattr("groundkit.behaviours.UNIVERSE_CAP", 1000)
         with pytest.raises(SizeLimitExceeded):
-            enumerate_universe(capped)
+            enumerate_universe(UniverseBounds(3, full_pool(1), POS))
 
     def test_over_cap_is_refused_before_any_design_is_built(self,
                                                             monkeypatch):
@@ -624,12 +624,12 @@ class TestFreeIncarnation:
     UniverseBounds(2, ((), (0,), (0, 1)), POS),
     UniverseBounds(3, ((), (0,)), Pitchfork(XI, frozenset({(1,)}))),
 ])
-def test_a_cap_equal_to_the_count_is_enough(bounds):
+def test_a_cap_equal_to_the_count_is_enough(bounds, monkeypatch):
     """Only the universe counts against the cap, not the sub-designs built
     on the way; one design fewer is refused."""
     n = count_universe(bounds)
-    assert len(enumerate_universe(UniverseBounds(
-        bounds.max_depth, bounds.pool, bounds.base, cap=n))) == n
+    monkeypatch.setattr("groundkit.behaviours.UNIVERSE_CAP", n)
+    assert len(enumerate_universe(bounds)) == n
+    monkeypatch.setattr("groundkit.behaviours.UNIVERSE_CAP", n - 1)
     with pytest.raises(SizeLimitExceeded):
-        enumerate_universe(UniverseBounds(bounds.max_depth, bounds.pool,
-                                          bounds.base, cap=n - 1))
+        enumerate_universe(bounds)

@@ -19,7 +19,6 @@ from test_behaviours import count_runs
 from test_hygiene import interned_classes
 
 import groundkit.sexpr as sx
-from groundkit.behaviours import UniverseBounds
 from groundkit.cli import main
 from groundkit.designs import build_fax, daimon, fid, skunk
 
@@ -262,8 +261,8 @@ class TestTranslate:
     def test_a_chain_builds_one_fax(self, tmp_path, monkeypatch, capsys):
         """Translating the benchmark's apply-3, three copycats applied in
         turn to a constant, builds one fax for all three."""
+        import groundkit.translate as translate
         builds = []
-        translate = importlib.import_module("groundkit.translate")
         real = translate.build_fax
         monkeypatch.setattr(translate, "build_fax",
                             lambda *args: builds.append(args) or real(*args))
@@ -639,7 +638,7 @@ class TestExitContract:
 
     def test_universe_over_cap_exits_2(self, tmp_path, capsys, monkeypatch):
         # a cap of 1000 in place of 10**6, so the enumeration gives up at once
-        monkeypatch.setattr(UniverseBounds.__init__, "__defaults__", (1000,))
+        monkeypatch.setattr("groundkit.behaviours.UNIVERSE_CAP", 1000)
         path = tmp_path / "big.bhv"
         path.write_text("(behaviour (bounds 3 (pool (I) (I 0) (I 1) (I 0 1))"
                         " (pos-base 0)) (generators (pos 0 (I))))")

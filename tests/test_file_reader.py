@@ -144,10 +144,10 @@ class TestLexicalFaultFirst:
     before a lexical fault later in the text."""
 
     def test_universe_over_the_cap_then_a_stray_paren(self, monkeypatch):
-        monkeypatch.setattr(UniverseBounds.__init__, "__defaults__", (1000,))
+        monkeypatch.setattr("groundkit.behaviours.UNIVERSE_CAP", 1000)
         text = ("(behaviour (bounds 3 (pool (I) (I 0) (I 1) (I 0 1))"
                 " (pos-base 0)) (generators (pos 0 (I))))")
-        with pytest.raises(ValueError, match="universe exceeds cap 1000"):
+        with pytest.raises(ValueError, match="^universe exceeds cap 1000$"):
             sx.syntax_from_text(text, "behaviour")
         with pytest.raises(sx.ParseError, match="trailing input '\\)'"):
             sx.syntax_from_text(text + ")", "behaviour")

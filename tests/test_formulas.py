@@ -3,7 +3,7 @@ from hypothesis import given
 
 from groundkit.formulas import (
     Absurd, Atom, AtomicBase, AtomicDerivation, AtomicRule, IConst, IVar,
-    check_atomic_derivation, free_ivars, is_closed, match_atom, neg,
+    check_atomic_derivation, free_ivars, is_closed, match_atom,
     subst_ivar, validate_base, validate_rule, Impl,
 )
 
@@ -111,9 +111,6 @@ class TestDerivations:
 
 
 class TestFormulas:
-    def test_negation_is_sugar(self):
-        assert neg(atom("P")) == Impl(atom("P"), Absurd())
-
     def test_free_vars_and_closed(self):
         f = Impl(atom("P", x), atom("Q", IConst("a")))
         assert free_ivars(f) == frozenset({"x"})

@@ -1,7 +1,9 @@
 """Every name a groundkit module imports is used in that module, every
 top-level function or class it defines is named somewhere else, and every
 one of them is reached from the command line or is allowlisted with a
-reason.  Every exception class is a `Refusal`, which the command line
+reason.  The package re-exports nothing, so each name has one import
+path, and every defaulted parameter is passed by the program or says why
+not.  Every exception class is a `Refusal`, which the command line
 reports as the user's fault, or says why not; and the command line catches
 nothing else that a bug could raise.  An interned class compares and hashes
 by identity.
@@ -11,6 +13,7 @@ No linter is installed, so this walks the syntax trees with `ast`.
 
 import ast
 import importlib
+import os
 import pathlib
 import re
 import subprocess
@@ -18,6 +21,7 @@ import sys
 
 import pytest
 
+import groundkit
 from groundkit.cli import main
 from groundkit.sharing import Interned, Refusal
 
@@ -210,6 +214,105 @@ def test_bench_selftest_passes():
                           capture_output=True, text=True, check=False)
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.endswith("selftest: ok\n")
+
+
+# ---------------------------------------------------------------------------
+# one import path per name, and no parameter only the tests pass
+
+
+def test_the_package_reexports_nothing():
+    """`import groundkit` binds no public name, only `__version__`; once
+    every module is imported, `groundkit.m` is the module m: no name of the
+    package hides a module, as a re-exported function `translate` would
+    hide `groundkit.translate`."""
+    done = subprocess.run(
+        [sys.executable, "-c", "import groundkit; print(sorted(n for n in "
+         "vars(groundkit) if not n.startswith('_')))"],
+        capture_output=True, text=True, check=False,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+    assert isinstance(groundkit.__version__, str)
+    for path in MODULES:
+        module = importlib.import_module(f"groundkit.{path.stem}")
+        assert getattr(groundkit, path.stem) is module, path.stem
+
+
+TEST_SEAM = "a seam for the tests, which drive the REPL with their own " \
+            "streams and environment"
+#: why a defaulted parameter that no call in src/ or bench/ passes stays,
+#: by qualified name (module.function.parameter)
+UNPASSED = {
+    "terms.GroundEnv.register_op.equations": GENV,
+    **{f"cli.{name}": TEST_SEAM for name in (
+        "_repl_term.inp", "_repl_term.out", "_repl_term.env",
+        "_repl_net.inp", "_repl_net.out")},
+}
+
+
+def defaulted_parameters(tree: ast.Module, module: str):
+    """(qualified name, name its calls use, position, keyword) for each
+    defaulted parameter of each function and method in tree, nested ones
+    included.  A method's position does not count self; `__init__` is
+    called by its class's name; a keyword-only parameter has no position."""
+    def walk(body, prefix, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from walk(node.body, f"{prefix}{node.name}.", node.name)
+            elif isinstance(node, ast.FunctionDef):
+                a, qual = node.args, f"{prefix}{node.name}"
+                positional = a.posonlyargs + a.args
+                if cls and not any(isinstance(d, ast.Name)
+                                   and d.id == "staticmethod"
+                                   for d in node.decorator_list):
+                    positional = positional[1:]
+                called = cls if node.name == "__init__" else node.name
+                first = len(positional) - len(a.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    yield f"{qual}.{arg.arg}", called, i, arg.arg
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        yield f"{qual}.{arg.arg}", called, None, arg.arg
+                yield from walk(node.body, f"{qual}.", None)
+    yield from walk(tree.body, f"{module}.", None)
+
+
+def passes(call: ast.Call, position, keyword: str) -> bool:
+    """Whether call passes the parameter; a *args or **kwargs passes any."""
+    if any(isinstance(a, ast.Starred) for a in call.args) \
+            or any(k.arg in (None, keyword) for k in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def unpassed(src: pathlib.Path, callers) -> set[str]:
+    """The defaulted parameters of the package at src that no call in the
+    files callers passes.  A call matches a function by the name it calls,
+    a plain or attribute name, so a call of another function with the same
+    name counts too.  A dataclass field has no `__init__` in the source,
+    so its default is not checked here."""
+    calls: dict[str, list[ast.Call]] = {}
+    for path in callers:
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.Call):
+                f = n.func
+                name = f.id if isinstance(f, ast.Name) else \
+                    f.attr if isinstance(f, ast.Attribute) else None
+                calls.setdefault(name, []).append(n)
+    return {qual for path in sorted(src.glob("*.py"))
+            for qual, called, position, keyword in defaulted_parameters(
+                ast.parse(path.read_text(encoding="utf-8")), path.stem)
+            if not any(passes(c, position, keyword)
+                       for c in calls.get(called, ()))}
+
+
+def test_every_defaulted_parameter_is_passed():
+    """A default that only a test overrides is a knob of the tests: it goes,
+    or the allowlist says why it stays; an entry for a parameter passed or
+    gone is stale."""
+    callers = sorted(SRC.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    left = unpassed(SRC, callers)
+    assert sorted(left - set(UNPASSED)) == [], "passed by no call"
+    assert sorted(set(UNPASSED) - left) == [], "stale allowlist entries"
 
 
 # ---------------------------------------------------------------------------

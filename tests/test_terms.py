@@ -10,7 +10,7 @@ from conftest import (
 )
 from termgen import corpus
 from termgen import TYPES, random_term, random_type
-from typecheck_oracle import oracle_typecheck
+from typecheck_oracle import oracle_free_ivars, oracle_typecheck
 
 from groundkit import terms as tm
 from groundkit.formulas import (
@@ -87,30 +87,51 @@ def mutated(rng: random.Random, t: tm.GroundTerm) -> tm.GroundTerm:
     return new
 
 
-def type_or_none(check, t):
+def type_or_none(check, free_ivars, t):
     try:
         ty = check(t)
     except tm.GroundTypeError:
         return None
-    return ty.antecedents, ty.succedent, ty.free_individual_vars
+    return ty.antecedents, ty.succedent, free_ivars(t)
+
+
+def quantified_terms() -> list[tm.GroundTerm]:
+    """Terms whose individual variables are free, bound by ∀-introduction
+    or bound by ∃-elimination; the random terms have none."""
+    from groundkit.formulas import Exists, IVar
+
+    def p(x):
+        return Atom("P", (IVar(x),))
+    v, c = tm.Var("v", p("x")), tm.Const("c", A)
+    lam = tm.ForallI("x", v)
+    return [v, lam, tm.ForallE(IVar("y"), lam), tm.ForallE(IConst("a"), lam),
+            tm.ExistsI(IVar("y"), Exists("x", p("x")), tm.Var("w", p("y"))),
+            tm.ExistsE("x", v, tm.Var("s", Exists("z", p("z"))), c),
+            tm.ExistsE("x", v, tm.Var("s", Exists("z", p("z"))), v),
+            tm.ImplI(tm.Var("u", p("y")), tm.ConjI(v, c))]
 
 
 class TestTypecheckOracle:
     def test_agrees_with_the_recursive_typechecker(self):
-        """The same verdict on every term, and the same type and
-        antecedents wherever the term is typed: random terms, three in
-        four given one to three faults or free variables."""
+        """The same verdict on every term, and the same type, antecedents
+        and free individual variables wherever the term is typed: random
+        terms, three in four given one to three faults or free
+        variables, and terms with individual variables."""
         rng = random.Random(11)
-        ill = 0
+        terms = quantified_terms()
         for _ in range(4000):
             t = random_term(rng, random_type(rng), 4)
             if rng.random() < 0.75:
                 for _ in range(rng.randint(1, 3)):
                     t = mutated(rng, t)
-            want = type_or_none(oracle_typecheck, t)
-            assert type_or_none(tm.typecheck, t) == want
-            ill += want is None
-        assert 1000 < ill < 3000
+            terms.append(t)
+        seen = []
+        for t in terms:
+            want = type_or_none(oracle_typecheck, oracle_free_ivars, t)
+            assert type_or_none(tm.typecheck, tm.term_free_ivars, t) == want
+            seen.append(want and want[2])
+        assert 1000 < seen.count(None) < 3000
+        assert {frozenset({"x"}), frozenset({"x", "y"})} < set(seen)
 
 
 class TestReduction:

@@ -15,6 +15,7 @@ from test_behaviours import (
     universe_order,
 )
 
+import groundkit.translate as tr
 from groundkit import terms as tm
 from groundkit.formulas import Absurd, Atom, Impl
 from groundkit.designs import (
@@ -401,8 +402,7 @@ class TestDelocatedBehaviours:
         """P → P and the constant of P share one free incarnation of P."""
         calls = []
         real = free_incarnation
-        monkeypatch.setattr(importlib.import_module("groundkit.translate"),
-                            "free_incarnation",
+        monkeypatch.setattr(tr, "free_incarnation",
                             lambda *args: calls.append(args) or real(*args))
         env = one_env()
         for t in (copycat(P), tm.Const("c", P)):
@@ -625,8 +625,7 @@ class TestArrowSharedPrefixes:
                        for a in dom)])
         assert [by_enumeration(bA, bB, bounds)
                 for bA, bB, bounds in cases] == expected
-        monkeypatch.setattr(importlib.import_module("groundkit.translate"),
-                            "make_cutnet", None)
+        monkeypatch.setattr(tr, "make_cutnet", None)
         assert [behaviour_arrow(bA, bB, bounds).generators
                 for bA, bB, bounds in cases] == [
             frozenset(_minimal(e)) for e in expected]
