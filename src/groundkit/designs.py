@@ -7,8 +7,9 @@ checked by inclusion, so weakening is always allowed.
 Designs are hash-consed as terms are (Filliâtre and Conchon, *Type-Safe
 Modular Hash-Consing*, 2006): equal designs are one object, held weakly
 by an intern table, so `==` and `hash` are identity's, and the daimon flag
-is computed once.  No walker recurses: `subtrees` is an explicit-stack
-preorder, and `sharing.fold` builds designs bottom-up, so any depth works.
+is computed once.  No walker recurses: `validate_design`, `subdesign_order`
+and `interaction.render_design` keep their own stacks, and `sharing.fold`
+builds designs bottom-up, so any depth works.
 """
 
 from __future__ import annotations
@@ -245,23 +246,6 @@ def build_fax(xi: Address, xi2: Address, depth: int, arity_bound: int = 1) -> De
 
 
 # --- traversal helpers -----------------------------------------------------
-
-
-def subtrees(d: Design):
-    """Yield (path, design) pairs in preorder; paths are child selectors:
-    ("i", i) for the child at ξ.i, ("I", I) for the branch I."""
-    todo = [((), d)]
-    while todo:
-        path, s = todo.pop()
-        yield path, s
-        match s.node:
-            case PosNode(_, ram, kids):
-                premises = [(("i", i), c) for i, c in zip(ram, kids)]
-            case NegNode(_, branches):
-                premises = [(("I", key), b) for key, b in branches]
-            case _:
-                premises = []
-        todo += [(path + (step,), p) for step, p in reversed(premises)]
 
 
 def contains_daimon(d: Design) -> bool:

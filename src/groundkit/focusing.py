@@ -262,10 +262,7 @@ def focused_search(seq: Sequent, daimon_mode: bool = False,
                 children = []
                 ok = True
                 for g, part in zip(groups, split):
-                    premise = tuple(g) + part
-                    sub = (ClusteredDerivation(premise, "axiom")
-                           if _axiom_pair(premise)
-                           else focused_search(premise, False))
+                    sub = focused_search(tuple(g) + part, False)
                     if sub is None:
                         ok = False
                         break

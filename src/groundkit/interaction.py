@@ -20,7 +20,6 @@ from itertools import count
 from .designs import (
     Address, DaimonLeaf, Design, FidLeaf, NegNode, Pitchfork, PosNode,
     Ramification, child, daimon, disjoint, format_address, prefix_pairs,
-    subtrees,
 )
 from .sharing import DEFAULT_FUEL, Refusal, fold
 
@@ -328,19 +327,23 @@ def render_design(d: Design,
         return "{" + ",".join(map(str, items)) + "}"
 
     lines = []
-    for path, s in subtrees(d):
+    todo = [(0, d)]                 # (depth, design), preorder
+    while todo:
+        depth, s = todo.pop()
         match s.node:
-            case PosNode(focus, ram, _):
+            case PosNode(focus, ram, premises):
                 rule = f"(+ {fa(focus)} {braces(ram)})"
             case NegNode(focus, branches):
                 keys = "; ".join(braces(k) for k, _ in branches)
                 rule = f"(- {fa(focus)} {{{keys}}})"
+                premises = [b for _, b in branches]
             case node:
                 rule = "†" if isinstance(node, DaimonLeaf) else "Ω"
+                premises = ()
         left = "" if s.base.neg is None else fa(s.base.neg)
         right = ", ".join(fa(a) for a in sorted(s.base.pos))
-        lines.append(f"{'  ' * len(path)}{rule} {left} ⊢ {right}"
-                     .rstrip())
+        lines.append(f"{'  ' * depth}{rule} {left} ⊢ {right}".rstrip())
+        todo += [(depth + 1, p) for p in reversed(premises)]
     return lines
 
 

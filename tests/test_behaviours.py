@@ -291,6 +291,48 @@ class TestClassification:
             assert out.trace[-1][0] == "†"
 
 
+#: how a verdict may move when the bounds grow: E^⊥ ∩ U_b ⊆ E^⊥ ∩ U_b′, so
+#: a failing counter-test stays one, and used parts only grow with the tests
+MOVES_AS_BOUNDS_GROW = {
+    "Ground": {"Ground", "NotInBehaviour"},
+    "PseudoGround(not-material)": {
+        "Ground", "PseudoGround(not-material)", "NotInBehaviour"},
+    "PseudoGround(contains-daimon)": {
+        "PseudoGround(contains-daimon)", "NotInBehaviour"},
+    "NotInBehaviour": {"NotInBehaviour"},
+}
+
+
+class TestBoundsMonotonicity:
+    def test_verdicts_move_only_as_the_bounds_allow(self):
+        """Behaviours on ⊢0 and 0⊢ from seeded generators, at b = (depth 1,
+        pool P) and b′ = (depth 2, pool P′) with P ⊆ P′ ⊆ full_pool(1):
+        each candidate's verdict under b′ is one its verdict under b may
+        move to."""
+        rng = random.Random(10)
+        seen = set()
+        for _ in range(40):
+            base = rng.choice((POS, NEG))
+            wide = [I for I in full_pool(1) if rng.random() < 0.7] or [()]
+            narrow = [I for I in wide if rng.random() < 0.6] or wide[:1]
+            b = UniverseBounds(1, narrow, base)
+            b2 = UniverseBounds(2, wide, base)
+            narrow_universe = enumerate_universe(b)
+            gens = rng.sample(narrow_universe,
+                              rng.randint(1, min(2, len(narrow_universe))))
+            small, large = behaviour(gens, b), behaviour(gens, b2)
+            universe = enumerate_universe(b2)
+            for d in rng.sample(universe, min(30, len(universe))):
+                v = str(classify_candidate(d, small, DEFAULT_FUEL))
+                v2 = str(classify_candidate(d, large, DEFAULT_FUEL))
+                assert v2 in MOVES_AS_BOUNDS_GROW[v], (gens, d, v, v2)
+                seen.add((v, v2))
+        # every verdict occurs under b, and some move across the bounds
+        assert {v for v, _ in seen} == set(MOVES_AS_BOUNDS_GROW)
+        assert ("Ground", "NotInBehaviour") in seen
+        assert ("PseudoGround(contains-daimon)", "NotInBehaviour") in seen
+
+
 class TestDualBase:
     def test_roundtrip(self):
         assert dual_bases(POS) == (NEG,)

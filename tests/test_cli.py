@@ -1165,6 +1165,21 @@ class TestFuelExhaustion:
         assert status == 2
         assert "fuel-exhausted" in err
 
+    def test_a_bhv_orthogonal_is_built_at_the_default_fuel(self, capsys):
+        """Reading a `.bhv` computes its orthogonal at DEFAULT_FUEL;
+        `--fuel` bounds only the tests the verb runs itself."""
+        bhv = str(DATA / "one.bhv")
+        assert run(capsys, "behaviour", "--behaviour", bhv, "--show",
+                   "orthogonal", "--fuel", "0") == (
+            0, "orthogonal: 1 design(s)\n(- 0 {{}}) 0 ⊢\n  †  ⊢\n\n", "")
+        assert run(capsys, "classify", "--design", str(DATA / "daimon.dsn"),
+                   "--behaviour", bhv, "--fuel", "0") == (
+            1, "PseudoGround(contains-daimon)\n", "")
+        status, out, err = run(capsys, "behaviour", "--behaviour", bhv,
+                               "--show", "members", "--fuel", "0")
+        assert (status, out) == (2, "")
+        assert err.startswith("error: fuel-exhausted")
+
     @pytest.mark.parametrize("argv", [
         ["reduce", "--term", "identity-apply.gt"],
         ["ground", "--term", "identity-apply.gt"],

@@ -6,12 +6,24 @@ from groundkit.designs import (
     DaimonLeaf, Design, FidLeaf, NegNode, Pitchfork, PosNode, atomic_bomb,
     build_fax, child, contains_daimon, daimon, delocate, disjoint, fid,
     format_address, merge_subdesigns, negative, parse_address, positive,
-    skunk, star, subdesign_order, subsets, subtrees, validate_design,
+    skunk, star, subdesign_order, subsets, validate_design,
     validate_pitchfork,
 )
 
 XI = (0,)
 XI2 = (1,)
+
+
+def nodes(d):
+    """Every design of d's tree, d first, in preorder, by recursion."""
+    yield d
+    match d.node:
+        case PosNode(_, _, kids):
+            for c in kids:
+                yield from nodes(c)
+        case NegNode(_, branches):
+            for _, b in branches:
+                yield from nodes(b)
 
 
 def negative_sponge(xi, rams):
@@ -348,4 +360,4 @@ class TestInterning:
         for _ in range(100):
             d = random_design(rng, Pitchfork(XI, frozenset()), 3)
             assert contains_daimon(d) == any(
-                isinstance(s.node, DaimonLeaf) for _, s in subtrees(d))
+                isinstance(s.node, DaimonLeaf) for s in nodes(d))

@@ -21,6 +21,8 @@ import sys
 
 import pytest
 
+import mutants
+
 import groundkit
 from groundkit.cli import main
 from groundkit.sharing import Interned, Refusal
@@ -402,3 +404,15 @@ def test_a_bug_is_not_reported_as_a_refusal(monkeypatch, argv):
         main([str(data / a) if a.endswith((".dsn", ".bhv")) else a
               for a in argv])
     assert not isinstance(e.value, Refusal)
+
+
+# ---------------------------------------------------------------------------
+# the mutation catalogue still applies
+
+
+@pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m.name)
+def test_every_mutant_applies(mutant):
+    """Each row's old text occurs exactly once in its file and each of its
+    tests exists, so a row that no longer applies fails here; the full run
+    is `python tests/mutants.py`."""
+    assert mutants.stale(mutant) == []

@@ -7,16 +7,17 @@ from hypothesis import given, settings
 
 from conftest import convergent_pair
 from interaction_oracle import oracle_make_cutnet, oracle_normalize
-from test_designs import negative_sponge, random_design
+from test_designs import negative_sponge, nodes, random_design
 
 from groundkit.designs import (
     DaimonLeaf, Design, FidLeaf, NegNode, Pitchfork, PosNode, atomic_bomb,
-    daimon, fid, merge_subdesigns, negative, positive, skunk, subdesign_order,
-    subtrees, validate_design,
+    daimon, fid, format_address, merge_subdesigns, negative, positive, skunk,
+    subdesign_order, validate_design,
 )
 from groundkit.interaction import (
     BaseMismatch, Converged, CutNetError, Diverged, dual_bases,
-    join_used_parts, make_cutnet, normalize_closed, orthogonal, snapshots,
+    join_used_parts, make_cutnet, normalize_closed, orthogonal,
+    render_design, snapshots,
 )
 from groundkit.interaction import (
     CONVERGED, NO_BRANCH, OMEGA, UNCUT, Exhausted, run_closed, step,
@@ -349,7 +350,7 @@ def pruned_oracle(d, trace):
 def actions(d):
     """Every (address, ramification) pair a node of d can consume."""
     out = []
-    for _, s in subtrees(d):
+    for s in nodes(d):
         if isinstance(s.node, PosNode):
             out.append((s.node.focus, s.node.ramification))
         elif isinstance(s.node, NegNode):
@@ -387,3 +388,56 @@ class TestJoinInOneWalk:
             else join_used_parts(d, [()])
         assert join_used_parts(d, traces) is expected
         assert subdesign_order(expected, d)
+
+
+def rendered_by_recursion(d, mark, depth=0):
+    """render_design's lines, each node's rule and base two spaces deeper
+    than its parent's, its premises after it in order."""
+    def fa(a):
+        return f"*{format_address(a)}*" if a in mark else format_address(a)
+
+    def braces(items):
+        return "{" + ",".join(map(str, items)) + "}"
+
+    match d.node:
+        case PosNode(focus, ram, kids):
+            rule, premises = f"(+ {fa(focus)} {braces(ram)})", kids
+        case NegNode(focus, branches):
+            keys = "; ".join(braces(k) for k, _ in branches)
+            rule = f"(- {fa(focus)} {{{keys}}})"
+            premises = [b for _, b in branches]
+        case DaimonLeaf():
+            rule, premises = "†", ()
+        case FidLeaf():
+            rule, premises = "Ω", ()
+    left = "" if d.base.neg is None else fa(d.base.neg)
+    right = ", ".join(fa(a) for a in sorted(d.base.pos))
+    lines = [f"{'  ' * depth}{rule} {left} ⊢ {right}".rstrip()]
+    for p in premises:
+        lines += rendered_by_recursion(p, mark, depth + 1)
+    return lines
+
+
+class TestRenderDesign:
+    BASES = [Pitchfork(None, frozenset({XI})), Pitchfork(XI, frozenset()),
+             Pitchfork(None, frozenset({XI, (1,)})),
+             Pitchfork(XI, frozenset({(1,)}))]
+
+    def test_agrees_with_the_recursive_renderer(self):
+        """Random designs at least three rule levels deep, each holding all
+        four node kinds, with a non-empty set of marked addresses."""
+        rng = random.Random(33)
+        kinds = {DaimonLeaf, FidLeaf, PosNode, NegNode}
+        checked = 0
+        while checked < 200:
+            d = random_design(rng, rng.choice(self.BASES), 5)
+            depth = max(len(l) - len(l.lstrip(" "))
+                        for l in rendered_by_recursion(d, frozenset())) // 2
+            if {type(s.node) for s in nodes(d)} != kinds or depth < 3:
+                continue
+            addresses = sorted({a for s in nodes(d) for a in s.base.pos}
+                               | {s.base.neg for s in nodes(d)} - {None})
+            mark = frozenset(rng.sample(addresses,
+                                        rng.randint(1, len(addresses))))
+            assert render_design(d, mark) == rendered_by_recursion(d, mark)
+            checked += 1
